@@ -176,14 +176,14 @@ def consistency_from_pairs(
 ) -> ConsistencyResult:
     """Rebuild a :class:`ConsistencyResult` from a known violating set.
 
-    The eq. 4.12 Datalog paths (the incremental delta re-solve, the
-    demand-transformed ``--query``) decide *which* accesses violate;
-    this decoder rebuilds the same :class:`ObjectPairWarning` objects —
-    owners, store sites, the Section 5.4 never-safe rank — that
-    :func:`check_consistency` would have built for them, iterating the
-    same sorted order so downstream ranking and fingerprints are
-    byte-identical.  ``accesses`` restricts the iteration (the demand
-    path passes its query seed); by default every access is considered.
+    The demand-transformed eq. 4.12 Datalog path (``--query``) decides
+    *which* accesses violate; this decoder rebuilds the same
+    :class:`ObjectPairWarning` objects — owners, store sites, the
+    Section 5.4 never-safe rank — that :func:`check_consistency` would
+    have built for them, iterating the same sorted order so downstream
+    ranking and fingerprints are byte-identical.  ``accesses`` restricts
+    the iteration (the demand path passes its query seed); by default
+    every access is considered.
     """
     owned_by: Dict[AbstractObject, Set[AbstractObject]] = {}
     for region, obj in analysis.ownership:

@@ -10,10 +10,7 @@ figure corpus, tying the executable formalism to the production checker.
 
 Two access paths share the encoding:
 
-* :func:`build_consistency_program` -- the full eq. 4.12 closure.  Fact
-  extraction is split out (:func:`extract_consistency_facts`) so the
-  incremental analysis session can diff encoded fact sets across runs and
-  feed the delta to ``Solution.update`` instead of re-solving.
+* :func:`build_consistency_program` -- the full eq. 4.12 closure.
 * :func:`build_demand_program` -- a magic-sets-style demand
   transformation for single-warning questions (``--explain``,
   ``--query``): the subregion order and ownership cover are explored only
@@ -34,7 +31,6 @@ from repro.pointer import AbstractObject, PointerAnalysisResult
 from repro.util.budget import BudgetMeter
 
 __all__ = [
-    "ALL_RELATIONS",
     "ConsistencyFacts",
     "ConsistencyProgram",
     "accesses_at_location",
@@ -115,13 +111,6 @@ _DEMAND_RELATIONS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("demandRegion", ("O",)),
 ) + _DERIVED_RELATIONS
 
-#: Every relation of the full (non-demand) program with its domain
-#: signature, in declaration order -- the incremental state store uses it
-#: to translate persisted snapshots between entity tables.
-ALL_RELATIONS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    INPUT_RELATIONS + _DERIVED_RELATIONS
-)
-
 
 def datalog_object_pairs(
     analysis: PointerAnalysisResult,
@@ -137,9 +126,7 @@ def datalog_object_pairs(
 class ConsistencyFacts:
     """The eq. 4.12 input facts, dense-encoded, plus the decoding maps.
 
-    ``facts`` maps each input relation name to its encoded tuple set;
-    the incremental session diffs two of these (after translating between
-    entity tables) to obtain the retract/assert delta of an edit.
+    ``facts`` maps each input relation name to its encoded tuple set.
     """
 
     hierarchy: RegionHierarchy
@@ -191,8 +178,7 @@ def extract_consistency_facts(
     """Encode the analysis effects as eq. 4.12 input-fact tuples.
 
     The entity/offset orderings are deterministic (sorted), so two
-    extractions of the same analysis produce identical encodings — the
-    property the incremental fact diff depends on.
+    extractions of the same analysis produce identical encodings.
     """
     if hierarchy is None:
         hierarchy = build_hierarchy(analysis.regions, analysis.subregion)
@@ -248,17 +234,14 @@ def make_consistency_program(
     num_entities: int,
     num_offsets: int,
     backend: str = "set",
-    engine: str = "indexed",
     demand: bool = False,
 ) -> Program:
     """Declare the eq. 4.12 program (domains, relations, rules), no facts.
 
-    Split from :func:`build_consistency_program` so the incremental
-    session can rebuild the program around a *stored* entity table —
-    possibly padded beyond the current universe for headroom — and load
-    facts in that table's encoding.
+    Shared by the full and the demand-transformed builders; ``demand``
+    picks the rule set and its relations.
     """
-    program = Program(backend=backend, engine=engine)
+    program = Program(backend=backend)
     program.domain("O", max(num_entities, 1))
     program.domain("N", max(num_offsets, 1))
     derived = _DEMAND_RELATIONS if demand else _DERIVED_RELATIONS

@@ -7,7 +7,6 @@ from repro.datalog.program import (
     Solution,
     SolverStats,
     StratumStats,
-    UpdateStats,
 )
 from repro.datalog.relation import (
     BddRelation,
@@ -44,7 +43,6 @@ __all__ = [
     "Solution",
     "SolverStats",
     "StratumStats",
-    "UpdateStats",
     "Var",
     "parse_rule",
     "parse_rules",

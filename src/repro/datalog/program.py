@@ -48,7 +48,6 @@ __all__ = [
     "Derivation",
     "SolverStats",
     "StratumStats",
-    "UpdateStats",
 ]
 
 
@@ -94,9 +93,6 @@ class SolverStats:
     bdd_cache_lookups: int = 0
     bdd_cache_hits: int = 0
     solve_seconds: float = 0.0
-    updates: int = 0
-    update_seconds: float = 0.0
-    strata_skipped: int = 0
     strata: List[StratumStats] = field(default_factory=list)
     rule_seconds: Dict[str, float] = field(default_factory=dict)
     rule_derived: Dict[str, int] = field(default_factory=dict)
@@ -154,29 +150,6 @@ class SolverStats:
             for text, seconds in slowest:
                 lines.append(f"    {seconds * 1000:8.1f}ms  {text}")
         return "\n".join(lines)
-
-
-@dataclass
-class UpdateStats:
-    """Account of one :meth:`Solution.update` call.
-
-    ``mode`` is ``"delta"`` when the indexed set engine ran its
-    delete-rederive (DRed) pass, ``"resolve"`` when the backend fell back
-    to a full re-solve (legacy/bdd engines and provenance-recording
-    solutions), and ``"noop"`` when the requested fact delta was empty
-    after netting against the currently-asserted facts.
-    """
-
-    mode: str = "noop"
-    facts_asserted: int = 0
-    facts_retracted: int = 0
-    strata_total: int = 0
-    strata_skipped: int = 0
-    tuples_deleted: int = 0
-    tuples_inserted: int = 0
-    rederived: int = 0
-    rounds: int = 0
-    seconds: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -439,69 +412,13 @@ class Program:
                 rounds=store.stats.rounds,
             )
         store.stats.solve_seconds = time.perf_counter() - started
-        return Solution(self, store)
-
-    def resume(
-        self,
-        relations: Dict[str, Iterable[Tuple[int, ...]]],
-        meter: Optional[BudgetMeter] = None,
-    ) -> "Solution":
-        """Reconstruct a :class:`Solution` from a saved relation snapshot.
-
-        ``relations`` maps relation names to their *full* contents (base
-        facts included) at a previously-reached fixpoint of this program's
-        rules over its currently-asserted facts — typically a persisted
-        :meth:`Solution.snapshot`.  The snapshot is trusted to be that
-        fixpoint: no rules are evaluated, so a snapshot produced by a
-        different program or fact set silently yields wrong answers.
-        Callers that persist snapshots must content-address them against
-        the program identity (the incremental analysis state store does).
-
-        Tuples are still arity- and domain-checked so a truncated or
-        corrupted snapshot raises :class:`DatalogError` instead of
-        poisoning later queries.  Only the indexed set engine can resume —
-        it is the engine with the :meth:`Solution.update` delta path that
-        makes resuming worthwhile.
-        """
-        if self.backend != "set" or self.engine != "indexed":
-            raise DatalogError("resume requires the indexed set engine")
-        started = time.perf_counter()
-        store = _SetStore(self)
-        store.meter = meter
-        for name in relations:
-            self._decl(name)
-        for name, decl in self._relations.items():
-            relation = store.relation(name)
-            for values in relations.get(name, ()):
-                values = tuple(values)
-                if len(values) != len(decl.domains):
-                    raise DatalogError(
-                        f"snapshot {name}{values} has arity {len(values)},"
-                        f" expected {len(decl.domains)}"
-                    )
-                for value, domain in zip(values, decl.domains):
-                    if not 0 <= value < self._domains[domain]:
-                        raise DatalogError(
-                            f"snapshot {name}{values}: {value} out of range"
-                            f" for domain {domain}"
-                        )
-                relation.add(values)
-        total = sum(len(store.relation(name)) for name in self._relations)
-        loaded = sum(
-            len(self._facts[name] & set(store.relation(name)))
-            for name in self._relations
-        )
-        store.stats.facts_loaded = loaded
-        store.stats.tuples_derived = total - loaded
-        store.stats.solve_seconds = time.perf_counter() - started
-        return Solution(self, store)
+        return Solution(store)
 
 
 class Solution:
     """Queryable result of :meth:`Program.solve`."""
 
-    def __init__(self, program: Program, store: "_Store") -> None:
-        self._program = program
+    def __init__(self, store: "_Store") -> None:
         self._store = store
 
     def relation(self, name: str) -> Relation:
@@ -513,20 +430,6 @@ class Solution:
     def count(self, name: str) -> int:
         return len(self._store.relation(name))
 
-    def snapshot(self) -> Dict[str, List[Tuple[int, ...]]]:
-        """Sorted contents of every relation, base facts included.
-
-        The output round-trips through :meth:`Program.resume`: feeding it
-        to an identically-declared program holding the same asserted facts
-        reconstructs this solution without re-running any rule.  Sorting
-        makes the snapshot deterministic, so persisted forms are
-        byte-stable across runs and safe to content-address.
-        """
-        return {
-            name: sorted(self._store.relation(name))
-            for name in self._program._relations
-        }
-
     def __contains__(self, query: Tuple[str, Tuple[int, ...]]) -> bool:
         name, values = query
         return tuple(values) in self._store.relation(name)
@@ -535,105 +438,6 @@ class Solution:
     def stats(self) -> SolverStats:
         """Observability counters gathered while solving."""
         return self._store.stats
-
-    def update(
-        self,
-        asserted: Optional[Dict[str, Iterable[Tuple[int, ...]]]] = None,
-        retracted: Optional[Dict[str, Iterable[Tuple[int, ...]]]] = None,
-        meter: Optional[BudgetMeter] = None,
-    ) -> UpdateStats:
-        """Apply a base-fact delta and bring every relation to the new
-        fixpoint without re-deriving unaffected strata.
-
-        ``retracted`` facts are removed first, then ``asserted`` facts are
-        added; the effective delta is netted against the program's
-        currently-asserted facts (retracting an absent fact or asserting a
-        present one is a no-op).  On the indexed set engine the store runs
-        a delete-rederive (DRed) pass per affected stratum — overdelete
-        everything whose recorded support touches a deleted tuple (or a
-        tuple newly added under a negated atom), physically remove, then
-        rederive survivors and propagate insertions through the existing
-        semi-naive delta path — and *skips* strata whose rules mention no
-        changed relation.  Stratified negation stays sound because negated
-        atoms always refer to relations finalized in lower strata, so each
-        stratum sees its negated inputs at their new fixpoint.
-
-        The legacy set engine, the BDD backend, and provenance-recording
-        solutions fall back to a full re-solve behind the same interface
-        (``mode="resolve"`` in the returned :class:`UpdateStats`); results
-        are identical on every path, which the incremental ≡ full property
-        test holds them to.
-
-        The program's rules and declarations must not have changed since
-        the original solve.
-        """
-        program = self._program
-        started = time.perf_counter()
-        ustats = UpdateStats()
-        eff_add: Dict[str, Set[Tuple[int, ...]]] = {}
-        eff_del: Dict[str, Set[Tuple[int, ...]]] = {}
-        names = set(asserted or ()) | set(retracted or ())
-        # Validate the entire delta before touching ``program._facts`` so a
-        # rejected update leaves the solution and the asserted facts
-        # consistent (no partial mutation on error).
-        normalized: Dict[str, Tuple[Set[Tuple[int, ...]],
-                                    Set[Tuple[int, ...]]]] = {}
-        for name in sorted(names):
-            decl = program._decl(name)
-            removes = {tuple(t) for t in (retracted or {}).get(name, ())}
-            adds = {tuple(t) for t in (asserted or {}).get(name, ())}
-            for values in removes | adds:
-                if len(values) != len(decl.domains):
-                    raise DatalogError(
-                        f"update {name}{values} has arity {len(values)},"
-                        f" expected {len(decl.domains)}"
-                    )
-            for values in adds:
-                for value, domain in zip(values, decl.domains):
-                    if not 0 <= value < program._domains[domain]:
-                        raise DatalogError(
-                            f"update {name}{values}: {value} out of range"
-                            f" for domain {domain}"
-                        )
-            normalized[name] = (removes, adds)
-        for name, (removes, adds) in normalized.items():
-            old = program._facts[name]
-            new = (old - removes) | adds
-            if new != old:
-                eff_add[name] = new - old
-                eff_del[name] = old - new
-                program._facts[name] = new
-        ustats.facts_asserted = sum(len(v) for v in eff_add.values())
-        ustats.facts_retracted = sum(len(v) for v in eff_del.values())
-        if not eff_add and not eff_del:
-            ustats.seconds = time.perf_counter() - started
-            return ustats
-        store = self._store
-        if type(store) is _SetStore and store.provenance is None:
-            if meter is not None:
-                store.meter = meter
-            strata = program._stratify()
-            ustats.mode = "delta"
-            ustats.strata_total = len(strata)
-            with trace_span("datalog.update") as span:
-                store.apply_update(strata, program._facts, eff_add, eff_del,
-                                   ustats)
-                span.set(
-                    asserted=ustats.facts_asserted,
-                    retracted=ustats.facts_retracted,
-                    skipped=ustats.strata_skipped,
-                    deleted=ustats.tuples_deleted,
-                    inserted=ustats.tuples_inserted,
-                )
-        else:
-            fresh = program.solve(meter=meter, provenance=self.has_provenance)
-            self._store = fresh._store
-            ustats.mode = "resolve"
-        ustats.seconds = time.perf_counter() - started
-        self._store.stats.updates += 1
-        self._store.stats.update_seconds += ustats.seconds
-        self._store.stats.strata_skipped += ustats.strata_skipped
-        return ustats
 
     @property
     def has_provenance(self) -> bool:
@@ -1172,397 +976,6 @@ class _SetStore(_Store):
                 self.stats.rule_seconds.get(key, 0.0) + elapsed
             )
             span.set(rule=key, tuples=len(results))
-        return results
-
-
-    # -- incremental maintenance (DRed) ------------------------------------
-
-    def apply_update(
-        self,
-        strata: List[List[Rule]],
-        facts: Dict[str, Set[Tuple[int, ...]]],
-        base_add: Dict[str, Set[Tuple[int, ...]]],
-        base_del: Dict[str, Set[Tuple[int, ...]]],
-        ustats: UpdateStats,
-    ) -> None:
-        """Propagate a base-fact delta through the strata in order.
-
-        ``changed_add``/``changed_del`` accumulate the *net* change of
-        every relation finalized so far (base relations and lower-strata
-        heads); a stratum whose rules mention none of the changed
-        relations is skipped outright.  Base deltas that target derived
-        (head) relations are deferred to that head's stratum, where they
-        seed the DRed pass instead of being applied directly.
-        """
-        head_names = {
-            rule.head.relation for stratum in strata for rule in stratum
-        }
-        changed_add: Dict[str, Set[Tuple[int, ...]]] = {}
-        changed_del: Dict[str, Set[Tuple[int, ...]]] = {}
-        pending_add: Dict[str, Set[Tuple[int, ...]]] = {}
-        pending_del: Dict[str, Set[Tuple[int, ...]]] = {}
-        for name, tuples in base_add.items():
-            if name in head_names:
-                pending_add[name] = set(tuples)
-                continue
-            relation = self._relations[name]
-            actual = {t for t in tuples if relation.insert_new(t)}
-            if actual:
-                changed_add[name] = actual
-                ustats.tuples_inserted += len(actual)
-        for name, tuples in base_del.items():
-            if name in head_names:
-                pending_del[name] = set(tuples)
-                continue
-            relation = self._relations[name]
-            actual = {t for t in tuples if t in relation}
-            if actual:
-                relation.discard_all(actual)
-                changed_del[name] = actual
-                ustats.tuples_deleted += len(actual)
-        for stratum in strata:
-            heads = {rule.head.relation for rule in stratum}
-            mentioned = set(heads)
-            for rule in stratum:
-                for item in rule.body:
-                    if isinstance(item, Atom):
-                        mentioned.add(item.relation)
-            touched = any(
-                changed_add.get(name) or changed_del.get(name)
-                for name in mentioned
-            ) or any(
-                pending_add.get(name) or pending_del.get(name)
-                for name in heads
-            )
-            if not touched:
-                ustats.strata_skipped += 1
-                continue
-            self._update_stratum(
-                stratum, heads, facts, changed_add, changed_del,
-                pending_add, pending_del, ustats,
-            )
-
-    def _update_stratum(
-        self,
-        rules: List[Rule],
-        heads: Set[str],
-        facts: Dict[str, Set[Tuple[int, ...]]],
-        changed_add: Dict[str, Set[Tuple[int, ...]]],
-        changed_del: Dict[str, Set[Tuple[int, ...]]],
-        pending_add: Dict[str, Set[Tuple[int, ...]]],
-        pending_del: Dict[str, Set[Tuple[int, ...]]],
-        ustats: UpdateStats,
-    ) -> None:
-        """DRed for one stratum: overdelete, remove, rederive, insert.
-
-        The overdeletion fixpoint evaluates rule bodies against the *old*
-        database — this stratum's head relations are physically untouched
-        until the phase ends, and lower relations are viewed through
-        ``changed_add``/``changed_del`` (see :meth:`_eval_update`).
-        Overdeletion may overapproximate (anything still derivable is
-        rederived afterwards), but never underapproximate: a derivation
-        invalidated by a lower-stratum deletion is found by pivoting on
-        the deleted tuples, and one invalidated by an insertion under a
-        negated atom by pivoting on the inserted tuples.
-        """
-        # ---- Phase 1: overdeletion fixpoint over the old database ----
-        overdeleted: Dict[str, Set[Tuple[int, ...]]] = {h: set() for h in heads}
-        frontier: Dict[str, Set[Tuple[int, ...]]] = {}
-
-        def mark(head: str, values: Tuple[int, ...]) -> None:
-            if values in self._relations[head] and values not in overdeleted[head]:
-                overdeleted[head].add(values)
-                frontier.setdefault(head, set()).add(values)
-
-        for head, tuples in pending_del.items():
-            if head in heads:
-                for values in tuples:
-                    mark(head, values)
-        for rule in rules:
-            head = rule.head.relation
-            for i, item in enumerate(rule.body):
-                if not isinstance(item, Atom):
-                    continue
-                if not item.negated and item.relation not in heads:
-                    deleted = changed_del.get(item.relation)
-                    if deleted:
-                        for values in self._eval_update(
-                            rule, i, deleted, True, changed_add, changed_del
-                        ):
-                            mark(head, values)
-                elif item.negated:
-                    added = changed_add.get(item.relation)
-                    if added:
-                        for values in self._eval_update(
-                            rule, i, added, True, changed_add, changed_del
-                        ):
-                            mark(head, values)
-        while frontier:
-            if self.meter is not None:
-                self.meter.checkpoint("datalog")
-            ustats.rounds += 1
-            wave, frontier = frontier, {}
-            for rule in rules:
-                head = rule.head.relation
-                for i, item in enumerate(rule.body):
-                    if (
-                        isinstance(item, Atom)
-                        and not item.negated
-                        and item.relation in heads
-                        and wave.get(item.relation)
-                    ):
-                        for values in self._eval_update(
-                            rule, i, wave[item.relation], True,
-                            changed_add, changed_del,
-                        ):
-                            mark(head, values)
-        for head, dset in overdeleted.items():
-            if dset:
-                self._relations[head].discard_all(dset)
-                ustats.tuples_deleted += len(dset)
-
-        # ---- Phase 2+3: rederive survivors, then insert ----
-        inserted: Dict[str, Set[Tuple[int, ...]]] = {h: set() for h in heads}
-        delta: Dict[str, SetRelation] = {
-            h: self._fresh_delta(h, ()) for h in heads
-        }
-
-        def put(head: str, values: Tuple[int, ...]) -> None:
-            if self._relations[head].insert_new(values):
-                inserted[head].add(values)
-                delta[head].insert_new(values)
-                ustats.tuples_inserted += 1
-                if values in overdeleted[head]:
-                    ustats.rederived += 1
-                if self.meter is not None:
-                    self.meter.charge_tuples(1, "datalog")
-
-        for head in heads:
-            # Still-asserted base facts rederive unconditionally, and base
-            # facts newly asserted into a derived relation seed insertion.
-            survivors = overdeleted[head] & facts.get(head, set())
-            for values in survivors:
-                put(head, values)
-            for values in pending_add.get(head, ()):
-                put(head, values)
-        deletion_heads = {h for h in heads if overdeleted[h]}
-        for rule in rules:
-            head = rule.head.relation
-            if head in deletion_heads:
-                # Rederivation needs alternative support from *unchanged*
-                # tuples, which no delta pivot would find: evaluate the
-                # rule in full against the post-deletion database (this
-                # also covers any lower-stratum insertions for it).
-                for values in self._eval_rule(rule, None, None):
-                    put(head, values)
-                continue
-            for i, item in enumerate(rule.body):
-                if not isinstance(item, Atom):
-                    continue
-                if not item.negated and item.relation not in heads:
-                    added = changed_add.get(item.relation)
-                    if added:
-                        pivot = self._fresh_delta(item.relation, added)
-                        for values in self._eval_rule(rule, i, pivot):
-                            put(head, values)
-                elif item.negated:
-                    deleted = changed_del.get(item.relation)
-                    if deleted:
-                        absent = {
-                            t for t in deleted
-                            if t not in self._relations[item.relation]
-                        }
-                        for values in self._eval_update(
-                            rule, i, absent, False, changed_add, changed_del
-                        ):
-                            put(head, values)
-        while any(not rel.is_empty() for rel in delta.values()):
-            if self.meter is not None:
-                self.meter.checkpoint("datalog")
-            ustats.rounds += 1
-            new_delta: Dict[str, SetRelation] = {
-                h: self._fresh_delta(h, ()) for h in heads
-            }
-            for rule in rules:
-                head = rule.head.relation
-                for i, item in enumerate(rule.body):
-                    if (
-                        isinstance(item, Atom)
-                        and not item.negated
-                        and item.relation in heads
-                        and not delta[item.relation].is_empty()
-                    ):
-                        for values in self._eval_rule(
-                            rule, i, delta[item.relation]
-                        ):
-                            if self._relations[head].insert_new(values):
-                                inserted[head].add(values)
-                                new_delta[head].insert_new(values)
-                                ustats.tuples_inserted += 1
-                                if values in overdeleted[head]:
-                                    ustats.rederived += 1
-                                if self.meter is not None:
-                                    self.meter.charge_tuples(1, "datalog")
-            for retired in delta.values():
-                self._retire_counters(retired)
-            delta = new_delta
-        for retired in delta.values():
-            self._retire_counters(retired)
-
-        # ---- Net change of this stratum's heads, for later strata ----
-        for head in heads:
-            relation = self._relations[head]
-            net_del = {t for t in overdeleted[head] if t not in relation}
-            net_add = {t for t in inserted[head] if t not in overdeleted[head]}
-            if net_del:
-                changed_del.setdefault(head, set()).update(net_del)
-            if net_add:
-                changed_add.setdefault(head, set()).update(net_add)
-
-    def _eval_update(
-        self,
-        rule: Rule,
-        pivot: int,
-        pivot_tuples: Iterable[Tuple[int, ...]],
-        old: bool,
-        changed_add: Dict[str, Set[Tuple[int, ...]]],
-        changed_del: Dict[str, Set[Tuple[int, ...]]],
-    ) -> Set[Tuple[int, ...]]:
-        """Instantiate ``rule`` with body position ``pivot`` bound to each
-        pivot tuple, against either the old database (``old=True``) or the
-        current one.
-
-        The old view of a relation is ``(current - changed_add) |
-        changed_del``; relations with no recorded change — including this
-        stratum's own heads during overdeletion, whose physical removal is
-        deferred — read straight through.  The pivot may be a *negated*
-        atom: pivoting on tuples added to (old view) or removed from
-        (current view) a negated relation finds exactly the derivations
-        that negation invalidated or enabled.  Deltas are small, so this
-        interpretive join is not on the hot path; bulk evaluation stays on
-        the compiled :meth:`_eval_rule`.
-        """
-        self.stats.rule_evals += 1
-        pivot_item = rule.body[pivot]
-        assert isinstance(pivot_item, Atom)
-        relations = self._relations
-
-        def old_member(name: str, values: Tuple[int, ...]) -> bool:
-            if values in relations[name]._tuples:
-                added = changed_add.get(name)
-                return not (added and values in added)
-            deleted = changed_del.get(name)
-            return bool(deleted and values in deleted)
-
-        def member(name: str, values: Tuple[int, ...]) -> bool:
-            if old:
-                return old_member(name, values)
-            return values in relations[name]._tuples
-
-        positive = [
-            item
-            for i, item in enumerate(rule.body)
-            if i != pivot and isinstance(item, Atom) and not item.negated
-        ]
-        checks = [
-            item
-            for i, item in enumerate(rule.body)
-            if i != pivot
-            and (isinstance(item, NotEqual)
-                 or (isinstance(item, Atom) and item.negated))
-        ]
-        results: Set[Tuple[int, ...]] = set()
-        env: Dict[Var, int] = {}
-
-        def bind(atom: Atom, values: Tuple[int, ...]) -> Optional[List[Var]]:
-            fresh: List[Var] = []
-            for term, value in zip(atom.terms, values):
-                if isinstance(term, Const):
-                    if term.value != value:
-                        break
-                else:
-                    seen = env.get(term)
-                    if seen is None:
-                        env[term] = value
-                        fresh.append(term)
-                    elif seen != value:
-                        break
-            else:
-                return fresh
-            for var in fresh:
-                del env[var]
-            return None
-
-        def candidates(atom: Atom) -> Iterable[Tuple[int, ...]]:
-            positions: List[int] = []
-            key: List[int] = []
-            for i, term in enumerate(atom.terms):
-                if isinstance(term, Const):
-                    positions.append(i)
-                    key.append(term.value)
-                elif term in env:
-                    positions.append(i)
-                    key.append(env[term])
-            found = relations[atom.relation].lookup(
-                tuple(positions), tuple(key)
-            )
-            if not old:
-                return found
-            added = changed_add.get(atom.relation)
-            deleted = changed_del.get(atom.relation)
-            if not added and not deleted:
-                return found
-            out = [t for t in found if not (added and t in added)]
-            if deleted:
-                out.extend(
-                    t for t in deleted
-                    if all(t[p] == k for p, k in zip(positions, key))
-                )
-            return out
-
-        def emit() -> None:
-            for item in checks:
-                if isinstance(item, NotEqual):
-                    if env[item.left] == env[item.right]:
-                        return
-                else:
-                    values = tuple(
-                        term.value if isinstance(term, Const) else env[term]
-                        for term in item.terms
-                    )
-                    if member(item.relation, values):
-                        return
-            results.add(tuple(
-                term.value if isinstance(term, Const) else env[term]
-                for term in rule.head.terms
-            ))
-
-        def walk(position: int) -> None:
-            if position == len(positive):
-                emit()
-                return
-            atom = positive[position]
-            for values in list(candidates(atom)):
-                fresh = bind(atom, values)
-                if fresh is None:
-                    continue
-                walk(position + 1)
-                for var in fresh:
-                    del env[var]
-
-        for values in pivot_tuples:
-            if pivot_item.negated and member(pivot_item.relation, values):
-                continue
-            if not pivot_item.negated and not member(
-                pivot_item.relation, values
-            ):
-                continue
-            fresh = bind(pivot_item, values)
-            if fresh is None:
-                continue
-            walk(0)
-            for var in fresh:
-                del env[var]
         return results
 
 

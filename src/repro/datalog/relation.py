@@ -175,26 +175,6 @@ class SetRelation(Relation):
         self._indexes.clear()
         self._snapshot = None
 
-    def discard_all(self, tuples: Iterable[Tuple_]) -> int:
-        """Remove tuples (missing ones ignored); return how many existed.
-
-        Deletion happens in batches (the incremental update's overdeletion
-        phase), so indexes and the scan snapshot are invalidated wholesale
-        and rebuilt lazily on the next lookup rather than maintained
-        per-removal.  Callers must not hold live ``lookup`` views across a
-        ``discard_all``.
-        """
-        removed = 0
-        for values in tuples:
-            values = tuple(values)
-            if values in self._tuples:
-                self._tuples.discard(values)
-                removed += 1
-        if removed:
-            self._indexes.clear()
-            self._snapshot = None
-        return removed
-
     def lookup(
         self, positions: Tuple[int, ...], key: Tuple_
     ) -> List[Tuple_]:

@@ -14,7 +14,7 @@ histogram summaries expand into one series per statistic
 (``..._p50``, ``..._max``, ...), and every series is declared a gauge --
 the registry snapshot is a point-in-time state dump, not a monotone
 counter contract we could promise across process restarts.  Non-numeric
-gauges (e.g. ``datalog.update.mode``) are skipped: OpenMetrics sample
+gauges (e.g. a ``run.mode`` string) are skipped: OpenMetrics sample
 values must be numbers.
 """
 

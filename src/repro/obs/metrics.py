@@ -108,24 +108,6 @@ class MetricsRegistry:
         for stratum in stats.strata:
             self.observe("datalog.stratum_ms", stratum.seconds * 1000.0)
 
-    def absorb_update_stats(self, stats: Any) -> None:
-        """Fold a :class:`~repro.datalog.UpdateStats` into ``datalog.update.*``.
-
-        Records the delta re-solve's footprint (the incremental
-        analysis path) so a warm run's metrics show what the edit cost
-        instead of what a cold closure would have.
-        """
-        self.gauge("datalog.update.mode", stats.mode)
-        self.inc("datalog.update.facts_asserted", stats.facts_asserted)
-        self.inc("datalog.update.facts_retracted", stats.facts_retracted)
-        self.inc("datalog.update.strata_total", stats.strata_total)
-        self.inc("datalog.update.strata_skipped", stats.strata_skipped)
-        self.inc("datalog.update.tuples_deleted", stats.tuples_deleted)
-        self.inc("datalog.update.tuples_inserted", stats.tuples_inserted)
-        self.inc("datalog.update.rederived", stats.rederived)
-        self.inc("datalog.update.rounds", stats.rounds)
-        self.inc("datalog.update.ms", stats.seconds * 1000.0)
-
     def absorb_budget_usage(self, usage: Mapping[str, int]) -> None:
         """Fold :meth:`BudgetMeter.usage` counters into ``budget.*``.
 

@@ -150,7 +150,6 @@ from repro.obs.trace import (
 )
 from repro.pointer import AnalysisOptions
 from repro.tool.cache import AnalysisCache
-from repro.tool.incremental import IncrementalUnitSession
 from repro.tool.regionwiz import RegionWizReport, run_regionwiz
 from repro.tool.supervise import (
     BatchSupervisor,
@@ -273,18 +272,6 @@ class UnitOutcome:
     error_type: Optional[str] = None
     error_detail: Optional[Dict[str, Any]] = None
     traceback: Optional[str] = None
-    #: The unit's fresh incremental-state payload when the sweep ran
-    #: with ``incremental=True`` (see :mod:`repro.tool.incremental`).
-    #: Crosses the pool as plain data but never enters :meth:`to_dict`
-    #: or the outcome cache -- the *parent* persists it, reusing the
-    #: deferred-store discipline that keeps serial and parallel cache
-    #: directories identical.
-    incremental_state: Optional[Dict[str, Any]] = None
-    #: How the incremental session computed this unit ("served" when the
-    #: stored outcome was replayed on a clean manifest diff, else the
-    #: session mode: "delta"/"noop"/"resolve"/"cold").  In-memory
-    #: telemetry only, like ``elapsed``.
-    incremental_mode: Optional[str] = None
     #: The full report for units analyzed in this process (not serialized).
     report: Optional[RegionWizReport] = None
 
@@ -644,8 +631,6 @@ def _analyze_unit(
     validate: bool = False,
     validate_steps: int = DEFAULT_VALIDATE_STEPS,
     trace_dir: Optional[str] = None,
-    incremental_cache: Optional[AnalysisCache] = None,
-    identity: Optional[str] = None,
 ) -> UnitOutcome:
     with trace_span("batch.unit", unit=unit.name) as span:
         started = time.process_time()
@@ -661,8 +646,6 @@ def _analyze_unit(
             validate=validate,
             validate_steps=validate_steps,
             trace_dir=trace_dir,
-            incremental_cache=incremental_cache,
-            identity=identity,
         )
         outcome.elapsed = time.process_time() - started
         span.set(
@@ -685,36 +668,7 @@ def _analyze_unit_isolated(
     validate: bool = False,
     validate_steps: int = DEFAULT_VALIDATE_STEPS,
     trace_dir: Optional[str] = None,
-    incremental_cache: Optional[AnalysisCache] = None,
-    identity: Optional[str] = None,
 ) -> UnitOutcome:
-    session: Optional[IncrementalUnitSession] = None
-    if incremental_cache is not None and identity is not None:
-        session = IncrementalUnitSession(incremental_cache, identity)
-        diff = session.probe(unit.source, unit.filename)
-        if diff is not None and diff.clean:
-            served = session.served_outcome()
-            if served is not None:
-                try:
-                    outcome = UnitOutcome.from_payload(served)
-                except (KeyError, TypeError, ValueError):
-                    outcome = None
-                if (
-                    outcome is not None
-                    and outcome.unit == unit.name
-                    and outcome.ok
-                ):
-                    # A clean manifest diff proves the stored outcome is
-                    # exact for this source (locations included); serve
-                    # it without running the pipeline.  ``cached`` stays
-                    # False so the parent still persists it under the
-                    # *current* source's exact cache key.
-                    outcome.incremental_mode = "served"
-                    trace_instant("batch.manifest-hit", unit=unit.name)
-                    emit_event(
-                        "incremental.serve", unit=unit.name, key=identity
-                    )
-                    return outcome
     attempts = 0
     while True:
         attempts += 1
@@ -732,7 +686,6 @@ def _analyze_unit_isolated(
                 solver_stats=solver_stats,
                 budget=budget,
                 degrade=degrade,
-                incremental=session,
             )
         except (CompileError, InputError) as error:
             # Deterministic input failure: retrying cannot help.
@@ -815,14 +768,6 @@ def _analyze_unit_isolated(
             fingerprints=[w.fingerprint for w in report.warnings],
             report=report,
         )
-        if session is not None:
-            # Bundle the outcome into the state so a future warm run can
-            # serve it on a clean manifest diff, then hand the payload to
-            # the caller -- the parent persists it (deferred-store
-            # discipline), never the worker.
-            session.record_outcome(outcome.to_cache_payload())
-            outcome.incremental_state = session.export_state()
-            outcome.incremental_mode = session.mode
         return outcome
 
 
@@ -891,47 +836,6 @@ def _cache_store(
     cache.store(key, outcome.to_cache_payload())
 
 
-def _unit_identity_key(
-    unit: BatchUnit,
-    options: Optional[AnalysisOptions],
-    budget: Optional[ResourceBudget],
-    degrade: bool,
-    refine: bool,
-    solver_stats: bool,
-    validate_key: Optional[Dict[str, Any]] = None,
-) -> str:
-    """The unit's source-independent state address (static, like
-    :func:`_journal_key` -- workers recompute it without a cache)."""
-    return AnalysisCache.identity_key(
-        name=unit.name,
-        filename=unit.filename,
-        interface=unit.effective_interface,
-        entry=unit.entry,
-        options=options,
-        budget=budget,
-        degrade=degrade,
-        refine=refine,
-        solver_stats=solver_stats,
-        validate=validate_key,
-    )
-
-
-def _state_store(
-    cache: Optional[AnalysisCache],
-    identity: Optional[str],
-    outcome: UnitOutcome,
-) -> None:
-    """Persist a unit's fresh incremental state (parent side only)."""
-    if (
-        cache is None
-        or identity is None
-        or outcome.incremental_state is None
-        or not outcome.ok
-    ):
-        return
-    cache.store_state(identity, outcome.incremental_state)
-
-
 # ---------------------------------------------------------------------------
 # The process-pool shard scheduler
 # ---------------------------------------------------------------------------
@@ -971,11 +875,6 @@ class _WorkerConfig:
     validate_steps: int = DEFAULT_VALIDATE_STEPS
     #: Directory for per-unit trace artifacts (``--trace-out``).
     trace_dir: Optional[str] = None
-    #: Incremental re-analysis (``--incremental``): workers load per-unit
-    #: state from the cache directory and run the delta re-solve; fresh
-    #: state rides back on the outcome for the parent to persist.
-    incremental: bool = False
-    cache_root: Optional[str] = None
     #: Parent-generated run id (None when the caller did not thread one).
     run_id: Optional[str] = None
     #: Live telemetry (``--live``/``--metrics-port``): workers piggyback
@@ -985,19 +884,6 @@ class _WorkerConfig:
     #: Per-phase tracemalloc peaks (``--mem-profile``), armed per worker
     #: process via :func:`repro.obs.metrics.set_mem_profile`.
     mem_profile: bool = False
-
-
-def _config_validate_key(
-    config: _WorkerConfig,
-) -> Optional[Dict[str, Any]]:
-    """The validation key material, reconstructed worker-side (it must
-    hash identically to the parent's, or identity keys diverge)."""
-    if not config.validate:
-        return None
-    return {
-        "schema": VALIDATION_SCHEMA_VERSION,
-        "steps": int(config.validate_steps),
-    }
 
 
 #: This worker's copy of the batch config, set by :func:`_worker_init`.
@@ -1133,11 +1019,6 @@ def _worker_analyze_chunk(
     assert _WORKER_CONFIG is not None, "worker used without initializer"
     config = _WORKER_CONFIG
     journaling = config.journal_path is not None
-    incremental_cache: Optional[AnalysisCache] = None
-    if config.incremental and config.cache_root is not None:
-        # Worker-local handle on the shared cache directory; counters on
-        # it are throwaway (the parent owns the reported counters).
-        incremental_cache = AnalysisCache(config.cache_root)
     faults.install(config.fault_specs)
     tracer = (
         Tracer(epoch=config.trace_epoch)
@@ -1159,17 +1040,6 @@ def _worker_analyze_chunk(
                         "t": time.time(),
                     }
                 )
-            identity: Optional[str] = None
-            if incremental_cache is not None:
-                identity = _unit_identity_key(
-                    unit,
-                    config.options,
-                    config.budget,
-                    config.degrade,
-                    config.refine,
-                    config.solver_stats,
-                    _config_validate_key(config),
-                )
             outcome = _analyze_unit(
                 unit,
                 config.options,
@@ -1182,8 +1052,6 @@ def _worker_analyze_chunk(
                 validate=config.validate,
                 validate_steps=config.validate_steps,
                 trace_dir=config.trace_dir,
-                incremental_cache=incremental_cache,
-                identity=identity,
             )
             outcome.report = None  # the full report does not cross the pool
             outcome.worker_pid = os.getpid()
@@ -1305,8 +1173,6 @@ def _run_batch_parallel(
     validate: bool = False,
     validate_steps: int = DEFAULT_VALIDATE_STEPS,
     trace_dir: Optional[str] = None,
-    incremental: bool = False,
-    identity_keys: Optional[List[Optional[str]]] = None,
     run_id: Optional[str] = None,
 ) -> Tuple[List[Optional[UnitOutcome]], Dict[str, int], bool]:
     """Fan unit chunks out to a supervised warm process pool.
@@ -1370,8 +1236,6 @@ def _run_batch_parallel(
             validate=validate,
             validate_steps=validate_steps,
             trace_dir=trace_dir,
-            incremental=incremental,
-            cache_root=cache.root if cache is not None else None,
             run_id=run_id,
             # Worker telemetry piggybacks on the journal, so it needs
             # both a live bus parent-side and a journal to ride on.
@@ -1418,8 +1282,6 @@ def _run_batch_parallel(
             continue
         if first_failure is None or index < first_failure:
             _cache_store(cache, cache_keys[index], outcome)
-            if identity_keys is not None:
-                _state_store(cache, identity_keys[index], outcome)
     return slots, dict(supervisor.stats), supervisor.interrupted
 
 
@@ -1474,7 +1336,6 @@ def run_batch(
     validate: bool = False,
     validate_steps: int = DEFAULT_VALIDATE_STEPS,
     trace_dir: Optional[str] = None,
-    incremental: bool = False,
     run_id: Optional[str] = None,
 ) -> BatchResult:
     """Analyze every unit with per-unit fault isolation.
@@ -1505,14 +1366,6 @@ def run_batch(
     the full :class:`~repro.tool.supervise.SupervisePolicy`
     (``hard_timeout`` is ignored when a policy is given).
 
-    ``incremental=True`` (the ``--incremental`` flag; requires ``cache``)
-    gives every unit a persistent incremental state in the cache
-    directory (see :mod:`repro.tool.incremental`): on a warm re-run an
-    unchanged unit is served from its manifest even when the exact
-    source key misses (comment/whitespace edits), and an *edited* unit
-    re-solves only the consistency-fact delta against its previous
-    fixpoint.  Outcomes are identical to a non-incremental sweep.
-
     ``validate=True`` (the ``--validate`` flag) runs every successful
     unit's entry point under the traced region interpreter (step budget
     ``validate_steps``), replays the trace, and attaches the dynamic
@@ -1526,8 +1379,6 @@ def run_batch(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if resume and journal is None:
         raise ValueError("resume=True requires a journal path")
-    if incremental and cache is None:
-        raise ValueError("incremental=True requires a cache")
     if isinstance(cache, str):
         cache = AnalysisCache(cache)
     if policy is None:
@@ -1553,21 +1404,6 @@ def run_batch(
         else None
         for unit in pending
     ]
-    identity_keys: Optional[List[Optional[str]]] = None
-    if incremental:
-        identity_keys = [
-            _unit_identity_key(
-                unit,
-                options,
-                budget,
-                degrade,
-                refine,
-                solver_stats,
-                validate_key,
-            )
-            for unit in pending
-        ]
-
     journal_obj: Optional[RunJournal] = None
     ephemeral: Optional[str] = None
     if journal is not None:
@@ -1602,8 +1438,6 @@ def run_batch(
             validate_steps=validate_steps,
             trace_dir=trace_dir,
             validate_key=validate_key,
-            incremental=incremental,
-            identity_keys=identity_keys,
             run_id=run_id,
         )
     finally:
@@ -1637,8 +1471,6 @@ def _run_batch_inner(
     validate_steps: int = DEFAULT_VALIDATE_STEPS,
     trace_dir: Optional[str] = None,
     validate_key: Optional[Dict[str, Any]] = None,
-    incremental: bool = False,
-    identity_keys: Optional[List[Optional[str]]] = None,
     run_id: Optional[str] = None,
 ) -> BatchResult:
     bus_event(
@@ -1708,8 +1540,6 @@ def _run_batch_inner(
                     validate=validate,
                     validate_steps=validate_steps,
                     trace_dir=trace_dir,
-                    incremental=incremental,
-                    identity_keys=identity_keys,
                     run_id=run_id,
                 )
         except KeyboardInterrupt:
@@ -1775,18 +1605,8 @@ def _run_batch_inner(
                             validate=validate,
                             validate_steps=validate_steps,
                             trace_dir=trace_dir,
-                            incremental_cache=cache if incremental else None,
-                            identity=(
-                                identity_keys[index]
-                                if identity_keys is not None
-                                else None
-                            ),
                         )
                         _cache_store(cache, cache_keys[index], outcome)
-                        if identity_keys is not None:
-                            _state_store(
-                                cache, identity_keys[index], outcome
-                            )
                         if journal_obj is not None:
                             journal_obj.append(
                                 {

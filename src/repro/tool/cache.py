@@ -32,14 +32,6 @@ can both detect the same corrupt entry and unlink it -- so
 :meth:`AnalysisCache._evict` tolerates losing (``FileNotFoundError`` and
 any other ``OSError`` are a successful eviction from the caller's point
 of view: the entry is gone).
-
-The cache directory doubles as the home of *incremental analysis state*
-(:mod:`repro.tool.incremental`): per-unit manifest + solver-snapshot
-files addressed by :meth:`AnalysisCache.identity_key` -- the unit's
-identity (filename, interface, entry, configuration, versions) with the
-source text deliberately excluded, so an edited unit still finds the
-state its previous run left behind.  State files follow the same
-atomic-write / corrupt-entry-degrades-to-miss discipline.
 """
 
 from __future__ import annotations
@@ -115,55 +107,8 @@ class AnalysisCache:
         blob = json.dumps(material, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
-    @staticmethod
-    def identity_key(
-        name: str,
-        filename: str,
-        interface: str,
-        entry: str,
-        options: Optional[AnalysisOptions],
-        budget: Optional[ResourceBudget],
-        degrade: bool,
-        refine: bool,
-        solver_stats: bool,
-        validate: Optional[Dict[str, Any]] = None,
-    ) -> str:
-        """The content hash addressing one unit's *identity*.
-
-        Same key material as :meth:`key` minus the source text: an edit
-        changes the outcome key (a miss) but not the identity key, which
-        is what lets an incremental warm run find the state its previous
-        run stored and diff manifests against it.  ``name`` is the
-        unit's batch name -- package corpora reuse filenames across
-        units, and two units sharing one state slot would thrash it.
-        """
-        from repro import __version__
-        from repro.tool.regionwiz import ANALYSIS_VERSION
-
-        material = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "tool_version": __version__,
-            "analysis_version": ANALYSIS_VERSION,
-            "name": name,
-            "filename": filename,
-            "interface": interface,
-            "entry": entry,
-            "options": dataclasses.asdict(options or AnalysisOptions()),
-            "budget": budget.to_dict() if budget is not None else None,
-            "degrade": bool(degrade),
-            "refine": bool(refine),
-            "solver_stats": bool(solver_stats),
-        }
-        if validate is not None:
-            material["validate"] = validate
-        blob = json.dumps(material, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
-
     def _path(self, key: str) -> str:
         return os.path.join(self.root, f"{key}.json")
-
-    def _state_path(self, identity: str) -> str:
-        return os.path.join(self.root, f"{identity}.state.json")
 
     # -- lookup / store ----------------------------------------------------
 
@@ -217,42 +162,19 @@ class AnalysisCache:
         self.hits += 1
         return payload["outcome"]
 
-    def _write_atomic(self, path: str, payload: Dict[str, Any]) -> None:
+    def store(self, key: str, outcome: Dict[str, Any]) -> None:
+        """Atomically persist one outcome payload under ``key``."""
+        payload = {"schema": CACHE_SCHEMA_VERSION, "outcome": outcome}
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
                 json.dump(payload, handle)
-            os.replace(tmp, path)
+            os.replace(tmp, self._path(key))
         except OSError:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
-
-    def store(self, key: str, outcome: Dict[str, Any]) -> None:
-        """Atomically persist one outcome payload under ``key``."""
-        payload = {"schema": CACHE_SCHEMA_VERSION, "outcome": outcome}
-        self._write_atomic(self._path(key), payload)
-
-    # -- incremental state -------------------------------------------------
-
-    def lookup_state(self, identity: str) -> Optional[Dict[str, Any]]:
-        """The stored incremental-state payload for one unit identity.
-
-        Shape validation beyond "a JSON object" belongs to the caller
-        (:mod:`repro.tool.incremental` version-checks its own schema);
-        unreadable or torn files degrade to ``None`` with the same
-        race-tolerant eviction as outcome entries.
-        """
-        return self._read_payload(self._state_path(identity))
-
-    def store_state(self, identity: str, payload: Dict[str, Any]) -> None:
-        """Atomically persist one unit's incremental state."""
-        self._write_atomic(self._state_path(identity), payload)
-
-    def evict_state(self, identity: str) -> None:
-        """Drop one unit's incremental state (corruption, schema bump)."""
-        self._evict(self._state_path(identity))
 
     # -- telemetry ---------------------------------------------------------
 

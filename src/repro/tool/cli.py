@@ -254,16 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the result cache even if --cache was given",
     )
     batch.add_argument(
-        "--incremental",
-        action="store_true",
-        help=(
-            "keep per-unit incremental analysis state in the --cache"
-            " directory: warm re-runs diff function-level manifests,"
-            " serve unchanged units, and re-solve only the fact delta"
-            " for edited ones (also works in single-file mode)"
-        ),
-    )
-    batch.add_argument(
         "--hard-timeout",
         type=float,
         default=None,
@@ -607,7 +597,6 @@ def _run_batch_mode(args: argparse.Namespace) -> int:
         validate=args.validate,
         validate_steps=args.validate_steps,
         trace_dir=args.trace_out,
-        incremental=args.incremental,
         run_id=getattr(args, "run_id", None),
     )
     fleet = result.fleet_metrics()
@@ -659,27 +648,6 @@ def _run_batch_mode(args: argparse.Namespace) -> int:
         assert merged is not None  # --fail-on-new requires --baseline
         return 1 if merged.has_new else 0
     return code
-
-
-def _incremental_summary(session) -> str:
-    """One stderr line describing what the incremental session did."""
-    mode = session.mode or "cold"
-    parts = [f"incremental: {mode}"]
-    if session.diff is not None and not session.diff.clean:
-        parts.append(f"functions changed: {session.diff.functions_touched}")
-        if session.diff.preamble_changed:
-            parts.append("preamble changed")
-    if session.fallback_reason is not None:
-        parts.append(f"fallback: {session.fallback_reason}")
-    stats = session.update_stats
-    if stats is not None and stats.mode == "delta":
-        parts.append(
-            f"facts +{stats.facts_asserted}/-{stats.facts_retracted}"
-        )
-        parts.append(
-            f"strata skipped {stats.strata_skipped}/{stats.strata_total}"
-        )
-    return "  ".join(parts)
 
 
 def _profile_tree() -> Optional[str]:
@@ -912,20 +880,12 @@ def _run(args: argparse.Namespace) -> int:
             "regionwiz: --trace-out requires --validate", file=sys.stderr
         )
         return 2
-    if args.incremental and (args.no_cache or not args.cache_dir):
-        print(
-            "regionwiz: --incremental requires --cache DIR",
-            file=sys.stderr,
-        )
-        return 2
     if args.query is not None:
         conflict = (
             "--batch"
             if args.batch
             else "--open"
             if args.open_program
-            else "--incremental"
-            if args.incremental
             else None
         )
         if conflict is not None:
@@ -963,27 +923,6 @@ def _run(args: argparse.Namespace) -> int:
             query = (
                 _parse_query(args.query) if args.query is not None else None
             )
-            session = None
-            if args.incremental:
-                from repro.tool.cache import AnalysisCache
-                from repro.tool.incremental import IncrementalUnitSession
-
-                cache = AnalysisCache(args.cache_dir)
-                identity = AnalysisCache.identity_key(
-                    name=args.files[0],
-                    filename=args.files[0],
-                    interface=_detect_interface(
-                        args.files, args.interface
-                    ),
-                    entry=args.entry,
-                    options=options,
-                    budget=budget,
-                    degrade=args.degrade,
-                    refine=args.refine,
-                    solver_stats=args.solver_stats,
-                )
-                session = IncrementalUnitSession(cache, identity)
-                session.probe(source, args.files[0])
             report = run_regionwiz(
                 source,
                 filename=args.files[0],
@@ -995,12 +934,8 @@ def _run(args: argparse.Namespace) -> int:
                 solver_stats=args.solver_stats,
                 budget=budget,
                 degrade=args.degrade,
-                incremental=session,
                 query=query,
             )
-            if session is not None:
-                session.store()
-                print(_incremental_summary(session), file=sys.stderr)
     except (CompileError, InputError) as error:
         print(f"regionwiz: {error}", file=sys.stderr)
         return 2

@@ -36,10 +36,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:  # import cycle: tool.incremental imports tool.cache
-    from repro.tool.incremental import IncrementalUnitSession
+from typing import Dict, List, Optional, Tuple
 
 from repro.callgraph import (
     CallGraph,
@@ -61,7 +58,7 @@ from repro.core.datalog_check import (
     accesses_at_location,
     solve_demand_pairs,
 )
-from repro.datalog import SolverStats, UpdateStats
+from repro.datalog import SolverStats
 from repro.interfaces import RegionInterface, apr_pools_interface
 from repro.ir import IRModule, lower
 from repro.lang import SemaResult, SourceLocation, analyze, parse
@@ -154,9 +151,6 @@ class PhaseTimes:
     #: Datalog solver telemetry for the consistency query; populated only
     #: when :func:`run_regionwiz` is called with ``solver_stats=True``.
     solver: Optional[SolverStats] = None
-    #: Delta re-solve telemetry when the run used an incremental session
-    #: and the warm path ran (None on cold solves and normal runs).
-    update: Optional[UpdateStats] = None
     #: Per-phase tracemalloc peaks in bytes (``--mem-profile`` only;
     #: empty otherwise, so reports stay byte-identical with it off).
     mem_peaks: Dict[str, int] = field(default_factory=dict)
@@ -360,7 +354,6 @@ def _run_pipeline(
     refine: bool,
     solver_stats: bool,
     meter: Optional[BudgetMeter],
-    incremental: Optional["IncrementalUnitSession"] = None,
     query: Optional[Tuple[str, int]] = None,
 ) -> RegionWizReport:
     """One pipeline attempt at fixed precision (no degradation)."""
@@ -433,12 +426,6 @@ def _run_pipeline(
             )
             if solver_stats:
                 times.solver = demand_stats
-        elif incremental is not None:
-            consistency, times.update = incremental.check_consistency(
-                analysis, module, meter
-            )
-            if solver_stats:
-                _, times.solver = solve_object_pairs(analysis, meter=meter)
         else:
             consistency = check_consistency(analysis)
             if solver_stats:
@@ -546,8 +533,6 @@ def _collect_metrics(report: RegionWizReport) -> MetricsRegistry:
         registry.gauge(f"pipeline.{phase}.peak_mem_bytes", peak)
     if times.solver is not None:
         registry.absorb_solver_stats(times.solver)
-    if times.update is not None:
-        registry.absorb_update_stats(times.update)
     if report.budget_usage is not None:
         registry.absorb_budget_usage(report.budget_usage)
     return registry
@@ -565,7 +550,6 @@ def run_regionwiz(
     solver_stats: bool = False,
     budget: Optional[ResourceBudget] = None,
     degrade: bool = False,
-    incremental: Optional["IncrementalUnitSession"] = None,
     query: Optional[Tuple[str, int]] = None,
 ) -> RegionWizReport:
     """Run the full RegionWiz pipeline on C source text.
@@ -588,16 +572,9 @@ def run_regionwiz(
     ``report.degradation_path``.  If even the lowest rung exceeds the
     budget, the last ``BudgetExceeded`` propagates.
 
-    ``incremental`` (an
-    :class:`~repro.tool.incremental.IncrementalUnitSession`, already
-    probed against this source) routes the consistency phase through the
-    resume + delta-update path; the result is identical to a normal run,
-    and the session is left holding the fresh state payload for the
-    caller to persist.  ``query`` (``(filename, line)``) instead runs
-    the demand-transformed consistency query seeded with only the
-    accesses anchored at that location -- the report's warnings are
-    restricted to that seed.  The two are mutually exclusive; ``query``
-    wins.
+    ``query`` (``(filename, line)``) runs the demand-transformed
+    consistency query seeded with only the accesses anchored at that
+    location -- the report's warnings are restricted to that seed.
     """
     if interface is None:
         interface = apr_pools_interface()
@@ -634,7 +611,6 @@ def run_regionwiz(
                     refine,
                     solver_stats,
                     meter,
-                    incremental=incremental,
                     query=query,
                 )
         except BudgetExceeded as error:
@@ -655,8 +631,6 @@ def run_regionwiz(
         report.budget = budget
         report.budget_usage = meter.usage() if meter is not None else None
         report.metrics = _collect_metrics(report)
-        if incremental is not None:
-            incremental.record_metrics(report.metrics)
         return report
     assert last_error is not None
     raise last_error

@@ -46,9 +46,8 @@ class TestExposition:
         assert "repro_solve_ms_max 4" in text
 
     def test_string_gauges_skipped(self):
-        # e.g. datalog.update.mode is a string gauge in the registry.
-        text = to_openmetrics({"datalog.update.mode": "delta", "n": 1})
-        assert "update_mode" not in text
+        text = to_openmetrics({"run.mode": "batch", "n": 1})
+        assert "run_mode" not in text
         assert "repro_n 1" in text
 
     def test_bools_skipped(self):

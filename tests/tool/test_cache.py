@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from repro.interfaces import APR_HEADER
+from repro.obs.history import diff_outcomes, entries_from_outcomes
 from repro.pointer import AnalysisOptions
 from repro.tool.batch import BatchUnit, run_batch
 from repro.tool.cache import AnalysisCache
@@ -267,69 +269,92 @@ class TestEvictionRaces:
         assert all(all(hit is None for hit in row) for row in results)
         assert entry_files(tmp_path) == []
 
-    def test_concurrent_state_eviction(self, tmp_path):
-        from concurrent.futures import ThreadPoolExecutor
 
-        seed = AnalysisCache(str(tmp_path))
-        for i in range(8):
-            with open(seed._state_path(f"id{i}"), "w") as handle:
-                handle.write("]]")
+BUGGY_HELPER = """
+void cross_link(apr_pool_t *parent) {
+    apr_pool_t *r1;
+    apr_pool_t *r2;
+    apr_pool_create(&r1, parent);
+    apr_pool_create(&r2, parent);
+    void *o1 = apr_palloc(r1, 8);
+    struct cell *o2 = apr_palloc(r2, sizeof(struct cell));
+    o2->f = o1;
+    apr_pool_destroy(r1);
+    void *use = o2->f;
+    apr_pool_destroy(r2);
+}
+"""
 
-        def sweep(_):
-            cache = AnalysisCache(str(tmp_path))
-            for i in range(8):
-                cache.evict_state(f"id{i}")
-            return True
+MAIN_WITH_BUG = """struct cell { void *f; };
+%s
+int main(void) {
+    apr_pool_t *top;
+    apr_pool_create(&top, NULL);
+    cross_link(top);
+    apr_pool_destroy(top);
+    return 0;
+}
+"""
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            assert all(pool.map(sweep, range(8)))
-        assert not any(
-            name.endswith(".state.json") for name in os.listdir(tmp_path)
-        )
+MAIN_WITHOUT_BUG = """struct cell { void *f; };
+int main(void) {
+    apr_pool_t *top;
+    apr_pool_create(&top, NULL);
+    apr_pool_destroy(top);
+    return 0;
+}
+"""
 
 
-class TestIncrementalState:
-    def test_state_round_trip(self, tmp_path):
-        cache = AnalysisCache(str(tmp_path))
-        payload = {"schema": 1, "facts": {"region": [[0]]}}
-        cache.store_state("identity", payload)
-        assert cache.lookup_state("identity") == payload
-        # State lookups never touch the outcome hit/miss counters.
-        assert cache.counters() == {"hits": 0, "misses": 0}
+class TestDeletedFunction:
+    """Deleting the buggy function must read as fixed on a warm rerun.
 
-    def test_missing_state_is_none(self, tmp_path):
-        assert AnalysisCache(str(tmp_path)).lookup_state("nope") is None
+    The cache primed with the buggy source must never serve its
+    warnings for the fixed source: the edit is a miss, the fresh
+    analysis reports the bug's warnings as ``fixed`` in a baseline diff,
+    and the next run serves the fixed outcome from the cache.
+    """
 
-    def test_corrupt_state_degrades_and_evicts(self, tmp_path):
-        cache = AnalysisCache(str(tmp_path))
-        with open(cache._state_path("identity"), "w") as handle:
-            handle.write("{ torn")
-        assert cache.lookup_state("identity") is None
-        assert not os.path.exists(cache._state_path("identity"))
+    def unit(self, source):
+        return BatchUnit(name="prog", source=source, filename="<prog>")
 
-    def test_evict_state_on_missing_file(self, tmp_path):
-        AnalysisCache(str(tmp_path)).evict_state("never-stored")
+    def sources(self):
+        buggy = APR_HEADER + (MAIN_WITH_BUG % BUGGY_HELPER)
+        fixed = APR_HEADER + MAIN_WITHOUT_BUG
+        return buggy, fixed
 
-    def test_identity_key_ignores_source_edits(self):
-        base = dict(
-            name="unit",
-            filename="a.c",
-            interface="apr",
-            entry="main",
-            options=AnalysisOptions(),
-            budget=None,
-            degrade=True,
-            refine=False,
-            solver_stats=False,
-        )
-        key = AnalysisCache.identity_key(**base)
-        assert key == AnalysisCache.identity_key(**base)
-        # Identity deliberately excludes source text; name, filename,
-        # and configuration all separate state slots.
-        assert key != AnalysisCache.identity_key(
-            **{**base, "name": "other"}
-        )
-        assert key != AnalysisCache.identity_key(
-            **{**base, "filename": "b.c"}
-        )
-        assert key != AnalysisCache.identity_key(**{**base, "refine": True})
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deleting_the_function_reads_as_fixed(self, tmp_path, jobs):
+        buggy, fixed = self.sources()
+        cache = str(tmp_path)
+        cold = run_batch([self.unit(buggy)], cache=cache, jobs=jobs)
+        outcome = cold.outcome("prog")
+        assert outcome.status == "warnings" and outcome.fingerprints
+        baseline = entries_from_outcomes(cold.outcomes)
+
+        warm = run_batch([self.unit(fixed)], cache=cache, jobs=jobs)
+        healed = warm.outcome("prog")
+        assert not healed.cached
+        assert warm.cache_counters == {"hits": 0, "misses": 1}
+        assert healed.status == "clean"
+        assert healed.fingerprints == []
+        diff = diff_outcomes(warm.outcomes, baseline)["prog"]
+        assert diff.counts() == {
+            "new": 0,
+            "persisting": 0,
+            "fixed": len(baseline),
+        }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deleted_function_stays_gone_on_the_next_warm_run(
+        self, tmp_path, jobs
+    ):
+        buggy, fixed = self.sources()
+        cache = str(tmp_path)
+        run_batch([self.unit(buggy)], cache=cache, jobs=jobs)
+        run_batch([self.unit(fixed)], cache=cache, jobs=jobs)
+        # The third run is a cache hit on the fixed source: the served
+        # outcome must be the fixed one, not the buggy original.
+        again = run_batch([self.unit(fixed)], cache=cache, jobs=jobs)
+        assert again.outcome("prog").cached
+        assert again.outcome("prog").status == "clean"

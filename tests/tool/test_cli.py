@@ -191,3 +191,63 @@ class TestBatchCli:
         _, payload = self.batch_json(capsys, argv + paths)
         assert "cache" not in payload
         assert not (tmp_path / "cache").exists()
+
+
+class TestQueryCli:
+    """``--query FILE:LINE``: the demand-driven single-question mode."""
+
+    #: examples/fig1_connection_broken.rc line 26 stores the dangling
+    #: back-pointer; line 29 (``return 0;``) holds no pointer access.
+    STORE_LINE = 26
+    NO_ACCESS_LINE = 29
+
+    def example(self, tmp_path):
+        source = (EXAMPLES / "fig1_connection_broken.rc").read_text()
+        path = tmp_path / "fig1_connection_broken.rc"
+        path.write_text(source)
+        return str(path)
+
+    def warnings(self, capsys, argv):
+        code = main([*argv, "--json"])
+        return code, json.loads(capsys.readouterr().out)["warnings"]
+
+    def test_store_line_gives_exactly_that_warning(self, tmp_path, capsys):
+        path = self.example(tmp_path)
+        _, full = self.warnings(capsys, [path])
+        code, queried = self.warnings(
+            capsys, [path, "--query", f"{path}:{self.STORE_LINE}"]
+        )
+        assert code == 1
+        assert len(queried) == 1 and queried == full
+        assert queried[0]["rank"] == "high"
+        assert queried[0]["stores"] == [f"{path}:{self.STORE_LINE}:21"]
+
+    def test_basename_spec_matches(self, tmp_path, capsys):
+        path = self.example(tmp_path)
+        spec = f"fig1_connection_broken.rc:{self.STORE_LINE}"
+        code, queried = self.warnings(capsys, [path, "--query", spec])
+        assert code == 1 and len(queried) == 1
+
+    def test_line_without_access_is_clean(self, tmp_path, capsys):
+        path = self.example(tmp_path)
+        code, queried = self.warnings(
+            capsys, [path, "--query", f"{path}:{self.NO_ACCESS_LINE}"]
+        )
+        assert code == 0
+        assert queried == []
+
+    @pytest.mark.parametrize("flag", ["--batch", "--open"])
+    def test_conflicting_modes_exit_2(self, tmp_path, capsys, flag):
+        path = self.example(tmp_path)
+        code = main([path, flag, "--query", f"{path}:{self.STORE_LINE}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--query cannot be combined with {flag}" in err
+
+    @pytest.mark.parametrize(
+        "spec", ["no-line-number", ":26", "file.rc:x", "file.rc:0"]
+    )
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, spec):
+        path = self.example(tmp_path)
+        assert main([path, "--query", spec]) == 2
+        assert "--query" in capsys.readouterr().err
