@@ -47,6 +47,8 @@ __all__ = ["CallGraph", "build_call_graph"]
 # A variable key: (owning function, name).  Globals use owner "".
 VarKey = Tuple[str, str]
 
+_NO_TARGETS: FrozenSet[str] = frozenset()
+
 
 def _operand_key(func: str, operand: Operand) -> Optional[VarKey]:
     if isinstance(operand, Temp):
@@ -68,12 +70,27 @@ class CallGraph:
     implicit_edges: Dict[int, FrozenSet[str]] = field(default_factory=dict)
     reachable: FrozenSet[str] = frozenset()
     vf: Dict[VarKey, FrozenSet[str]] = field(default_factory=dict)
+    #: The implicit-call knowledge the graph was built with; the pointer
+    #: analysis reads its data-flow specs from here, so a caller's custom
+    #: registry reaches every phase.
+    registry: ImplicitCallRegistry = field(
+        default_factory=default_registry, repr=False, compare=False
+    )
+    _targets: Dict[int, FrozenSet[str]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # Merge each site's direct and implicit targets once: the pointer
+        # analysis asks for them on every visit of every call.
+        self._targets = dict(self.edges)
+        for uid, implicit in self.implicit_edges.items():
+            direct = self._targets.get(uid)
+            self._targets[uid] = implicit if direct is None else direct | implicit
 
     def targets(self, uid: int) -> FrozenSet[str]:
         """All targets of a call instruction (direct+indirect+implicit)."""
-        return self.edges.get(uid, frozenset()) | self.implicit_edges.get(
-            uid, frozenset()
-        )
+        return self._targets.get(uid, _NO_TARGETS)
 
     def callers_of(self, name: str) -> List[int]:
         return [
@@ -149,6 +166,7 @@ class _Builder:
             },
             reachable=frozenset(reachable),
             vf={key: frozenset(funcs) for key, funcs in self.vf.items()},
+            registry=self.registry,
         )
         return graph
 

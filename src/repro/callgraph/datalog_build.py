@@ -287,4 +287,5 @@ def build_call_graph_datalog(
         },
         reachable=frozenset(reachable),
         vf={key: frozenset(funcs) for key, funcs in vf.items()},
+        registry=registry,
     )

@@ -2,13 +2,24 @@
 
 Handles the full token set the parser needs: identifiers/keywords, integer
 literals (decimal/hex/octal/char), string literals with escapes, both
-comment styles, and all multi-character operators.  Preprocessor lines are
-skipped (the analysis corpora are written pre-expanded; the paper's tool
-likewise consumed post-preprocessor IR from Phoenix) -- with one
-exception: ``#line N "file"`` / ``# N "file"`` markers update the
-location tracking, so drivers that concatenate several source files (the
-CLI's multi-file mode) get diagnostics pointing at the original file and
-line instead of offsets into the concatenation.
+comment styles, and all multi-character operators.
+
+One compiled master regex (:data:`_MASTER`) lexes the common tokens in a
+single match each: whitespace and newlines, ``//`` comments, ASCII words,
+and punctuation (longest match first).  Everything else -- block
+comments, ``#`` directives, numbers, string and character literals,
+non-ASCII identifiers, and errors -- falls through to per-character slow
+paths on a :class:`_Cursor`.  Both paths locate tokens the same way: the
+current line number plus the offset where that line starts, so a column
+is one subtraction instead of a per-character counter.
+
+Preprocessor lines are skipped (the analysis corpora are written
+pre-expanded; the paper's tool likewise consumed post-preprocessor IR
+from Phoenix) -- with one exception: ``#line N "file"`` / ``# N "file"``
+markers update the location tracking, so drivers that concatenate
+several source files (the CLI's multi-file mode) get diagnostics
+pointing at the original file and line instead of offsets into the
+concatenation.
 """
 
 from __future__ import annotations
@@ -49,6 +60,15 @@ _PUNCTS = [
     "(", ")", "{", "}", "[", "]", ",", ";", ".", "?", ":",
 ]
 
+# The fast path.  Group 1: a whitespace run (may span lines); 2: an ASCII
+# word; 3: a ``//`` comment; 4: punctuation, tried in _PUNCTS order.  A
+# lone "/" must not start a block comment, which is a slow path.
+_MASTER = re.compile(
+    r"([ \t\r\n]+)|([A-Za-z_]\w*)|(//[^\n]*)|("
+    + "|".join(re.escape(p) if p != "/" else r"/(?!\*)" for p in _PUNCTS)
+    + ")"
+)
+
 # GNU cpp-style line markers: `#line 5 "f.c"`, `# 5 "f.c" 1`, `#line 5`.
 _LINE_MARKER = re.compile(r'#\s*(?:line\s+)?(\d+)(?:\s+"([^"]*)")?')
 
@@ -69,12 +89,18 @@ class Token:
 
 
 class _Cursor:
+    """Position for the slow paths: offset, line, and line-start offset."""
+
     def __init__(self, text: str, filename: str) -> None:
         self.text = text
         self.filename = filename
         self.pos = 0
         self.line = 1
-        self.column = 1
+        self.line_start = 0
+
+    @property
+    def column(self) -> int:
+        return self.pos - self.line_start + 1
 
     def loc(self) -> SourceLocation:
         return SourceLocation(self.filename, self.line, self.column)
@@ -89,9 +115,7 @@ class _Cursor:
                 return
             if self.text[self.pos] == "\n":
                 self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
+                self.line_start = self.pos + 1
             self.pos += 1
 
     def at_end(self) -> bool:
@@ -105,64 +129,87 @@ def tokenize(text: str, filename: str = "<input>") -> List[Token]:
     """Tokenize ``text``; the result always ends with an EOF token."""
     cursor = _Cursor(text, filename)
     tokens: List[Token] = []
-    while not cursor.at_end():
-        ch = cursor.peek()
-        if ch in " \t\r\n":
-            cursor.advance()
+    append = tokens.append
+    match = _MASTER.match
+    end = len(text)
+    # The fast path keeps the position in locals and hands it to the
+    # cursor only around a slow path.
+    pos, line, line_start = 0, 1, 0
+    while pos < end:
+        m = match(text, pos)
+        if m is None:
+            cursor.pos, cursor.line, cursor.line_start = pos, line, line_start
+            _lex_slow(cursor, tokens)
+            pos, line, line_start = cursor.pos, cursor.line, cursor.line_start
+            filename = cursor.filename
             continue
-        if cursor.starts_with("//"):
-            while not cursor.at_end() and cursor.peek() != "\n":
-                cursor.advance()
-            continue
-        if cursor.starts_with("/*"):
-            loc = cursor.loc()
-            cursor.advance(2)
-            while not cursor.starts_with("*/"):
-                if cursor.at_end():
-                    raise LexError("unterminated block comment", loc)
-                cursor.advance()
-            cursor.advance(2)
-            continue
-        if ch == "#" and cursor.column == 1:
-            # Preprocessor directive: skip the (possibly continued) line,
-            # but honor line markers so concatenated inputs keep their
-            # original locations.
-            directive: List[str] = []
-            while not cursor.at_end():
-                if cursor.peek() == "\\" and cursor.peek(1) == "\n":
-                    cursor.advance(2)
-                    continue
-                if cursor.peek() == "\n":
-                    break
-                directive.append(cursor.peek())
-                cursor.advance()
-            marker = _LINE_MARKER.match("".join(directive))
-            if marker is not None:
-                # The *next* line is numbered N; the upcoming newline
-                # advances the counter by one.
-                cursor.line = int(marker.group(1)) - 1
-                if marker.group(2) is not None:
-                    cursor.filename = marker.group(2)
-            continue
-        if ch.isalpha() or ch == "_":
-            tokens.append(_lex_word(cursor))
-            continue
-        if ch.isdigit():
-            tokens.append(_lex_number(cursor))
-            continue
-        if ch == '"':
-            tokens.append(_lex_string(cursor))
-            continue
-        if ch == "'":
-            tokens.append(_lex_char(cursor))
-            continue
-        punct = _lex_punct(cursor)
-        if punct is not None:
-            tokens.append(punct)
-            continue
-        raise LexError(f"unexpected character {ch!r}", cursor.loc())
-    tokens.append(Token(TokenKind.EOF, "", cursor.loc()))
+        group = m.lastindex
+        start, pos = pos, m.end()
+        if group == 1:
+            newlines = text.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, pos) + 1
+        elif group == 2:
+            word = m.group()
+            append(Token(
+                TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT,
+                word,
+                SourceLocation(filename, line, start - line_start + 1),
+            ))
+        elif group == 4:
+            append(Token(
+                TokenKind.PUNCT,
+                m.group(),
+                SourceLocation(filename, line, start - line_start + 1),
+            ))
+    append(Token(
+        TokenKind.EOF, "", SourceLocation(filename, line, pos - line_start + 1)
+    ))
     return tokens
+
+
+def _lex_slow(cursor: _Cursor, tokens: List[Token]) -> None:
+    """Lex one item the master regex does not match, at ``cursor``."""
+    ch = cursor.peek()
+    if cursor.starts_with("/*"):
+        loc = cursor.loc()
+        cursor.advance(2)
+        while not cursor.starts_with("*/"):
+            if cursor.at_end():
+                raise LexError("unterminated block comment", loc)
+            cursor.advance()
+        cursor.advance(2)
+    elif ch == "#" and cursor.column == 1:
+        # Preprocessor directive: skip the (possibly continued) line,
+        # but honor line markers so concatenated inputs keep their
+        # original locations.
+        directive: List[str] = []
+        while not cursor.at_end():
+            if cursor.peek() == "\\" and cursor.peek(1) == "\n":
+                cursor.advance(2)
+                continue
+            if cursor.peek() == "\n":
+                break
+            directive.append(cursor.peek())
+            cursor.advance()
+        marker = _LINE_MARKER.match("".join(directive))
+        if marker is not None:
+            # The *next* line is numbered N; the upcoming newline
+            # advances the counter by one.
+            cursor.line = int(marker.group(1)) - 1
+            if marker.group(2) is not None:
+                cursor.filename = marker.group(2)
+    elif ch.isalpha() or ch == "_":
+        tokens.append(_lex_word(cursor))  # a non-ASCII identifier
+    elif ch.isdigit():
+        tokens.append(_lex_number(cursor))
+    elif ch == '"':
+        tokens.append(_lex_string(cursor))
+    elif ch == "'":
+        tokens.append(_lex_char(cursor))
+    else:
+        raise LexError(f"unexpected character {ch!r}", cursor.loc())
 
 
 def _lex_word(cursor: _Cursor) -> Token:
@@ -243,12 +290,3 @@ def _lex_char(cursor: _Cursor) -> Token:
         raise LexError("unterminated character literal", loc)
     cursor.advance()
     return Token(TokenKind.INT, str(value), loc)
-
-
-def _lex_punct(cursor: _Cursor) -> Token | None:
-    loc = cursor.loc()
-    for punct in _PUNCTS:
-        if cursor.starts_with(punct):
-            cursor.advance(len(punct))
-            return Token(TokenKind.PUNCT, punct, loc)
-    return None

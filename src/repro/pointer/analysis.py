@@ -20,9 +20,20 @@ is an :class:`AnalysisOptions` flag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.callgraph import CallGraph
+from repro.callgraph.implicit import ImplicitCallSpec
 from repro.interfaces import RegionInterface
 from repro.ir import (
     Add,
@@ -30,7 +41,7 @@ from repro.ir import (
     Assign,
     Call,
     FuncAddr,
-    IntConst,
+    Instr,
     Load,
     NullConst,
     Operand,
@@ -88,6 +99,17 @@ NULL_OBJECT = AbstractObject("null", 0, 0, "<null>")
 # A points-to target: an object plus a byte offset into it (None = unknown).
 Location = Tuple[AbstractObject, Optional[int]]
 VarKey = Tuple[str, int, str]  # (function, context, variable); globals ("",0,n)
+
+# What every read of an unknown variable or slot returns: shared, never
+# mutated, so a miss allocates nothing.
+_NO_LOCATIONS: FrozenSet[Location] = frozenset()
+_NULL_VALUE: FrozenSet[Location] = frozenset({(NULL_OBJECT, 0)})
+# Marks an operand that names no variable in the operand-name memo.
+_NOT_A_VARIABLE = (False, "")
+# A call site's per-target steps and its implicit-call specs.
+_CallPlan = Tuple[
+    Tuple[Tuple[Callable[..., None], str], ...], Tuple[ImplicitCallSpec, ...]
+]
 
 
 @dataclass
@@ -182,6 +204,14 @@ class _Engine:
         ] = {}
         self.cleanups: Set[Tuple[AbstractObject, str, AbstractObject]] = set()
         self._stack_sites: Dict[Tuple[str, str], int] = {}
+        # Operand -> (is_global, name), keyed by id(): the module keeps
+        # every operand alive while the engine runs, and an int key skips
+        # hashing the frozen operand dataclasses.
+        self._names: Dict[int, Tuple[bool, str]] = {}
+        # Operands naming the same variable share one memo value.
+        self._distinct_names: Dict[Tuple[bool, str], Tuple[bool, str]] = {}
+        # Per call site: what each visit does (see _call_plan).
+        self._call_plans: Dict[int, _CallPlan] = {}
         self._changed = False
         # Derived-fact counter for budget accounting (points-to tuples
         # plus effect tuples); charged incrementally against the meter.
@@ -202,22 +232,43 @@ class _Engine:
             return None
         return offset
 
-    def _var_key(self, function: str, ctx: int, operand) -> Optional[VarKey]:
+    def _name_of(self, operand) -> Tuple[bool, str]:
+        """Memoize ``operand``'s ``(is_global, name)``; name "" for a
+        constant."""
         if isinstance(operand, Temp):
-            return (function, ctx, f"t{operand.id}")
-        if isinstance(operand, VarOp):
-            if operand.kind == "global":
-                return ("", 0, operand.name)
-            return (function, ctx, operand.name)
-        return None
+            named = (False, f"t{operand.id}")
+        elif isinstance(operand, VarOp):
+            named = (operand.kind == "global", operand.name)
+        else:
+            named = _NOT_A_VARIABLE
+        named = self._distinct_names.setdefault(named, named)
+        self._names[id(operand)] = named
+        return named
 
-    def _value(self, function: str, ctx: int, operand: Operand) -> Set[Location]:
-        if isinstance(operand, (Temp, VarOp)):
-            key = self._var_key(function, ctx, operand)
-            assert key is not None
-            return self.var_pts.get(key, set())
+    def _var_key(self, function: str, ctx: int, operand) -> Optional[VarKey]:
+        is_global, variable = self._names.get(id(operand)) or self._name_of(
+            operand
+        )
+        if not variable:
+            return None
+        if is_global:
+            return ("", 0, variable)
+        return (function, ctx, variable)
+
+    def _value(
+        self, function: str, ctx: int, operand: Operand
+    ) -> AbstractSet[Location]:
+        # _var_key inlined: this is the solver's most frequent read.
+        is_global, variable = self._names.get(id(operand)) or self._name_of(
+            operand
+        )
+        if variable:
+            return self.var_pts.get(
+                ("", 0, variable) if is_global else (function, ctx, variable),
+                _NO_LOCATIONS,
+            )
         if isinstance(operand, NullConst):
-            return {(NULL_OBJECT, 0)}
+            return _NULL_VALUE
         if isinstance(operand, StrConst):
             obj = AbstractObject("string", operand.site, 0, f"str{operand.site}")
             if obj not in self.objects:
@@ -226,10 +277,12 @@ class _Engine:
             return {(obj, 0)}
         if isinstance(operand, FuncAddr):
             return {(AbstractObject("func", 0, 0, f"&{operand.name}"), 0)}
-        return set()  # integer constants
+        return _NO_LOCATIONS  # integer constants
 
     def _add_var(self, key: VarKey, locations: Iterable[Location]) -> None:
-        bucket = self.var_pts.setdefault(key, set())
+        bucket = self.var_pts.get(key)
+        if bucket is None:
+            bucket = self.var_pts[key] = set()
         before = len(bucket)
         bucket.update(locations)
         if len(bucket) != before:
@@ -239,7 +292,9 @@ class _Engine:
     def _add_heap(
         self, slot: Tuple[AbstractObject, Optional[int]], locations: Iterable[Location]
     ) -> None:
-        bucket = self.heap_pts.setdefault(slot, set())
+        bucket = self.heap_pts.get(slot)
+        if bucket is None:
+            bucket = self.heap_pts[slot] = set()
         before = len(bucket)
         bucket.update(locations)
         if len(bucket) != before:
@@ -248,11 +303,11 @@ class _Engine:
 
     def _heap_read(
         self, obj: AbstractObject, offset: Optional[int]
-    ) -> Set[Location]:
+    ) -> AbstractSet[Location]:
         if not self.options.track_unknown_offsets:
             if offset is None:
-                return set()
-            return self.heap_pts.get((obj, offset), set())
+                return _NO_LOCATIONS
+            return self.heap_pts.get((obj, offset), _NO_LOCATIONS)
         if offset is None:
             # Unknown offset reads every field, including the unknown slot.
             result: Set[Location] = set()
@@ -260,8 +315,8 @@ class _Engine:
                 if other == obj:
                     result.update(locations)
             return result
-        return self.heap_pts.get((obj, offset), set()) | self.heap_pts.get(
-            (obj, None), set()
+        return self.heap_pts.get((obj, offset), _NO_LOCATIONS) | self.heap_pts.get(
+            (obj, None), _NO_LOCATIONS
         )
 
     # ------------------------------------------------------------------
@@ -269,14 +324,30 @@ class _Engine:
     # ------------------------------------------------------------------
 
     def run(self) -> PointerAnalysisResult:
-        # Pre-index return operands per function.
+        # Dispatch table: the transfer function of each instruction type
+        # that moves points-to facts (Return is pre-indexed below).
+        handlers: Dict[type, Callable[[str, int, Instr], None]] = {
+            Assign: self._process_assign,
+            AddrOf: self._process_addrof,
+            Add: self._process_add,
+            Load: self._process_load,
+            Store: self._process_store,
+            Call: self._process_call,
+        }
+        # Per reachable defined function, in visiting order: its
+        # (handler, instruction) pairs, plus its return operands.
+        plans: Dict[str, List[Tuple[Callable[[str, int, Instr], None], Instr]]] = {}
         self._returns: Dict[str, List[Operand]] = {}
-        for name in self.graph.reachable:
+        for name in sorted(self.graph.reachable):
             function = self.module.functions.get(name)
             if function is None:
                 continue
+            plan = plans[name] = []
             for instr in function.instrs:
-                if isinstance(instr, Return) and instr.src is not None:
+                handler = handlers.get(type(instr))
+                if handler is not None:
+                    plan.append((handler, instr))
+                elif isinstance(instr, Return) and instr.src is not None:
                     self._returns.setdefault(name, []).append(instr.src)
 
         iterations = 0
@@ -284,12 +355,10 @@ class _Engine:
             while True:
                 iterations += 1
                 self._changed = False
-                for name in sorted(self.graph.reachable):
-                    function = self.module.functions.get(name)
-                    if function is None:
-                        continue
+                for name, plan in plans.items():
                     for ctx in range(self.numbering.contexts_of(name)):
-                        self._process_function(name, ctx, function)
+                        for handler, instr in plan:
+                            handler(name, ctx, instr)
                     if self.meter is not None:
                         self._charge_budget()
                 if not self._changed:
@@ -328,22 +397,10 @@ class _Engine:
             len(self.objects) + len(self.regions), "correlation"
         )
 
-    def _process_function(self, name: str, ctx: int, function) -> None:
-        for instr in function.instrs:
-            if isinstance(instr, Assign):
-                key = self._var_key(name, ctx, instr.dst)
-                if key is not None:
-                    self._add_var(key, self._value(name, ctx, instr.src))
-            elif isinstance(instr, AddrOf):
-                self._process_addrof(name, ctx, instr)
-            elif isinstance(instr, Add):
-                self._process_add(name, ctx, instr)
-            elif isinstance(instr, Load):
-                self._process_load(name, ctx, instr)
-            elif isinstance(instr, Store):
-                self._process_store(name, ctx, instr)
-            elif isinstance(instr, Call):
-                self._process_call(name, ctx, instr)
+    def _process_assign(self, name: str, ctx: int, instr: Assign) -> None:
+        key = self._var_key(name, ctx, instr.dst)
+        if key is not None:
+            self._add_var(key, self._value(name, ctx, instr.src))
 
     def _process_addrof(self, name: str, ctx: int, instr: AddrOf) -> None:
         var = instr.var
@@ -404,29 +461,51 @@ class _Engine:
                     if target.kind in ("null", "func"):
                         continue
                     access = (obj, offset, target)
-                    if access not in self.accesses:
+                    # access_sites and accesses share keys: one lookup.
+                    sites = self.access_sites.get(access)
+                    if sites is None:
                         self.accesses.add(access)
                         self._changed = True
                         self._derived += 1
-                    self.access_sites.setdefault(access, set()).add(instr.uid)
+                        self.access_sites[access] = {instr.uid}
+                    else:
+                        sites.add(instr.uid)
 
     # ------------------------------------------------------------------
     # Calls
     # ------------------------------------------------------------------
 
     def _process_call(self, name: str, ctx: int, instr: Call) -> None:
+        steps, specs = self._call_plans.get(instr.uid) or self._call_plan(instr)
+        for step, target in steps:
+            step(self, name, ctx, instr, target)
+        if specs:
+            self._propagate_implicit(name, ctx, instr, specs)
+
+    def _call_plan(self, instr: Call) -> _CallPlan:
+        """A call site's work, fixed by the call graph: per target, the
+        interface effect and the parameter/return flow, in target order;
+        then the implicit-call specs of all targets."""
+        # Steps are plain functions, not bound methods: a bound method
+        # stored on the engine would make a reference cycle that keeps
+        # every points-to set alive until the cyclic collector runs.
+        interface = self.interface
+        registry = self.graph.registry
         targets = self.graph.targets(instr.uid)
+        steps: List[Tuple[Callable[..., None], str]] = []
         for target in targets:
-            if target in self.interface.creates:
-                self._interface_create(name, ctx, instr, target)
-            elif target in self.interface.allocs:
-                self._interface_alloc(name, ctx, instr, target)
-            elif target in self.interface.cleanups:
-                self._interface_cleanup(name, ctx, instr, target)
+            if target in interface.creates:
+                steps.append((_Engine._interface_create, target))
+            elif target in interface.allocs:
+                steps.append((_Engine._interface_alloc, target))
+            elif target in interface.cleanups:
+                steps.append((_Engine._interface_cleanup, target))
             # deletes have no static points-to effect.
             if self.module.is_defined(target):
-                self._propagate_call(name, ctx, instr, target)
-        self._propagate_implicit(name, ctx, instr, targets)
+                steps.append((_Engine._propagate_call, target))
+        specs = tuple(spec for target in targets for spec in registry.specs(target))
+        self._call_plans[instr.uid] = plan = (tuple(steps), specs)
+        return plan
 
     def _region_args(
         self, name: str, ctx: int, operand: Operand
@@ -542,15 +621,10 @@ class _Engine:
         callee_ctx = self.numbering.callee_context(ctx, instr.uid, target)
         if callee_ctx is None:
             return
-        function = self.module.functions[target]
-        for position, arg in enumerate(instr.args):
-            if position >= len(function.params):
-                break
+        for arg, param in zip(instr.args, self.module.functions[target].params):
             values = self._value(name, ctx, arg)
             if values:
-                self._add_var(
-                    (target, callee_ctx, function.params[position]), values
-                )
+                self._add_var((target, callee_ctx, param), values)
         if instr.dst is not None and target in self._returns:
             key = self._var_key(name, ctx, instr.dst)
             if key is not None:
@@ -560,51 +634,43 @@ class _Engine:
                     )
 
     def _propagate_implicit(
-        self, name: str, ctx: int, instr: Call, targets: FrozenSet[str]
+        self,
+        name: str,
+        ctx: int,
+        instr: Call,
+        specs: Tuple[ImplicitCallSpec, ...],
     ) -> None:
-        registry = getattr(self.graph, "registry", None)
-        # The registry travels with the call-graph builder; fall back to
-        # reconstructing from implicit edges when absent.
-        from repro.callgraph.implicit import default_registry
-
-        if registry is None:
-            registry = default_registry()
-        for target in targets:
-            for spec in registry.specs(target):
-                if spec.fn_arg >= len(instr.args):
+        for spec in specs:
+            if spec.fn_arg >= len(instr.args):
+                continue
+            entry_names: Set[str] = set()
+            operand = instr.args[spec.fn_arg]
+            if isinstance(operand, FuncAddr):
+                entry_names.add(operand.name)
+            else:
+                for obj, _ in self._value(name, ctx, operand):
+                    if obj.kind == "func":
+                        entry_names.add(obj.name.lstrip("&"))
+            for entry in entry_names:
+                function = self.module.functions.get(entry)
+                if function is None:
                     continue
-                entry_names: Set[str] = set()
-                operand = instr.args[spec.fn_arg]
-                if isinstance(operand, FuncAddr):
-                    entry_names.add(operand.name)
-                else:
-                    for obj, _ in self._value(name, ctx, operand):
-                        if obj.kind == "func":
-                            entry_names.add(obj.name.lstrip("&"))
-                for entry in entry_names:
-                    function = self.module.functions.get(entry)
-                    if function is None:
-                        continue
-                    callee_ctx = self.numbering.callee_context(
-                        ctx, instr.uid, entry
-                    )
-                    if callee_ctx is None:
-                        callee_ctx = 0
-                    for src_arg, param_idx in spec.data_flow:
-                        if (
-                            src_arg < len(instr.args)
-                            and param_idx < len(function.params)
-                        ):
-                            values = self._value(name, ctx, instr.args[src_arg])
-                            if values:
-                                self._add_var(
-                                    (
-                                        entry,
-                                        callee_ctx,
-                                        function.params[param_idx],
-                                    ),
-                                    values,
-                                )
+                callee_ctx = self.numbering.callee_context(
+                    ctx, instr.uid, entry
+                )
+                if callee_ctx is None:
+                    callee_ctx = 0
+                for src_arg, param_idx in spec.data_flow:
+                    if (
+                        src_arg < len(instr.args)
+                        and param_idx < len(function.params)
+                    ):
+                        values = self._value(name, ctx, instr.args[src_arg])
+                        if values:
+                            self._add_var(
+                                (entry, callee_ctx, function.params[param_idx]),
+                                values,
+                            )
 
 
 def analyze_pointers(

@@ -144,6 +144,8 @@ class Warning_:
 
 @dataclass
 class PhaseTimes:
+    #: Lex, parse, sema and lowering to IR.
+    frontend: float = 0.0
     call_graph: float = 0.0
     context_cloning: float = 0.0
     correlation: float = 0.0
@@ -158,7 +160,8 @@ class PhaseTimes:
     @property
     def total(self) -> float:
         return (
-            self.call_graph
+            self.frontend
+            + self.call_graph
             + self.context_cloning
             + self.correlation
             + self.post_processing
@@ -361,11 +364,13 @@ def _run_pipeline(
 
     # Frontend (the paper gets IR from Phoenix; we parse and lower).
     _mem_reset()
+    start = time.perf_counter()
     with trace_span("phase.frontend") as span, _phase_events("frontend", name):
         faults.fire("frontend", unit=name, meter=meter)
         sema = analyze(parse(source, filename))
         module = lower(sema)
         span.set(functions=len(module.functions))
+    times.frontend = time.perf_counter() - start
     _mem_peak(times, "frontend")
 
     # Phase 1: call graph construction.
@@ -509,6 +514,7 @@ def _collect_metrics(report: RegionWizReport) -> MetricsRegistry:
     """Fold one run's readings into the unified ``repro.obs`` registry."""
     registry = MetricsRegistry()
     times = report.times
+    registry.gauge("pipeline.frontend_ms", times.frontend * 1000.0)
     registry.gauge("pipeline.call_graph_ms", times.call_graph * 1000.0)
     registry.gauge("pipeline.context_cloning_ms", times.context_cloning * 1000.0)
     registry.gauge("pipeline.correlation_ms", times.correlation * 1000.0)

@@ -58,7 +58,8 @@ def format_report(
         f" {row.i_pairs} instruction pair(s), {row.high} high-ranked"
     )
     lines.append(
-        f"  phases: call-graph {report.times.call_graph * 1000:.1f}ms,"
+        f"  phases: frontend {report.times.frontend * 1000:.1f}ms,"
+        f" call-graph {report.times.call_graph * 1000:.1f}ms,"
         f" cloning {report.times.context_cloning * 1000:.1f}ms,"
         f" correlation {report.times.correlation * 1000:.1f}ms,"
         f" post {report.times.post_processing * 1000:.1f}ms"
@@ -161,6 +162,7 @@ def report_to_json(
             "time_seconds": round(row.time_seconds, 6),
         },
         "phases_ms": {
+            "frontend": round(report.times.frontend * 1000, 3),
             "call_graph": round(report.times.call_graph * 1000, 3),
             "context_cloning": round(
                 report.times.context_cloning * 1000, 3

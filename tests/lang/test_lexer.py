@@ -160,3 +160,85 @@ class TestLineMarkers:
 
     def test_non_marker_directives_still_skipped(self):
         assert kinds("#include <apr.h>\nx") == [TokenKind.IDENT]
+
+
+class TestLocationsAndEdges:
+    """Spots where a lexer tracking columns by offset could drift."""
+
+    def test_token_after_multiline_block_comment(self):
+        tokens = tokenize("a /* one\n  two\n three */  b")
+        assert values("a /* one\n  two\n three */  b") == ["a", "b"]
+        assert (tokens[1].loc.line, tokens[1].loc.column) == (3, 12)
+
+    def test_crlf_line_endings(self):
+        tokens = tokenize("int x;\r\n  y\r\n")
+        assert [t.value for t in tokens[:-1]] == ["int", "x", ";", "y"]
+        assert (tokens[3].loc.line, tokens[3].loc.column) == (2, 3)
+        assert (tokens[-1].loc.line, tokens[-1].loc.column) == (3, 1)
+
+    def test_tab_counts_one_column(self):
+        tokens = tokenize("\tx\t\ty")
+        assert [(t.loc.line, t.loc.column) for t in tokens[:-1]] == [
+            (1, 2), (1, 5),
+        ]
+
+    def test_literals_directly_followed_by_punctuation(self):
+        tokens = tokenize("f(\"s\",'c');")
+        assert [(t.kind, t.value) for t in tokens[:-1]] == [
+            (TokenKind.IDENT, "f"),
+            (TokenKind.PUNCT, "("),
+            (TokenKind.STRING, "s"),
+            (TokenKind.PUNCT, ","),
+            (TokenKind.INT, "99"),
+            (TokenKind.PUNCT, ")"),
+            (TokenKind.PUNCT, ";"),
+        ]
+        assert [t.loc.column for t in tokens[:-1]] == [1, 2, 3, 6, 7, 10, 11]
+
+    def test_number_suffixes_next_to_identifiers(self):
+        assert values("x=0x1Fu+y;z=017L") == [
+            "x", "=", "31", "+", "y", ";", "z", "=", "15",
+        ]
+        tokens = tokenize("0x1FuL y")
+        assert [t.kind for t in tokens[:-1]] == [TokenKind.INT, TokenKind.IDENT]
+        assert tokens[1].loc.column == 8
+
+    def test_hash_outside_column_one_is_an_error(self):
+        with pytest.raises(LexError, match="unexpected character '#'") as err:
+            tokenize("int x;\n  #define Y 1\n")
+        assert ":2:3:" in str(err.value)
+        with pytest.raises(LexError, match="unexpected character '#'"):
+            tokenize("x # y")
+
+
+def _golden_corpus():
+    """The 13 figure programs, the example .rc files, and the paper-scale
+    corpus: every source the tool ships with."""
+    from pathlib import Path
+
+    from repro.workloads import FIGURES, paper_scale_units
+
+    for program in FIGURES:
+        yield program.name, program.full_source
+    examples = Path(__file__).resolve().parents[2] / "examples"
+    for path in sorted(examples.glob("*.rc")):
+        yield path.name, path.read_text()
+    for unit in paper_scale_units():
+        yield unit.name, unit.source
+
+
+def test_golden_token_stream_digest():
+    # Recorded with the character-at-a-time lexer this one replaced: any
+    # change to a kind, value, file, line or column changes the digest.
+    import hashlib
+
+    digest = hashlib.sha256()
+    sources = 0
+    for name, source in _golden_corpus():
+        sources += 1
+        for token in tokenize(source, name):
+            digest.update(f"{token.kind} {token.value!r} {token.loc}\n".encode())
+    assert sources == 38
+    assert digest.hexdigest() == (
+        "8ad2aea6fb2f1caeb4d75fa17b0ade67f24695335ec35ea4c173bad8a271bd9b"
+    )

@@ -78,8 +78,22 @@ class TestJsonReport:
     def test_phases_present(self):
         payload = json.loads(report_to_json(report_for("fig1")))
         assert set(payload["phases_ms"]) == {
-            "call_graph", "context_cloning", "correlation", "post_processing",
+            "frontend", "call_graph", "context_cloning", "correlation",
+            "post_processing",
         }
+
+    def test_time_includes_the_frontend(self):
+        report = report_for("fig2c")
+        times = report.times
+        assert times.frontend > 0
+        assert times.total == (
+            times.frontend
+            + times.call_graph
+            + times.context_cloning
+            + times.correlation
+            + times.post_processing
+        )
+        assert report.fig11_row().time_seconds == times.total
 
     def test_roundtrips_through_json(self):
         text = report_to_json(report_for("fig9"))
