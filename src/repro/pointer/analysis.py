@@ -15,6 +15,10 @@ and ``heap``/access (stores of inter-object pointers).  Every knob the
 ablation benchmarks need -- context sensitivity, heap cloning, field
 sensitivity, and the paper's declared unsoundness for dynamic offsets --
 is an :class:`AnalysisOptions` flag.
+
+The fixpoint is evaluated semi-naively, as bddbddb evaluates the paper's
+Datalog rules: after the first round, a (function, context) pair is
+re-visited only when a set it reads has grown since its last visit.
 """
 
 from __future__ import annotations
@@ -146,6 +150,8 @@ class PointerAnalysisResult:
     ]
     cleanups: FrozenSet[Tuple[AbstractObject, str, AbstractObject]]
     iterations: int
+    # (function, context) visits the solve ran, over all rounds.
+    visits: int
 
     def points_to(self, function: str, variable: str, ctx: int = 0) -> Set[AbstractObject]:
         """Objects a variable may point to (offsets dropped), for tests."""
@@ -213,6 +219,31 @@ class _Engine:
         # Per call site: what each visit does (see _call_plan).
         self._call_plans: Dict[int, _CallPlan] = {}
         self._changed = False
+        # Semi-naive bookkeeping (see run): each reachable (function,
+        # context) pair has the dense slot base[function] + context.
+        self._base: Dict[str, int] = {}
+        self._dirty = bytearray()
+        # The pair being visited: its slot, function and context, and the
+        # function's reread | returned locals (see _add_var).
+        self._visiting_slot = -1
+        self._visiting_function = ""
+        self._visiting_ctx = -1
+        self._visiting_watch: FrozenSet[str] = frozenset()
+        # Per function: the locals a visit may read before it grows them.
+        self._reread: Dict[str, FrozenSet[str]] = {}
+        # Per function: the locals its return operands name.
+        self._returned: Dict[str, FrozenSet[str]] = {}
+        # Per function: reread | returned, the locals whose growth during
+        # the function's own visit still marks a pair.
+        self._watched: Dict[str, FrozenSet[str]] = {}
+        # Per non-address-taken global: the slot ranges of the functions
+        # whose operands read it, and the functions that return it.
+        self._global_readers: Dict[str, List[Tuple[int, int]]] = {}
+        self._global_returners: Dict[str, List[str]] = {}
+        # Callee slot -> the caller slots that read its return operands.
+        self._return_readers: Dict[int, Set[int]] = {}
+        # Object -> the slots that loaded from any of its fields.
+        self._heap_readers: Dict[AbstractObject, Set[int]] = {}
         # Derived-fact counter for budget accounting (points-to tuples
         # plus effect tuples); charged incrementally against the meter.
         self._derived = 0
@@ -288,6 +319,45 @@ class _Engine:
         if len(bucket) != before:
             self._changed = True
             self._derived += len(bucket) - before
+            function, ctx, variable = key
+            # The common case, inlined: a local of the pair being visited
+            # that only later instructions of this visit read.
+            if (
+                ctx != self._visiting_ctx
+                or function != self._visiting_function
+                or variable in self._visiting_watch
+            ):
+                self._mark_var_readers(function, ctx, variable)
+
+    def _mark_var_readers(
+        self, function: str, ctx: int, variable: str
+    ) -> None:
+        """Mark dirty every pair whose visit reads variable
+        ``(function, ctx, variable)``."""
+        dirty = self._dirty
+        if not function:
+            # A non-address-taken global: every context of every function
+            # that reads it, and the callers of every function returning it.
+            for low, high in self._global_readers.get(variable, ()):
+                dirty[low:high] = b"\x01" * (high - low)
+            for returner in self._global_returners.get(variable, ()):
+                base = self._base[returner]
+                contexts = self.numbering.contexts_of(returner)
+                for slot in range(base, base + contexts):
+                    for reader in self._return_readers.get(slot, ()):
+                        dirty[reader] = 1
+            return
+        base = self._base.get(function)
+        if base is None:
+            return  # an implicit entry the call graph never reached
+        slot = base + ctx
+        # A growth inside the pair's own visit is seen by the rest of that
+        # visit, unless a read of the variable precedes the growth.
+        if slot != self._visiting_slot or variable in self._reread[function]:
+            dirty[slot] = 1
+        if variable in self._returned[function]:
+            for reader in self._return_readers.get(slot, ()):
+                dirty[reader] = 1
 
     def _add_heap(
         self, slot: Tuple[AbstractObject, Optional[int]], locations: Iterable[Location]
@@ -300,6 +370,9 @@ class _Engine:
         if len(bucket) != before:
             self._changed = True
             self._derived += len(bucket) - before
+            dirty = self._dirty
+            for reader in self._heap_readers.get(slot[0], ()):
+                dirty[reader] = 1
 
     def _heap_read(
         self, obj: AbstractObject, offset: Optional[int]
@@ -338,6 +411,7 @@ class _Engine:
         # (handler, instruction) pairs, plus its return operands.
         plans: Dict[str, List[Tuple[Callable[[str, int, Instr], None], Instr]]] = {}
         self._returns: Dict[str, List[Operand]] = {}
+        pairs = 0
         for name in sorted(self.graph.reachable):
             function = self.module.functions.get(name)
             if function is None:
@@ -349,22 +423,46 @@ class _Engine:
                     plan.append((handler, instr))
                 elif isinstance(instr, Return) and instr.src is not None:
                     self._returns.setdefault(name, []).append(instr.src)
+            self._base[name] = pairs
+            pairs += self.numbering.contexts_of(name)
+            self._index_reads(
+                name, function.params, plan, (self._base[name], pairs)
+            )
 
+        # Semi-naive rounds: the round-robin order is kept, but after the
+        # first round a pair is visited only if something it reads has
+        # grown since its last visit.  A visit is a deterministic function
+        # of the sets it reads and only ever unions into sets, so a
+        # skipped visit would have added nothing: every fact, and the
+        # round count, match visiting every pair every round.
+        dirty = self._dirty = bytearray(b"\x01") * pairs
         iterations = 0
+        visits = 0
         with trace_span("pointer.solve") as span:
             while True:
                 iterations += 1
                 self._changed = False
                 for name, plan in plans.items():
+                    slot = self._base[name]
+                    self._visiting_function = name
+                    self._visiting_watch = self._watched[name]
                     for ctx in range(self.numbering.contexts_of(name)):
-                        for handler, instr in plan:
-                            handler(name, ctx, instr)
+                        if dirty[slot]:
+                            dirty[slot] = 0
+                            self._visiting_slot = slot
+                            self._visiting_ctx = ctx
+                            visits += 1
+                            for handler, instr in plan:
+                                handler(name, ctx, instr)
+                        slot += 1
                     if self.meter is not None:
                         self._charge_budget()
                 if not self._changed:
                     break
+            self._visiting_slot = self._visiting_ctx = -1
             span.set(
                 iterations=iterations,
+                visits=visits,
                 regions=len(self.regions),
                 objects=len(self.objects),
             )
@@ -386,7 +484,48 @@ class _Engine:
             },
             cleanups=frozenset(self.cleanups),
             iterations=iterations,
+            visits=visits,
         )
+
+    def _index_reads(
+        self,
+        name: str,
+        params: Iterable[str],
+        plan: List[Tuple[Callable[[str, int, Instr], None], Instr]],
+        slots: Tuple[int, int],
+    ) -> None:
+        """Record, statically, which variables a visit of ``name`` (whose
+        pairs are ``slots``) reads: the locals it may read before it
+        grows them (``reread``: the parameters, plus every local defined
+        at or after an instruction that reads it), its returned locals,
+        and the globals it reads or returns."""
+        read: Set[str] = set()
+        reread: Set[str] = set(params)
+        globals_read: Set[str] = set()
+        for _, instr in plan:
+            for operand in instr.operands():
+                is_global, variable = self._name_of(operand)
+                if is_global:
+                    globals_read.add(variable)
+                elif variable:
+                    read.add(variable)
+            dst = getattr(instr, "dst", None)
+            if dst is not None:
+                is_global, variable = self._name_of(dst)
+                if not is_global and variable in read:
+                    reread.add(variable)
+        for variable in globals_read:
+            self._global_readers.setdefault(variable, []).append(slots)
+        returned: Set[str] = set()
+        for operand in self._returns.get(name, ()):
+            is_global, variable = self._name_of(operand)
+            if is_global:
+                self._global_returners.setdefault(variable, []).append(name)
+            elif variable:
+                returned.add(variable)
+        self._reread[name] = frozenset(reread)
+        self._returned[name] = frozenset(returned)
+        self._watched[name] = frozenset(reread | returned)
 
     def _charge_budget(self) -> None:
         """Cooperative checkpoint: runs after each function is processed."""
@@ -438,9 +577,17 @@ class _Engine:
         if key is None:
             return
         result: Set[Location] = set()
+        readers = self._heap_readers
+        visiting = self._visiting_slot
         for obj, offset in self._value(name, ctx, instr.addr):
             if obj.kind in ("null", "func"):
                 continue
+            # Per object, not per slot: an unknown-offset read reads them all.
+            slots = readers.get(obj)
+            if slots is None:
+                readers[obj] = {visiting}
+            else:
+                slots.add(visiting)
             result.update(self._heap_read(obj, offset))
         self._add_var(key, result)
 
@@ -628,6 +775,12 @@ class _Engine:
         if instr.dst is not None and target in self._returns:
             key = self._var_key(name, ctx, instr.dst)
             if key is not None:
+                callee_slot = self._base[target] + callee_ctx
+                readers = self._return_readers.get(callee_slot)
+                if readers is None:
+                    self._return_readers[callee_slot] = {self._visiting_slot}
+                else:
+                    readers.add(self._visiting_slot)
                 for operand in self._returns[target]:
                     self._add_var(
                         key, self._value(target, callee_ctx, operand)

@@ -526,6 +526,7 @@ def _collect_metrics(report: RegionWizReport) -> MetricsRegistry:
     registry.gauge("pointer.regions", len(report.analysis.regions))
     registry.gauge("pointer.objects", len(report.analysis.objects))
     registry.gauge("pointer.iterations", report.analysis.iterations)
+    registry.gauge("pointer.visits", report.analysis.visits)
     registry.gauge("effects.subregion", report.consistency.subregion_size)
     registry.gauge("effects.ownership", report.consistency.ownership_size)
     registry.gauge("effects.heap", report.consistency.heap_size)

@@ -67,6 +67,7 @@ class TestAbsorption:
         assert metrics["warnings.high"] == 1
         assert metrics["pipeline.total_ms"] > 0
         assert metrics["callgraph.reachable"] >= 1
+        assert metrics["pointer.visits"] == report.analysis.visits > 0
 
 
 class TestAggregation:

@@ -132,7 +132,8 @@ class TestChromeTrace:
         tracer = self.run_traced()
         assert tracer.find("callgraph.fixpoint")
         assert tracer.find("contexts.number")
-        assert tracer.find("pointer.solve")
+        (solve,) = tracer.find("pointer.solve")
+        assert solve.attrs["visits"] > 0
 
     def test_datalog_spans_when_stats_requested(self):
         tracer = self.run_traced(solver_stats=True)
