@@ -32,12 +32,11 @@ what the fault-isolation design guarantees -- so :func:`run_batch` can
 fan them out to a :class:`~concurrent.futures.ProcessPoolExecutor`.
 The dispatch is built so parallelism *pays* on paper-scale corpora:
 
-* the per-batch invariant state (:class:`AnalysisOptions`, the
-  :class:`ResourceBudget` template, the
-  :class:`~repro.callgraph.ImplicitCallRegistry`, the fault-spec
-  snapshot, and the tracer/event-log epochs) crosses the pool boundary
-  **once per worker** through the pool ``initializer``, not once per
-  unit -- a task pickles only ``(index, unit)`` pairs;
+* the per-batch invariant state (the sweep's :class:`SweepConfig`, the
+  fault-spec snapshot, and the tracer/event-log epochs) crosses the
+  pool boundary **once per worker** through the pool ``initializer``,
+  not once per unit -- a task pickles only ``(index, unit, key)``
+  triples;
 * units are dispatched in **contiguous chunks** so small units amortize
   the submit/result round trip, and the same **warm workers** serve
   every chunk of the batch -- worker startup is paid ``jobs`` times per
@@ -61,27 +60,29 @@ The dispatch is built so parallelism *pays* on paper-scale corpora:
 Supervision (crash-proofing)
 ----------------------------
 
-With ``jobs > 1`` the pool runs under a
-:class:`~repro.tool.supervise.BatchSupervisor` by default (see that
-module for the full design): a SIGKILL'd/OOM'd worker no longer takes
-the sweep down -- its units are retried on a respawned pool and a unit
-that repeatedly kills workers is bisected solo and quarantined with a
-``crashed`` outcome (exit 3); a hard per-unit wall-clock deadline
-(``hard_timeout``, or budget wall clock x grace factor) SIGKILLs hung
+With ``jobs > 1`` the pool always runs under a
+:class:`~repro.tool.supervise.BatchSupervisor` (see that module for the
+full design): a SIGKILL'd/OOM'd worker does not take the sweep down --
+its units are retried on a respawned pool and a unit that repeatedly
+kills workers is bisected solo and quarantined with a ``crashed``
+outcome (exit 3); a hard per-unit wall-clock deadline (the policy's
+``hard_timeout``, or budget wall clock x grace factor) SIGKILLs hung
 units and records ``timeout`` outcomes (exit 4); a JSONL run
 ``journal`` of completed outcomes makes sweeps resumable
 (``resume=True``) after even the parent dies; and SIGINT/SIGTERM drain
 in-flight results into a partial report (``BatchResult.interrupted``).
 Supervision keeps the serial-equivalence contract: a fault-free
-supervised sweep produces byte-identical batch JSON, and transient
-kills/hangs converge to the fault-free report (modulo ``attempts`` and
-the ``supervision`` telemetry block).
+parallel sweep produces the serial sweep's batch JSON byte for byte,
+and transient kills/hangs converge to the fault-free report (modulo
+``attempts`` and the ``supervision`` telemetry block).
 
 Persistent caching
 ------------------
 
 Pass ``cache=`` (an :class:`~repro.tool.cache.AnalysisCache` or a
-directory path) and successful outcomes are stored content-addressed;
+directory path) and successful outcomes are stored content-addressed
+under :meth:`SweepConfig.key` -- the same key that identifies a unit in
+the run journal, computed once per unit per sweep;
 a warm re-run of an unchanged corpus skips analysis entirely, marking
 each replayed outcome ``cached``.  Hit/miss counters land in the batch
 JSON and :meth:`BatchResult.batch_metrics`.  The parallel scheduler
@@ -166,7 +167,14 @@ from repro.util import faults
 from repro.util.budget import ResourceBudget
 from repro.util.errors import BudgetExceeded, InputError
 
-__all__ = ["BatchUnit", "UnitOutcome", "BatchResult", "run_batch", "SEVERITY_ORDER"]
+__all__ = [
+    "BatchUnit",
+    "UnitOutcome",
+    "BatchResult",
+    "SweepConfig",
+    "run_batch",
+    "SEVERITY_ORDER",
+]
 
 #: Batch exit code = first of these found among unit exit codes.
 SEVERITY_ORDER = (3, 4, 2, 1, 0)
@@ -390,8 +398,8 @@ class BatchResult:
     interrupted: bool = False
     #: Supervision telemetry (respawns / watchdog_kills / quarantined /
     #: timeouts / journal_recovered / resumed ...), present only when the
-    #: supervisor actually intervened -- a fault-free sweep's JSON is
-    #: byte-identical with supervision on or off.
+    #: supervisor actually intervened -- a fault-free parallel sweep's
+    #: JSON is byte-identical to the serial sweep's.
     supervision: Optional[Dict[str, int]] = None
     #: Parent-generated run id (see :func:`repro.obs.live.new_run_id`);
     #: emitted in :meth:`to_json` only when set, so existing serial ≡
@@ -619,34 +627,68 @@ class BatchResult:
         return "\n".join(lines)
 
 
-def _analyze_unit(
-    unit: BatchUnit,
-    options: Optional[AnalysisOptions],
-    budget: Optional[ResourceBudget],
-    degrade: bool,
-    refine: bool,
-    solver_stats: bool,
-    registry: Optional[ImplicitCallRegistry],
-    max_retries: int,
-    validate: bool = False,
-    validate_steps: int = DEFAULT_VALIDATE_STEPS,
-    trace_dir: Optional[str] = None,
-) -> UnitOutcome:
+@dataclass(frozen=True)
+class SweepConfig:
+    """The analysis settings of one sweep, fixed for all of its units.
+
+    :func:`run_batch` builds one from its keyword arguments; the serial
+    loop, the pool workers and the bisection child all read it, and
+    :meth:`key` derives each unit's content key (cache address and
+    journal identity) from it.
+    """
+
+    options: Optional[AnalysisOptions] = None
+    budget: Optional[ResourceBudget] = None
+    degrade: bool = True
+    refine: bool = False
+    solver_stats: bool = False
+    registry: Optional[ImplicitCallRegistry] = None
+    max_retries: int = 0
+    keep_going: bool = False
+    validate: bool = False
+    validate_steps: int = DEFAULT_VALIDATE_STEPS
+    #: Directory for per-unit trace artifacts (``--trace-out``); not key
+    #: material, since it only changes where an artifact lands.
+    trace_dir: Optional[str] = None
+    run_id: Optional[str] = None
+
+    def key(
+        self, unit: BatchUnit, cache: Optional[AnalysisCache] = None
+    ) -> str:
+        """The unit's content key under this configuration.
+
+        Goes through ``cache.key`` when a cache is given, so a cache
+        subclass that instruments its key (a timing wrapper) sees every
+        computation; :meth:`AnalysisCache.key` is static, so resuming a
+        journal needs no cache directory.
+        """
+        keyer = cache.key if cache is not None else AnalysisCache.key
+        return keyer(
+            source=unit.source,
+            filename=unit.filename,
+            interface=unit.effective_interface,
+            entry=unit.entry,
+            options=self.options,
+            budget=self.budget,
+            degrade=self.degrade,
+            refine=self.refine,
+            solver_stats=self.solver_stats,
+            validate=(
+                {
+                    "schema": VALIDATION_SCHEMA_VERSION,
+                    "steps": int(self.validate_steps),
+                }
+                if self.validate
+                else None
+            ),
+            registry=self.registry,
+        )
+
+
+def _analyze_unit(unit: BatchUnit, config: SweepConfig) -> UnitOutcome:
     with trace_span("batch.unit", unit=unit.name) as span:
         started = time.process_time()
-        outcome = _analyze_unit_isolated(
-            unit,
-            options,
-            budget,
-            degrade,
-            refine,
-            solver_stats,
-            registry,
-            max_retries,
-            validate=validate,
-            validate_steps=validate_steps,
-            trace_dir=trace_dir,
-        )
+        outcome = _analyze_unit_isolated(unit, config)
         outcome.elapsed = time.process_time() - started
         span.set(
             status=outcome.status,
@@ -657,17 +699,7 @@ def _analyze_unit(
 
 
 def _analyze_unit_isolated(
-    unit: BatchUnit,
-    options: Optional[AnalysisOptions],
-    budget: Optional[ResourceBudget],
-    degrade: bool,
-    refine: bool,
-    solver_stats: bool,
-    registry: Optional[ImplicitCallRegistry],
-    max_retries: int,
-    validate: bool = False,
-    validate_steps: int = DEFAULT_VALIDATE_STEPS,
-    trace_dir: Optional[str] = None,
+    unit: BatchUnit, config: SweepConfig
 ) -> UnitOutcome:
     attempts = 0
     while True:
@@ -679,13 +711,13 @@ def _analyze_unit_isolated(
                 filename=unit.filename,
                 interface=unit.region_interface(),
                 entry=unit.entry,
-                options=options,
-                registry=registry,
+                options=config.options,
+                registry=config.registry,
                 name=unit.name,
-                refine=refine,
-                solver_stats=solver_stats,
-                budget=budget,
-                degrade=degrade,
+                refine=config.refine,
+                solver_stats=config.solver_stats,
+                budget=config.budget,
+                degrade=config.degrade,
             )
         except (CompileError, InputError) as error:
             # Deterministic input failure: retrying cannot help.
@@ -710,7 +742,7 @@ def _analyze_unit_isolated(
                 error_detail=error.to_dict(),
             )
         except Exception as error:  # internal crash: isolate, maybe retry
-            if attempts <= max_retries:
+            if attempts <= config.max_retries:
                 time.sleep(
                     min(
                         _RETRY_BACKOFF_CAP,
@@ -729,7 +761,7 @@ def _analyze_unit_isolated(
             )
         high = sum(1 for w in report.warnings if w.high_ranked)
         validation_payload: Optional[Dict[str, Any]] = None
-        if validate:
+        if config.validate:
             # Dynamic validation runs inside the unit's fault-isolation
             # scope and *before* metrics are snapshotted, so the
             # validation.* gauges land in the outcome's metrics payload.
@@ -737,13 +769,15 @@ def _analyze_unit_isolated(
             # status; the extra except keeps a simulator crash from
             # turning a successful analysis into a failed unit.
             trace_path = (
-                trace_out_path(trace_dir, unit.name)
-                if trace_dir is not None
+                trace_out_path(config.trace_dir, unit.name)
+                if config.trace_dir is not None
                 else None
             )
             try:
                 validation_payload = validate_report(
-                    report, max_steps=validate_steps, trace_path=trace_path
+                    report,
+                    max_steps=config.validate_steps,
+                    trace_path=trace_path,
                 ).to_payload()
             except Exception as error:
                 validation_payload = ValidationResult(
@@ -771,33 +805,30 @@ def _analyze_unit_isolated(
         return outcome
 
 
+def _journal_record(
+    index: int,
+    unit: BatchUnit,
+    key: Optional[str] = None,
+    outcome: Optional[UnitOutcome] = None,
+) -> Dict[str, Any]:
+    """A ``unit.start`` heartbeat, or with ``outcome`` a ``unit.done``
+    record carrying the outcome's cache payload under its content key."""
+    record: Dict[str, Any] = {
+        "kind": "unit.start" if outcome is None else "unit.done",
+        "index": index,
+        "unit": unit.name,
+        "pid": os.getpid(),
+        "t": time.time(),
+    }
+    if outcome is not None:
+        record["key"] = key
+        record["outcome"] = outcome.to_cache_payload()
+    return record
+
+
 # ---------------------------------------------------------------------------
 # Persistent cache plumbing
 # ---------------------------------------------------------------------------
-
-
-def _unit_cache_key(
-    cache: AnalysisCache,
-    unit: BatchUnit,
-    options: Optional[AnalysisOptions],
-    budget: Optional[ResourceBudget],
-    degrade: bool,
-    refine: bool,
-    solver_stats: bool,
-    validate_key: Optional[Dict[str, Any]] = None,
-) -> str:
-    return cache.key(
-        source=unit.source,
-        filename=unit.filename,
-        interface=unit.effective_interface,
-        entry=unit.entry,
-        options=options,
-        budget=budget,
-        degrade=degrade,
-        refine=refine,
-        solver_stats=solver_stats,
-        validate=validate_key,
-    )
 
 
 def _cache_lookup(
@@ -842,48 +873,29 @@ def _cache_store(
 
 @dataclass(frozen=True)
 class _WorkerConfig:
-    """The per-batch invariant state: everything every unit's analysis
-    needs but that never varies within one sweep.  Shipped to each pool
-    worker exactly once, through the pool ``initializer`` -- the old
-    dispatch re-pickled all of it (options, budget, registry, fault
-    specs, epochs) into every per-unit task, which is pure overhead on
-    corpora of hundreds of units.
+    """What a pool worker needs besides its units: the sweep's settings
+    plus the process wiring.  Shipped to each worker exactly once,
+    through the pool ``initializer``, so a task pickles only its units.
     """
 
-    options: Optional[AnalysisOptions]
-    budget: Optional[ResourceBudget]
-    degrade: bool
-    refine: bool
-    solver_stats: bool
-    registry: Optional[ImplicitCallRegistry]
-    max_retries: int
+    sweep: SweepConfig
     fault_specs: List[faults.FaultSpec]
     #: Parent tracer epoch (None: tracing off).
     trace_epoch: Optional[float]
     #: Parent event-log path/epoch (None: event logging off).
     events_path: Optional[str]
     events_epoch: Optional[float]
-    keep_going: bool
-    #: The supervisor's run journal (None: supervision off) -- workers
-    #: heartbeat ``unit.start``, append completed ``unit.done`` payloads,
-    #: and record destructive fault firings into it.
-    journal_path: Optional[str] = None
-    #: Dynamic validation (``--validate``): run each successful unit's
-    #: entry point under the traced interpreter and attach the
-    #: validation payload to its outcome.
-    validate: bool = False
-    validate_steps: int = DEFAULT_VALIDATE_STEPS
-    #: Directory for per-unit trace artifacts (``--trace-out``).
-    trace_dir: Optional[str] = None
-    #: Parent-generated run id (None when the caller did not thread one).
-    run_id: Optional[str] = None
+    #: The supervisor's run journal: workers heartbeat ``unit.start``,
+    #: append completed ``unit.done`` payloads, and record destructive
+    #: fault firings into it.
+    journal_path: str
     #: Live telemetry (``--live``/``--metrics-port``): workers piggyback
     #: one small ``telemetry`` record per completed unit on the journal
     #: heartbeat channel (rss/cpu deltas for the parent's fleet view).
-    telemetry: bool = False
+    telemetry: bool
     #: Per-phase tracemalloc peaks (``--mem-profile``), armed per worker
     #: process via :func:`repro.obs.metrics.set_mem_profile`.
-    mem_profile: bool = False
+    mem_profile: bool
 
 
 #: This worker's copy of the batch config, set by :func:`_worker_init`.
@@ -945,6 +957,7 @@ def _worker_event_log(path: str, epoch: Optional[float]) -> EventLog:
     return _WORKER_EVENT_LOG
 
 
+
 def _worker_init(config: _WorkerConfig) -> None:
     """Pool initializer: receive the batch config once, warm the worker.
 
@@ -982,16 +995,13 @@ def _worker_init(config: _WorkerConfig) -> None:
         uninstall_event_log(None)  # drop any log inherited through fork
     if config.trace_epoch is None:
         uninstall_tracer(None)  # drop any tracer inherited through fork
-    if config.journal_path is not None:
-        faults.set_fire_hook(_worker_fault_hook)
-    else:
-        faults.set_fire_hook(None)  # drop a hook inherited through fork
+    faults.set_fire_hook(_worker_fault_hook)
     set_mem_profile(config.mem_profile)
 
 
 #: One dispatched task: a contiguous run of ``(index, unit, key)``
-#: triples -- ``key`` is the unit's content key (journal identity; None
-#: when neither journal nor cache is configured).
+#: triples -- ``key`` is the unit's content key (None when neither a
+#: cache nor a journal is configured).
 _WorkerChunk = List[Tuple[int, BatchUnit, Optional[str]]]
 
 
@@ -1010,15 +1020,14 @@ def _worker_analyze_chunk(
     units ``skipped`` anyway, exactly as a serial run never reaches
     them.
 
-    Under supervision each unit is bracketed by journal heartbeats: a
-    ``unit.start`` before analysis (the parent's watchdog clock and, if
-    this process dies, the crash attribution) and a ``unit.done``
-    carrying the full outcome payload after (so results that completed
-    before a later unit killed the worker are adopted, not re-run).
+    Each unit is bracketed by journal heartbeats: a ``unit.start``
+    before analysis (the parent's watchdog clock and, if this process
+    dies, the crash attribution) and a ``unit.done`` carrying the full
+    outcome payload after (so results that completed before a later
+    unit killed the worker are adopted, not re-run).
     """
     assert _WORKER_CONFIG is not None, "worker used without initializer"
     config = _WORKER_CONFIG
-    journaling = config.journal_path is not None
     faults.install(config.fault_specs)
     tracer = (
         Tracer(epoch=config.trace_epoch)
@@ -1030,62 +1039,33 @@ def _worker_analyze_chunk(
     results: List[Tuple[int, UnitOutcome]] = []
     try:
         for index, unit, key in chunk:
-            if journaling:
-                _worker_journal_append(
-                    {
-                        "kind": "unit.start",
-                        "index": index,
-                        "unit": unit.name,
-                        "pid": os.getpid(),
-                        "t": time.time(),
-                    }
-                )
-            outcome = _analyze_unit(
-                unit,
-                config.options,
-                config.budget,
-                config.degrade,
-                config.refine,
-                config.solver_stats,
-                config.registry,
-                config.max_retries,
-                validate=config.validate,
-                validate_steps=config.validate_steps,
-                trace_dir=config.trace_dir,
-            )
+            _worker_journal_append(_journal_record(index, unit))
+            outcome = _analyze_unit(unit, config.sweep)
             outcome.report = None  # the full report does not cross the pool
             outcome.worker_pid = os.getpid()
             results.append((index, outcome))
-            if journaling:
+            _worker_journal_append(_journal_record(index, unit, key, outcome))
+            if config.telemetry:
+                # The live-telemetry piggyback: one extra journal line
+                # per completed unit, riding the heartbeat channel the
+                # supervisor already tails -- no second IPC path, no
+                # cost when telemetry is off.
                 _worker_journal_append(
                     {
-                        "kind": "unit.done",
+                        "kind": "telemetry",
                         "index": index,
                         "unit": unit.name,
-                        "key": key,
                         "pid": os.getpid(),
                         "t": time.time(),
-                        "outcome": outcome.to_cache_payload(),
+                        "rss_kb": _peak_rss_kb(),
+                        "cpu_s": round(time.process_time(), 6),
+                        "run": config.sweep.run_id,
                     }
                 )
-                if config.telemetry:
-                    # The live-telemetry piggyback: one extra journal
-                    # line per completed unit, riding the heartbeat
-                    # channel the supervisor already tails -- no second
-                    # IPC path, no cost when telemetry is off.
-                    _worker_journal_append(
-                        {
-                            "kind": "telemetry",
-                            "index": index,
-                            "unit": unit.name,
-                            "pid": os.getpid(),
-                            "t": time.time(),
-                            "rss_kb": _peak_rss_kb(),
-                            "cpu_s": round(time.process_time(), 6),
-                            "run": config.run_id,
-                        }
-                    )
-            if not config.keep_going and outcome.exit_code in _HARD_FAILURES:
+            if (
+                not config.sweep.keep_going
+                and outcome.exit_code in _HARD_FAILURES
+            ):
                 break
     finally:
         if tracer is not None:
@@ -1152,28 +1132,23 @@ def _chunked(indices: List[int], workers: int, chunk_size: Optional[int]) -> Lis
     ]
 
 
+def _first_hard_failure(slots: List[Optional[UnitOutcome]]) -> Optional[int]:
+    for index, outcome in enumerate(slots):
+        if outcome is not None and outcome.exit_code in _HARD_FAILURES:
+            return index
+    return None
+
+
 def _run_batch_parallel(
     units: List[BatchUnit],
-    options: Optional[AnalysisOptions],
-    budget: Optional[ResourceBudget],
-    degrade: bool,
-    keep_going: bool,
-    max_retries: int,
-    refine: bool,
-    solver_stats: bool,
-    registry: Optional[ImplicitCallRegistry],
+    config: SweepConfig,
     jobs: int,
     cache: Optional[AnalysisCache],
-    cache_keys: List[Optional[str]],
-    chunk_size: Optional[int] = None,
-    journal: Optional[RunJournal] = None,
-    journal_keys: Optional[List[Optional[str]]] = None,
-    policy: Optional[SupervisePolicy] = None,
-    resumed_slots: Optional[Dict[int, UnitOutcome]] = None,
-    validate: bool = False,
-    validate_steps: int = DEFAULT_VALIDATE_STEPS,
-    trace_dir: Optional[str] = None,
-    run_id: Optional[str] = None,
+    keys: List[Optional[str]],
+    chunk_size: Optional[int],
+    journal: Optional[RunJournal],
+    policy: SupervisePolicy,
+    resumed_slots: Dict[int, UnitOutcome],
 ) -> Tuple[List[Optional[UnitOutcome]], Dict[str, int], bool]:
     """Fan unit chunks out to a supervised warm process pool.
 
@@ -1184,10 +1159,10 @@ def _run_batch_parallel(
     hard failure -- into ``skipped`` outcomes.
 
     The :class:`~repro.tool.supervise.BatchSupervisor` owns the pool
-    lifecycle: with a journal it recovers from dead workers, enforces
-    the hard per-unit deadline, and drains on SIGINT/SIGTERM; without
-    one (supervision disabled) the same loop degrades to fail-the-chunk
-    semantics with zero extra machinery on the unit path.
+    lifecycle: it recovers from dead workers, enforces the hard per-unit
+    deadline, and drains on SIGINT/SIGTERM.  Its heartbeat channel is
+    the caller's ``journal``, or a throwaway one opened here when the
+    caller has none and some unit is left to analyze.
 
     Without ``keep_going``, cache stores are deferred until the pool
     drains and flushed only for units *before* the earliest hard
@@ -1197,15 +1172,14 @@ def _run_batch_parallel(
     cache state).  The same deferral covers interrupted sweeps -- only
     outcomes the partial report actually carries are persisted.
     """
-    policy = policy or SupervisePolicy()
     slots: List[Optional[UnitOutcome]] = [None] * len(units)
     to_run: List[int] = []
     for index, unit in enumerate(units):
-        if resumed_slots and index in resumed_slots:
+        if index in resumed_slots:
             slots[index] = resumed_slots[index]
             bus_event("unit.done", index=index, outcome=slots[index])
             continue
-        hit = _cache_lookup(cache, cache_keys[index], unit)
+        hit = _cache_lookup(cache, keys[index], unit)
         if hit is not None:
             slots[index] = hit
             bus_event("unit.done", index=index, outcome=hit)
@@ -1214,32 +1188,26 @@ def _run_batch_parallel(
     if not to_run:
         return slots, {}, False
 
+    ephemeral: Optional[str] = None
+    if journal is None:
+        fd, ephemeral = tempfile.mkstemp(
+            prefix="regionwiz-journal-", suffix=".jsonl"
+        )
+        os.close(fd)
+        journal = RunJournal(ephemeral, run_id=config.run_id)
     tracer = current_tracer()
     event_log = current_event_log()
-    keys = journal_keys if journal_keys is not None else cache_keys
+    journal_path = journal.path
 
     def make_config(fault_specs: List[faults.FaultSpec]) -> _WorkerConfig:
         return _WorkerConfig(
-            options=options,
-            budget=budget,
-            degrade=degrade,
-            refine=refine,
-            solver_stats=solver_stats,
-            registry=registry,
-            max_retries=max_retries,
+            sweep=config,
             fault_specs=fault_specs,
             trace_epoch=tracer.epoch if tracer is not None else None,
             events_path=event_log.path if event_log is not None else None,
             events_epoch=event_log.epoch if event_log is not None else None,
-            keep_going=keep_going,
-            journal_path=journal.path if journal is not None else None,
-            validate=validate,
-            validate_steps=validate_steps,
-            trace_dir=trace_dir,
-            run_id=run_id,
-            # Worker telemetry piggybacks on the journal, so it needs
-            # both a live bus parent-side and a journal to ride on.
-            telemetry=current_bus() is not None and journal is not None,
+            journal_path=journal_path,
+            telemetry=current_bus() is not None,
             mem_profile=mem_profile_enabled(),
         )
 
@@ -1251,9 +1219,9 @@ def _run_batch_parallel(
         units=units,
         to_run=to_run,
         jobs=jobs,
-        keep_going=keep_going,
+        keep_going=config.keep_going,
         policy=policy,
-        deadline=policy.deadline(budget),
+        deadline=policy.deadline(config.budget),
         journal=journal,
         keys=keys,
         fault_specs=faults.snapshot(),
@@ -1267,52 +1235,75 @@ def _run_batch_parallel(
         adopt=adopt,
         pool_failure=_pool_failure_outcome,
     )
-    for index, outcome in supervisor.run().items():
-        slots[index] = outcome
+    try:
+        for index, outcome in supervisor.run().items():
+            slots[index] = outcome
+    finally:
+        if ephemeral is not None:
+            journal.close()
+            try:
+                os.unlink(ephemeral)
+            except OSError:
+                pass
 
-    first_failure: Optional[int] = None
-    if not keep_going:
-        for index, outcome in enumerate(slots):
-            if outcome is not None and outcome.exit_code in _HARD_FAILURES:
-                first_failure = index
-                break
+    first_failure = (
+        None if config.keep_going else _first_hard_failure(slots)
+    )
     for index in to_run:
         outcome = slots[index]
         if outcome is None:
             continue
         if first_failure is None or index < first_failure:
-            _cache_store(cache, cache_keys[index], outcome)
+            _cache_store(cache, keys[index], outcome)
     return slots, dict(supervisor.stats), supervisor.interrupted
 
 
-def _journal_key(
-    unit: BatchUnit,
-    options: Optional[AnalysisOptions],
-    budget: Optional[ResourceBudget],
-    degrade: bool,
-    refine: bool,
-    solver_stats: bool,
-    validate_key: Optional[Dict[str, Any]] = None,
-) -> str:
-    """The unit's content key for journal identity.
+def _run_batch_serial(
+    pending: List[BatchUnit],
+    config: SweepConfig,
+    cache: Optional[AnalysisCache],
+    keys: List[Optional[str]],
+    journal: Optional[RunJournal],
+    resumed_slots: Dict[int, UnitOutcome],
+) -> Tuple[List[UnitOutcome], bool]:
+    """Analyze the units in order, in this process.
 
-    Deliberately the same key material as the persistent cache
-    (:meth:`AnalysisCache.key` is static, so no cache directory is
-    needed): a resumed sweep must only replay an outcome if the unit's
-    source *and* the analysis configuration are unchanged.
+    Returns ``(outcomes, interrupted)``; on SIGINT/SIGTERM everything
+    completed so far is kept and the rest is ``skipped``.
     """
-    return AnalysisCache.key(
-        source=unit.source,
-        filename=unit.filename,
-        interface=unit.effective_interface,
-        entry=unit.entry,
-        options=options,
-        budget=budget,
-        degrade=degrade,
-        refine=refine,
-        solver_stats=solver_stats,
-        validate=validate_key,
-    )
+    outcomes: List[UnitOutcome] = []
+    interrupted = False
+    try:
+        with interruptible():
+            for index, unit in enumerate(pending):
+                outcome = resumed_slots.get(index)
+                if outcome is None:
+                    outcome = _cache_lookup(cache, keys[index], unit)
+                if outcome is None:
+                    if journal is not None:
+                        journal.append(_journal_record(index, unit))
+                    outcome = _analyze_unit(unit, config)
+                    _cache_store(cache, keys[index], outcome)
+                    if journal is not None:
+                        journal.append(
+                            _journal_record(index, unit, keys[index], outcome)
+                        )
+                outcomes.append(outcome)
+                bus_event("unit.done", index=index, outcome=outcome)
+                if (
+                    not config.keep_going
+                    and outcome.exit_code in _HARD_FAILURES
+                ):
+                    break
+    except KeyboardInterrupt:
+        emit_event(
+            "batch.interrupted",
+            completed=len(outcomes),
+            total=len(pending),
+        )
+        interrupted = True
+    outcomes.extend(_skipped(unit.name) for unit in pending[len(outcomes):])
+    return outcomes, interrupted
 
 
 def run_batch(
@@ -1328,10 +1319,8 @@ def run_batch(
     jobs: int = 1,
     cache: Optional[Union[AnalysisCache, str]] = None,
     chunk_size: Optional[int] = None,
-    hard_timeout: Optional[float] = None,
     journal: Optional[str] = None,
     resume: bool = False,
-    supervise: bool = True,
     policy: Optional[SupervisePolicy] = None,
     validate: bool = False,
     validate_steps: int = DEFAULT_VALIDATE_STEPS,
@@ -1353,27 +1342,27 @@ def run_batch(
     :class:`~repro.tool.cache.AnalysisCache` or a directory path)
     enables the persistent result cache.
 
-    ``supervise`` (default, effective with ``jobs > 1``) runs the sweep
-    under the crash-proofing supervisor (see :mod:`repro.tool.supervise`):
-    dead workers are respawned and their units retried/bisected, and
-    ``hard_timeout`` (or the budget's wall clock times the policy's
-    grace factor) arms a watchdog that SIGKILLs hung units.  ``journal``
-    names a JSONL run journal of completed outcomes; ``resume=True``
-    replays completed units from it instead of re-analyzing them (their
-    outcomes are marked ``resumed``).  SIGINT/SIGTERM drain in-flight
-    results into a partial :class:`BatchResult` with
-    ``interrupted=True`` (serial sweeps included).  ``policy`` overrides
-    the full :class:`~repro.tool.supervise.SupervisePolicy`
-    (``hard_timeout`` is ignored when a policy is given).
+    A parallel sweep always runs under the crash-proofing supervisor
+    (see :mod:`repro.tool.supervise`): dead workers are respawned and
+    their units retried/bisected, and the ``policy``'s ``hard_timeout``
+    (or the budget's wall clock times its grace factor) arms a watchdog
+    that SIGKILLs hung units.  ``journal`` names a JSONL run journal of
+    completed outcomes; ``resume=True`` replays completed units from it
+    instead of re-analyzing them (their outcomes are marked
+    ``resumed``).  SIGINT/SIGTERM drain in-flight results into a
+    partial :class:`BatchResult` with ``interrupted=True`` (serial
+    sweeps included).
 
     ``validate=True`` (the ``--validate`` flag) runs every successful
     unit's entry point under the traced region interpreter (step budget
     ``validate_steps``), replays the trace, and attaches the dynamic
     validation payload to its outcome; ``trace_dir`` additionally writes
-    each unit's trace as ``<unit>.trace.jsonl``.  Validation is part of
-    the cache/journal key (toggling it re-analyzes rather than replaying
-    unvalidated outcomes), but ``trace_dir`` is not -- it only changes
-    where an artifact lands, never the outcome.
+    each unit's trace as ``<unit>.trace.jsonl``.
+
+    Every setting that can change an outcome -- including ``validate``
+    and a non-default ``registry`` -- is part of the unit's content key
+    (:meth:`SweepConfig.key`), which addresses both the cache and the
+    journal, so changing one re-analyzes rather than replaying.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -1382,263 +1371,103 @@ def run_batch(
     if isinstance(cache, str):
         cache = AnalysisCache(cache)
     if policy is None:
-        policy = SupervisePolicy(hard_timeout=hard_timeout)
+        policy = SupervisePolicy()
+    config = SweepConfig(
+        options=options,
+        budget=budget,
+        degrade=degrade,
+        refine=refine,
+        solver_stats=solver_stats,
+        registry=registry,
+        max_retries=max_retries,
+        keep_going=keep_going,
+        validate=validate,
+        validate_steps=validate_steps,
+        trace_dir=trace_dir,
+        run_id=run_id,
+    )
     pending = list(units)
-    validate_key: Optional[Dict[str, Any]] = (
-        {"schema": VALIDATION_SCHEMA_VERSION, "steps": int(validate_steps)}
-        if validate
+    keys: List[Optional[str]] = (
+        [config.key(unit, cache) for unit in pending]
+        if cache is not None or journal is not None
+        else [None] * len(pending)
+    )
+    run_journal = (
+        RunJournal(journal, resume=resume, run_id=run_id)
+        if journal is not None
         else None
     )
-    cache_keys: List[Optional[str]] = [
-        _unit_cache_key(
-            cache,
-            unit,
-            options,
-            budget,
-            degrade,
-            refine,
-            solver_stats,
-            validate_key,
-        )
-        if cache is not None
-        else None
-        for unit in pending
-    ]
-    journal_obj: Optional[RunJournal] = None
-    ephemeral: Optional[str] = None
-    if journal is not None:
-        journal_obj = RunJournal(journal, resume=resume, run_id=run_id)
-    elif supervise and jobs > 1 and pending:
-        # Supervision needs the heartbeat/outcome channel even when the
-        # caller doesn't want a persistent journal: use a throwaway one.
-        fd, ephemeral = tempfile.mkstemp(
-            prefix="regionwiz-journal-", suffix=".jsonl"
-        )
-        os.close(fd)
-        journal_obj = RunJournal(ephemeral, run_id=run_id)
     try:
-        return _run_batch_inner(
-            pending,
-            options,
-            budget,
-            degrade,
-            keep_going,
-            max_retries,
-            refine,
-            solver_stats,
-            registry,
-            jobs,
-            cache,
-            cache_keys,
-            chunk_size,
-            policy,
-            journal_obj,
-            supervise,
-            validate=validate,
-            validate_steps=validate_steps,
-            trace_dir=trace_dir,
-            validate_key=validate_key,
-            run_id=run_id,
+        bus_event(
+            "batch.start",
+            total=len(pending),
+            sizes=[len(unit.source) for unit in pending],
+            jobs=jobs,
         )
-    finally:
-        if journal_obj is not None:
-            journal_obj.close()
-        if ephemeral is not None:
+        # Resume replay: adopt completed outcomes from the journal's
+        # prior run(s), keyed by (unit name, content key) so a unit whose
+        # source or configuration changed re-analyzes.
+        resumed_slots: Dict[int, UnitOutcome] = {}
+        if run_journal is not None and run_journal.completed:
+            for index, unit in enumerate(pending):
+                payload = run_journal.completed.get((unit.name, keys[index]))
+                if payload is None:
+                    continue
+                try:
+                    outcome = UnitOutcome.from_payload(payload, resumed=True)
+                except (KeyError, TypeError, ValueError):
+                    continue
+                resumed_slots[index] = outcome
+                emit_event("journal.replay", unit=unit.name, key=keys[index])
+
+        result = BatchResult()
+        supervision: Dict[str, int] = {}
+        if jobs > 1:
             try:
-                os.unlink(ephemeral)
-            except OSError:
-                pass
-
-
-def _run_batch_inner(
-    pending: List[BatchUnit],
-    options: Optional[AnalysisOptions],
-    budget: Optional[ResourceBudget],
-    degrade: bool,
-    keep_going: bool,
-    max_retries: int,
-    refine: bool,
-    solver_stats: bool,
-    registry: Optional[ImplicitCallRegistry],
-    jobs: int,
-    cache: Optional[AnalysisCache],
-    cache_keys: List[Optional[str]],
-    chunk_size: Optional[int],
-    policy: SupervisePolicy,
-    journal_obj: Optional[RunJournal],
-    supervise: bool,
-    validate: bool = False,
-    validate_steps: int = DEFAULT_VALIDATE_STEPS,
-    trace_dir: Optional[str] = None,
-    validate_key: Optional[Dict[str, Any]] = None,
-    run_id: Optional[str] = None,
-) -> BatchResult:
-    bus_event(
-        "batch.start",
-        total=len(pending),
-        sizes=[len(unit.source) for unit in pending],
-        jobs=jobs,
-    )
-    journal_keys: List[Optional[str]] = [None] * len(pending)
-    if journal_obj is not None:
-        journal_keys = [
-            _journal_key(
-                unit,
-                options,
-                budget,
-                degrade,
-                refine,
-                solver_stats,
-                validate_key,
+                with interruptible():
+                    slots, supervision, interrupted = _run_batch_parallel(
+                        pending,
+                        config,
+                        jobs,
+                        cache,
+                        keys,
+                        chunk_size,
+                        run_journal,
+                        policy,
+                        resumed_slots,
+                    )
+            except KeyboardInterrupt:
+                # Interrupted outside the supervised pool loop (cache
+                # probe, store): nothing in flight, keep the replays.
+                interrupted = True
+                slots = [resumed_slots.get(i) for i in range(len(pending))]
+            first_failure = (
+                None
+                if keep_going or interrupted
+                else _first_hard_failure(slots)
             )
-            for unit in pending
-        ]
-
-    # Resume replay: adopt completed outcomes from the journal's prior
-    # run(s), keyed by (unit name, content key) so a unit whose source
-    # or configuration changed re-analyzes.
-    resumed_slots: Dict[int, UnitOutcome] = {}
-    if journal_obj is not None and journal_obj.completed:
-        for index, unit in enumerate(pending):
-            key = journal_keys[index]
-            payload = (
-                journal_obj.completed.get((unit.name, key)) if key else None
-            )
-            if payload is None:
-                continue
-            try:
-                outcome = UnitOutcome.from_payload(payload, resumed=True)
-            except (KeyError, TypeError, ValueError):
-                continue
-            resumed_slots[index] = outcome
-            emit_event("journal.replay", unit=unit.name, key=key)
-
-    result = BatchResult()
-    supervision: Dict[str, int] = {}
-    interrupted = False
-    if jobs > 1:
-        try:
-            with interruptible():
-                slots, supervision, interrupted = _run_batch_parallel(
-                    pending,
-                    options,
-                    budget,
-                    degrade,
-                    keep_going,
-                    max_retries,
-                    refine,
-                    solver_stats,
-                    registry,
-                    jobs,
-                    cache,
-                    cache_keys,
-                    chunk_size,
-                    journal=journal_obj if supervise else None,
-                    journal_keys=journal_keys,
-                    policy=policy,
-                    resumed_slots=resumed_slots,
-                    validate=validate,
-                    validate_steps=validate_steps,
-                    trace_dir=trace_dir,
-                    run_id=run_id,
-                )
-        except KeyboardInterrupt:
-            # Interrupted outside the supervised pool loop (cache probe,
-            # resume replay): nothing in flight, keep what's filled.
-            interrupted = True
-            slots = [None] * len(pending)
-            for index, outcome in resumed_slots.items():
-                slots[index] = outcome
-        first_failure: Optional[int] = None
-        if not keep_going and not interrupted:
-            for index, outcome in enumerate(slots):
-                if outcome is not None and outcome.exit_code in _HARD_FAILURES:
-                    first_failure = index
-                    break
-        for index, (unit, outcome) in enumerate(zip(pending, slots)):
-            if outcome is None or (
-                first_failure is not None and index > first_failure
-            ):
-                result.outcomes.append(_skipped(unit.name))
-                # The scheduler probed the cache for this unit up front,
-                # but a serial run stopping at first_failure never would
-                # have: uncount that lookup so the reported counters
-                # match the serial sweep's exactly.
-                if (
-                    not interrupted
-                    and cache is not None
-                    and cache_keys[index] is not None
+            for index, (unit, outcome) in enumerate(zip(pending, slots)):
+                if outcome is None or (
+                    first_failure is not None and index > first_failure
                 ):
-                    was_hit = outcome is not None and outcome.cached
-                    cache.uncount(hit=was_hit)
-            else:
-                result.outcomes.append(outcome)
-    else:
-        try:
-            with interruptible():
-                for index, unit in enumerate(pending):
-                    outcome = resumed_slots.get(index)
-                    if outcome is None:
-                        outcome = _cache_lookup(
-                            cache, cache_keys[index], unit
+                    result.outcomes.append(_skipped(unit.name))
+                    # The scheduler probed the cache for this unit up
+                    # front, but a serial run stopping at first_failure
+                    # never would have: uncount that lookup so the
+                    # reported counters match the serial sweep's exactly.
+                    if not interrupted and cache is not None:
+                        cache.uncount(
+                            hit=outcome is not None and outcome.cached
                         )
-                    if outcome is None:
-                        if journal_obj is not None:
-                            journal_obj.append(
-                                {
-                                    "kind": "unit.start",
-                                    "index": index,
-                                    "unit": unit.name,
-                                    "pid": os.getpid(),
-                                    "t": time.time(),
-                                }
-                            )
-                        outcome = _analyze_unit(
-                            unit,
-                            options,
-                            budget,
-                            degrade,
-                            refine,
-                            solver_stats,
-                            registry,
-                            max_retries,
-                            validate=validate,
-                            validate_steps=validate_steps,
-                            trace_dir=trace_dir,
-                        )
-                        _cache_store(cache, cache_keys[index], outcome)
-                        if journal_obj is not None:
-                            journal_obj.append(
-                                {
-                                    "kind": "unit.done",
-                                    "index": index,
-                                    "unit": unit.name,
-                                    "key": journal_keys[index],
-                                    "pid": os.getpid(),
-                                    "t": time.time(),
-                                    "outcome": outcome.to_cache_payload(),
-                                }
-                            )
+                else:
                     result.outcomes.append(outcome)
-                    bus_event("unit.done", index=index, outcome=outcome)
-                    if (
-                        not keep_going
-                        and outcome.exit_code in _HARD_FAILURES
-                    ):
-                        for skipped in pending[len(result.outcomes):]:
-                            result.outcomes.append(_skipped(skipped.name))
-                        break
-        except KeyboardInterrupt:
-            # Satellite fix: everything completed before Ctrl-C used to
-            # be silently discarded in the serial path.
-            interrupted = True
-            emit_event(
-                "batch.interrupted",
-                completed=len(result.outcomes),
-                total=len(pending),
+        else:
+            result.outcomes, interrupted = _run_batch_serial(
+                pending, config, cache, keys, run_journal, resumed_slots
             )
-            for skipped in pending[len(result.outcomes):]:
-                result.outcomes.append(_skipped(skipped.name))
+    finally:
+        if run_journal is not None:
+            run_journal.close()
     result.interrupted = interrupted
     result.run_id = run_id
     resumed_count = sum(1 for o in result.outcomes if o.resumed)

@@ -14,6 +14,9 @@ successful outcome afterwards.  Entries are keyed by a SHA-256 over
   budget can land on a different ladder rung);
 * the ``refine`` and ``solver_stats`` switches (they change the warning
   set and the metrics payload respectively);
+* the implicit-call registry, when it differs from
+  :func:`~repro.callgraph.default_registry` (extra call edges change the
+  warning set);
 * the tool version (``repro.__version__``), the analysis-semantics stamp
   (:data:`repro.tool.regionwiz.ANALYSIS_VERSION`), and the cache schema
   version.
@@ -43,6 +46,7 @@ import os
 import tempfile
 from typing import Any, Dict, Optional
 
+from repro.callgraph import ImplicitCallRegistry, default_registry
 from repro.pointer import AnalysisOptions
 from repro.util.budget import ResourceBudget
 
@@ -77,13 +81,15 @@ class AnalysisCache:
         refine: bool,
         solver_stats: bool,
         validate: Optional[Dict[str, Any]] = None,
+        registry: Optional[ImplicitCallRegistry] = None,
     ) -> str:
         """The content hash addressing one unit's outcome.
 
         ``validate`` is the dynamic-validation configuration (schema
         version plus step budget) when ``--validate`` is on; it enters
         the key material only when set, so caches built before the
-        validation feature keep their hashes.
+        validation feature keep their hashes.  ``registry`` enters it
+        only when it is not the default registry, for the same reason.
         """
         from repro import __version__
         from repro.tool.regionwiz import ANALYSIS_VERSION
@@ -104,6 +110,8 @@ class AnalysisCache:
         }
         if validate is not None:
             material["validate"] = validate
+        if registry is not None and registry != default_registry():
+            material["registry"] = dataclasses.asdict(registry)
         blob = json.dumps(material, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 

@@ -74,6 +74,7 @@ from repro.pointer import AnalysisOptions
 from repro.tool.batch import BatchUnit, run_batch
 from repro.tool.regionwiz import RegionWizReport, run_regionwiz
 from repro.tool.report import format_report, format_solver_stats
+from repro.tool.supervise import SupervisePolicy
 from repro.tool.validate import trace_out_path
 from repro.util.budget import ResourceBudget
 from repro.util.errors import BudgetExceeded, InputError
@@ -591,7 +592,7 @@ def _run_batch_mode(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=cache,
         chunk_size=args.chunk_size,
-        hard_timeout=args.hard_timeout,
+        policy=SupervisePolicy(hard_timeout=args.hard_timeout),
         journal=args.journal,
         resume=args.resume,
         validate=args.validate,

@@ -55,8 +55,8 @@ the retried unit converges to its fault-free outcome -- the property
 the serial≡parallel hypothesis tests pin down.
 
 **Resumable sweeps.**  ``unit.done`` records reuse the cache-payload
-schema and carry a content key (the same material as
-:meth:`repro.tool.cache.AnalysisCache.key`), so a *new parent* given
+schema and carry the unit's content key (the cache key,
+:meth:`repro.tool.batch.SweepConfig.key`), so a *new parent* given
 ``resume=True`` replays completed outcomes and re-analyzes only
 incomplete units -- surviving even ``kill -9`` of the parent.
 :func:`interruptible` converts SIGTERM to ``KeyboardInterrupt`` so both
@@ -366,9 +366,8 @@ class BatchSupervisor:
     ``DISPATCH -> (drain | BROKEN)``; on ``BROKEN``: adopt journaled
     outcomes, attribute in-flight units, bisect repeat offenders,
     backoff, respawn; on watchdog expiry: SIGKILL the worker and fold
-    into ``BROKEN``.  Without a journal (supervision off) the loop
-    degrades to the legacy behavior: a broken pool fails its chunks
-    with structured pool-failure outcomes and no retry happens.
+    into ``BROKEN``.  The ``journal`` is the heartbeat and outcome
+    channel every one of those steps reads.
     """
 
     def __init__(
@@ -380,7 +379,7 @@ class BatchSupervisor:
         keep_going: bool,
         policy: SupervisePolicy,
         deadline: Optional[float],
-        journal: Optional[RunJournal],
+        journal: RunJournal,
         keys: Sequence[Optional[str]],
         fault_specs: List[FaultSpec],
         make_config: Callable[[List[FaultSpec]], Any],
@@ -457,8 +456,6 @@ class BatchSupervisor:
                 break
             if not broken:
                 break  # clean drain (or early stop): nothing to recover
-            if self.journal is None:
-                break  # no heartbeats: chunks already failed structurally
             self._recover(runnable)
             generation += 1
             if generation > max_respawns:
@@ -493,14 +490,13 @@ class BatchSupervisor:
     def _generation(self, runnable: List[int]) -> bool:
         order = list(runnable)
         if self.keep_going:
-            # LPT dispatch (see batch._run_batch_parallel): safe because
-            # every unit runs regardless of order.
+            # LPT dispatch: safe because every unit runs regardless of
+            # order.
             order.sort(key=lambda i: -len(self.units[i].source))
         workers = min(self.jobs, len(order))
         chunks = self.chunk_fn(order, workers)
-        # Satellite: never spawn more workers than there are chunks to
-        # serve -- `--jobs 64` on a 3-unit corpus used to fork and
-        # gc-freeze 61 idle processes for nothing.
+        # No more workers than chunks: an idle worker still pays its
+        # fork and gc.freeze.
         workers = max(1, min(workers, len(chunks)))
         config = self.make_config(
             [replace(spec) for spec in self._fault_specs]
@@ -596,8 +592,6 @@ class BatchSupervisor:
     # -- journal consumption ----------------------------------------------
 
     def _consume_journal(self) -> None:
-        if self.journal is None:
-            return
         for record in self.journal.tail():
             kind = record.get("kind")
             if kind == "unit.start":
@@ -686,7 +680,7 @@ class BatchSupervisor:
     # -- the watchdog ------------------------------------------------------
 
     def _watchdog(self) -> None:
-        if self.deadline is None or self.journal is None:
+        if self.deadline is None:
             return
         now = time.time()
         for index, (pid, started) in list(self._running.items()):

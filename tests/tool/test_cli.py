@@ -192,6 +192,25 @@ class TestBatchCli:
         assert "cache" not in payload
         assert not (tmp_path / "cache").exists()
 
+    def test_hard_timeout_reaches_the_supervise_policy(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.tool.cli as cli
+        from repro.tool.batch import BatchResult
+
+        seen = {}
+
+        def fake_run_batch(units, **kwargs):
+            seen.update(kwargs)
+            return BatchResult()
+
+        monkeypatch.setattr(cli, "run_batch", fake_run_batch)
+        paths = self.write_figures(tmp_path, ["fig1"])
+        argv = ["--batch", "--jobs", "2", "--hard-timeout", "5", *paths]
+        assert main(argv) == 0
+        assert seen["jobs"] == 2
+        assert seen["policy"].hard_timeout == 5.0
+
 
 class TestQueryCli:
     """``--query FILE:LINE``: the demand-driven single-question mode."""

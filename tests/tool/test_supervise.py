@@ -264,7 +264,10 @@ class TestWatchdog:
             delay_seconds=30.0,
         )
         parallel = run_batch(
-            units, keep_going=True, jobs=2, hard_timeout=1.0, policy=None
+            units,
+            keep_going=True,
+            jobs=2,
+            policy=SupervisePolicy(hard_timeout=1.0),
         )
         assert chaos_normalized(serial) == chaos_normalized(parallel)
         assert parallel.supervision["watchdog_kills"] >= 1
