@@ -31,7 +31,8 @@ def _load_trajectory(path: pathlib.Path) -> list:
 
     The current format is one JSON document with a ``trajectory`` array.
     Early versions blindly *appended* a JSON object per run, producing a
-    JSONL file that ``json.load`` rejects — those records are migrated
+    JSONL file that ``json.load`` rejects, or wrote one bare record (a
+    dict without ``trajectory``) — either way the records are migrated
     into the array the first time the bench runs again.
     """
     try:
@@ -41,7 +42,9 @@ def _load_trajectory(path: pathlib.Path) -> list:
     try:
         payload = json.loads(text)
         if isinstance(payload, dict):
-            trajectory = payload.get("trajectory", [])
+            if "trajectory" not in payload:
+                return [payload]  # one bare legacy record
+            trajectory = payload["trajectory"]
             return trajectory if isinstance(trajectory, list) else []
         if isinstance(payload, list):
             return payload

@@ -3,8 +3,8 @@
 Runs the synthetic apache package sweep (nine executables, the largest
 of the Figure-11 corpus) through :func:`repro.tool.batch.run_batch`
 under an installed tracer and writes the Chrome ``trace_event`` JSON --
-one ``batch.unit`` span per executable, phases and solver strata nested
-inside.  CI uploads the file as a workflow artifact so any run's
+one ``batch.unit`` span per executable, its pipeline phases and their
+subsystem spans nested inside.  CI uploads the file as a workflow artifact so any run's
 pipeline timeline can be opened in chrome://tracing or Perfetto without
 reproducing the run.
 
@@ -37,7 +37,7 @@ def main(argv=None) -> int:
 
     units = package_units(package(args.package))
     with tracing_to() as tracer:
-        result = run_batch(units, keep_going=True, solver_stats=True)
+        result = run_batch(units, keep_going=True)
     tracer.write_chrome_trace(args.out)
 
     unit_spans = tracer.find("batch.unit")

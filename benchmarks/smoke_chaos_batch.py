@@ -18,8 +18,8 @@ The fault-free cost of supervision is guarded elsewhere: every parallel
 sweep is supervised, so ``bench_batch_parallel.py``'s speedup gate
 measures it.
 
-Headline numbers land in ``BENCH_batch_supervision.json`` (JSON-lines,
-one record per run) for cross-PR trajectory plots.
+Headline numbers land in ``BENCH_batch_supervision.json`` (one
+trajectory entry per run) for cross-PR trajectory plots.
 
 Usage: ``PYTHONPATH=src python benchmarks/smoke_chaos_batch.py``
 """

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -92,6 +93,9 @@ class ConsistencyResult:
         return len(self.object_pairs)
 
 
+Access = Tuple[AbstractObject, Optional[int], AbstractObject]
+
+
 def _owners(
     obj: AbstractObject,
     owned_by: Dict[AbstractObject, Set[AbstractObject]],
@@ -106,35 +110,31 @@ def _owners(
     return frozenset(owned_by.get(obj, set()))
 
 
-def check_consistency(
+def _build_result(
     analysis: PointerAnalysisResult,
-    hierarchy: Optional[RegionHierarchy] = None,
+    hierarchy: RegionHierarchy,
+    candidates: Iterable[Access],
+    violates: Callable[
+        [Access, FrozenSet[AbstractObject], FrozenSet[AbstractObject]], bool
+    ],
 ) -> ConsistencyResult:
-    """Verify the non-access property over region pairs without partial
-    order; returns every violating object pair."""
-    if hierarchy is None:
-        hierarchy = build_hierarchy(analysis.regions, analysis.subregion)
+    """The one warning builder behind both public entry points.
 
+    Walks ``candidates`` in sorted order and builds an
+    :class:`ObjectPairWarning` (owners, store sites, the Section 5.4
+    never-safe rank) for every access that ``violates`` selects, given
+    the access and its source and target owner sets.
+    """
     owned_by: Dict[AbstractObject, Set[AbstractObject]] = {}
     for region, obj in analysis.ownership:
         owned_by.setdefault(obj, set()).add(region)
 
     warnings: List[ObjectPairWarning] = []
-    for source, offset, target in sorted(analysis.accesses, key=str):
+    for access in sorted(candidates, key=str):
+        source, offset, target = access
         source_owners = _owners(source, owned_by)
         target_owners = _owners(target, owned_by)
-        if not source_owners or not target_owners:
-            continue  # objects outside the region discipline constrain nothing
-        # Proposition 2.2: safe iff *every* owner combination is ordered
-        # x <= y; a single unordered combination is a potential dangling
-        # pointer.
-        unordered = [
-            (x, y)
-            for x in source_owners
-            for y in target_owners
-            if not hierarchy.leq(x, y)
-        ]
-        if not unordered:
+        if not violates(access, source_owners, target_owners):
             continue
         never_safe = all(
             not hierarchy.may_leq(x, y)
@@ -147,9 +147,7 @@ def check_consistency(
             target=target,
             source_owners=source_owners,
             target_owners=target_owners,
-            store_uids=analysis.access_sites.get(
-                (source, offset, target), frozenset()
-            ),
+            store_uids=analysis.access_sites.get(access, frozenset()),
         )
         object.__setattr__(warning, "_never_safe", never_safe)
         warnings.append(warning)
@@ -166,13 +164,40 @@ def check_consistency(
     )
 
 
+def check_consistency(
+    analysis: PointerAnalysisResult,
+    hierarchy: Optional[RegionHierarchy] = None,
+) -> ConsistencyResult:
+    """Verify the non-access property over region pairs without partial
+    order; returns every violating object pair."""
+    if hierarchy is None:
+        hierarchy = build_hierarchy(analysis.regions, analysis.subregion)
+
+    def violates(
+        access: Access,
+        source_owners: FrozenSet[AbstractObject],
+        target_owners: FrozenSet[AbstractObject],
+    ) -> bool:
+        if not source_owners or not target_owners:
+            # Objects outside the region discipline constrain nothing.
+            return False
+        # Proposition 2.2: safe iff *every* owner combination is ordered
+        # x <= y; a single unordered combination is a potential dangling
+        # pointer.
+        return not all(
+            hierarchy.leq(x, y)
+            for x in source_owners
+            for y in target_owners
+        )
+
+    return _build_result(analysis, hierarchy, analysis.accesses, violates)
+
+
 def consistency_from_pairs(
     analysis: PointerAnalysisResult,
     hierarchy: RegionHierarchy,
-    pairs: Set[Tuple[AbstractObject, Optional[int], AbstractObject]],
-    accesses: Optional[
-        Iterable[Tuple[AbstractObject, Optional[int], AbstractObject]]
-    ] = None,
+    pairs: Set[Access],
+    accesses: Optional[Iterable[Access]] = None,
 ) -> ConsistencyResult:
     """Rebuild a :class:`ConsistencyResult` from a known violating set.
 
@@ -185,44 +210,11 @@ def consistency_from_pairs(
     the iteration (the demand path passes its query seed); by default
     every access is considered.
     """
-    owned_by: Dict[AbstractObject, Set[AbstractObject]] = {}
-    for region, obj in analysis.ownership:
-        owned_by.setdefault(obj, set()).add(region)
-
-    candidates = analysis.accesses if accesses is None else accesses
-    warnings: List[ObjectPairWarning] = []
-    for source, offset, target in sorted(candidates, key=str):
-        if (source, offset, target) not in pairs:
-            continue
-        source_owners = _owners(source, owned_by)
-        target_owners = _owners(target, owned_by)
-        never_safe = all(
-            not hierarchy.may_leq(x, y)
-            for x in source_owners
-            for y in target_owners
-        )
-        warning = ObjectPairWarning(
-            source=source,
-            offset=offset,
-            target=target,
-            source_owners=source_owners,
-            target_owners=target_owners,
-            store_uids=analysis.access_sites.get(
-                (source, offset, target), frozenset()
-            ),
-        )
-        object.__setattr__(warning, "_never_safe", never_safe)
-        warnings.append(warning)
-
-    return ConsistencyResult(
-        hierarchy=hierarchy,
-        object_pairs=warnings,
-        num_regions=len(analysis.regions),
-        num_objects=len(analysis.objects),
-        subregion_size=len(analysis.subregion),
-        ownership_size=len(analysis.ownership),
-        heap_size=len(analysis.accesses),
-        region_pair_count=hierarchy.count_no_partial_order_pairs(),
+    return _build_result(
+        analysis,
+        hierarchy,
+        analysis.accesses if accesses is None else accesses,
+        lambda access, _source_owners, _target_owners: access in pairs,
     )
 
 

@@ -1,4 +1,4 @@
-"""Pointer analysis: context numbering, cloned analysis, Andersen baseline."""
+"""Pointer analysis: context numbering, cloned analysis, Datalog formulation."""
 
 from repro.pointer.analysis import (
     AbstractObject,
@@ -8,7 +8,6 @@ from repro.pointer.analysis import (
     ROOT_REGION,
     analyze_pointers,
 )
-from repro.pointer.andersen import analyze_andersen, andersen_options
 from repro.pointer.contexts import ContextNumbering, number_contexts
 from repro.pointer.datalog_pta import DatalogPTA, run_datalog_pta
 
@@ -21,8 +20,6 @@ __all__ = [
     "run_datalog_pta",
     "PointerAnalysisResult",
     "ROOT_REGION",
-    "analyze_andersen",
     "analyze_pointers",
-    "andersen_options",
     "number_contexts",
 ]

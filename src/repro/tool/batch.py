@@ -641,7 +641,6 @@ class SweepConfig:
     budget: Optional[ResourceBudget] = None
     degrade: bool = True
     refine: bool = False
-    solver_stats: bool = False
     registry: Optional[ImplicitCallRegistry] = None
     max_retries: int = 0
     keep_going: bool = False
@@ -672,7 +671,6 @@ class SweepConfig:
             budget=self.budget,
             degrade=self.degrade,
             refine=self.refine,
-            solver_stats=self.solver_stats,
             validate=(
                 {
                     "schema": VALIDATION_SCHEMA_VERSION,
@@ -715,7 +713,6 @@ def _analyze_unit_isolated(
                 registry=config.registry,
                 name=unit.name,
                 refine=config.refine,
-                solver_stats=config.solver_stats,
                 budget=config.budget,
                 degrade=config.degrade,
             )
@@ -1314,7 +1311,6 @@ def run_batch(
     keep_going: bool = False,
     max_retries: int = 0,
     refine: bool = False,
-    solver_stats: bool = False,
     registry: Optional[ImplicitCallRegistry] = None,
     jobs: int = 1,
     cache: Optional[Union[AnalysisCache, str]] = None,
@@ -1377,7 +1373,6 @@ def run_batch(
         budget=budget,
         degrade=degrade,
         refine=refine,
-        solver_stats=solver_stats,
         registry=registry,
         max_retries=max_retries,
         keep_going=keep_going,

@@ -12,8 +12,7 @@ successful outcome afterwards.  Entries are keyed by a SHA-256 over
 * the degradation settings (``degrade`` flag plus the
   :class:`~repro.util.budget.ResourceBudget` limits -- a different
   budget can land on a different ladder rung);
-* the ``refine`` and ``solver_stats`` switches (they change the warning
-  set and the metrics payload respectively);
+* the ``refine`` switch (it changes the warning set);
 * the implicit-call registry, when it differs from
   :func:`~repro.callgraph.default_registry` (extra call edges change the
   warning set);
@@ -79,7 +78,6 @@ class AnalysisCache:
         budget: Optional[ResourceBudget],
         degrade: bool,
         refine: bool,
-        solver_stats: bool,
         validate: Optional[Dict[str, Any]] = None,
         registry: Optional[ImplicitCallRegistry] = None,
     ) -> str:
@@ -106,7 +104,8 @@ class AnalysisCache:
             "budget": budget.to_dict() if budget is not None else None,
             "degrade": bool(degrade),
             "refine": bool(refine),
-            "solver_stats": bool(solver_stats),
+            # Retired option: constant, so existing entries and journals hit.
+            "solver_stats": False,
         }
         if validate is not None:
             material["validate"] = validate

@@ -84,6 +84,10 @@ from repro.util.errors import BudgetExceeded, InputError
 #: expansion would dominate large reports.
 _HTML_EXPLAIN_CAP = 10
 
+#: The report's own metrics that ``--stats`` prints: effect sizes, the
+#: region/object/instruction pair counts, and the consistency phase time.
+_CONSISTENCY_STATS = ("effects.", "warnings.", "pipeline.correlation_ms")
+
 __all__ = ["main", "build_parser"]
 
 
@@ -339,11 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stats",
         action="store_true",
-        dest="solver_stats",
+        dest="stats",
         help=(
-            "collect and print Datalog solver statistics to stderr"
-            " (fixpoint rounds, tuples derived, index hits, per-stratum"
-            " timings); always embedded in --json reports"
+            "print consistency statistics to stderr (effect sizes, region"
+            " pairs verified, object and instruction pairs emitted, phase"
+            " time); with --query also the Datalog solve's statistics."
+            " The JSON 'solver' block and the datalog.* metrics appear"
+            " only when the Datalog engine answered (--query)"
         ),
     )
     obs = parser.add_argument_group(
@@ -588,7 +594,6 @@ def _run_batch_mode(args: argparse.Namespace) -> int:
         keep_going=args.keep_going,
         max_retries=args.max_retries,
         refine=args.refine,
-        solver_stats=args.solver_stats,
         jobs=args.jobs,
         cache=cache,
         chunk_size=args.chunk_size,
@@ -895,6 +900,13 @@ def _run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    if args.stats and args.batch:
+        print(
+            "regionwiz: --stats applies to single-file runs;"
+            " use --metrics with --batch",
+            file=sys.stderr,
+        )
+        return 2
     try:
         if args.batch:
             return _run_batch_mode(args)
@@ -916,7 +928,6 @@ def _run(args: argparse.Namespace) -> int:
                 filename=args.files[0],
                 options=options,
                 name=args.files[0],
-                solver_stats=args.solver_stats,
                 budget=budget,
                 degrade=args.degrade,
             )
@@ -932,7 +943,6 @@ def _run(args: argparse.Namespace) -> int:
                 options=options,
                 name=args.files[0],
                 refine=args.refine,
-                solver_stats=args.solver_stats,
                 budget=budget,
                 degrade=args.degrade,
                 query=query,
@@ -999,9 +1009,16 @@ def _run(args: argparse.Namespace) -> int:
     except InputError as error:
         print(f"regionwiz: {error}", file=sys.stderr)
         return 2
-    if args.solver_stats and report.times.solver is not None:
-        print("solver statistics:", file=sys.stderr)
-        print(format_solver_stats(report.times.solver), file=sys.stderr)
+    if args.stats and report.metrics is not None:
+        print("consistency statistics:", file=sys.stderr)
+        consistency = {
+            name: value
+            for name, value in report.metrics.to_dict().items()
+            if name.startswith(_CONSISTENCY_STATS)
+        }
+        print(format_metrics(consistency), file=sys.stderr)
+        if report.times.solver is not None:
+            print(format_solver_stats(report.times.solver), file=sys.stderr)
     if args.metrics and report.metrics is not None:
         print("metrics:", file=sys.stderr)
         print(format_metrics(report.metrics.to_dict()), file=sys.stderr)

@@ -141,7 +141,6 @@ def analyze_open_program(
     exports: Optional[List[str]] = None,
     options: Optional[AnalysisOptions] = None,
     name: str = "library",
-    solver_stats: bool = False,
     budget: Optional[ResourceBudget] = None,
     degrade: bool = False,
 ) -> RegionWizReport:
@@ -154,7 +153,6 @@ def analyze_open_program(
         entry=HARNESS_ENTRY,
         options=options,
         name=name,
-        solver_stats=solver_stats,
         budget=budget,
         degrade=degrade,
     )

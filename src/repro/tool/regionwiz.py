@@ -51,7 +51,6 @@ from repro.core import (
     build_hierarchy,
     check_consistency,
     rank_warnings,
-    solve_object_pairs,
 )
 from repro.core.consistency import consistency_from_pairs
 from repro.core.datalog_check import (
@@ -150,8 +149,8 @@ class PhaseTimes:
     context_cloning: float = 0.0
     correlation: float = 0.0
     post_processing: float = 0.0
-    #: Datalog solver telemetry for the consistency query; populated only
-    #: when :func:`run_regionwiz` is called with ``solver_stats=True``.
+    #: Datalog solver telemetry; set only when the Datalog engine
+    #: produced the answer (the demand-transformed ``query=`` solve).
     solver: Optional[SolverStats] = None
     #: Per-phase tracemalloc peaks in bytes (``--mem-profile`` only;
     #: empty otherwise, so reports stay byte-identical with it off).
@@ -183,12 +182,6 @@ class Fig11Row:
     o_pairs: int
     i_pairs: int
     high: int
-    # Solver telemetry (populated when the run collected SolverStats;
-    # deliberately not part of HEADER/as_tuple -- the Figure 11 table
-    # shape matches the paper).
-    solver_rounds: int = 0
-    solver_derived: int = 0
-    solver_ms: float = 0.0
     #: Precision rung the numbers were computed at ("full" unless the
     #: degradation ladder kicked in); not part of HEADER/as_tuple.
     precision: str = "full"
@@ -255,7 +248,6 @@ class RegionWizReport:
         return not self.warnings
 
     def fig11_row(self) -> Fig11Row:
-        solver = self.times.solver
         return Fig11Row(
             name=self.name,
             time_seconds=self.times.total,
@@ -268,9 +260,6 @@ class RegionWizReport:
             o_pairs=self.consistency.o_pair_count,
             i_pairs=self.ranked.i_pair_count,
             high=self.ranked.high_count,
-            solver_rounds=0 if solver is None else solver.rounds,
-            solver_derived=0 if solver is None else solver.tuples_derived,
-            solver_ms=0.0 if solver is None else solver.solve_seconds * 1e3,
             precision=self.precision,
         )
 
@@ -330,20 +319,34 @@ def _mem_peak(times: PhaseTimes, phase: str) -> None:
 
 
 @contextmanager
-def _phase_events(phase: str, unit: str):
-    """Bracket one pipeline phase with ``phase.start``/``phase.end``
-    records on the active event log (no-op when ``--events`` is off)."""
-    emit_event("phase.start", phase=phase, unit=unit)
+def _phase(
+    times: PhaseTimes, name: str, unit: str, meter: Optional[BudgetMeter]
+):
+    """Bracket one pipeline phase and yield its trace span.
+
+    Opens the ``phase.<name>`` span and the ``phase.start``/``phase.end``
+    event records, fires the ``<name>`` fault point, and on success
+    stores the phase's wall time in ``times.<attr>`` (and its
+    ``--mem-profile`` peak under ``<attr>``), where ``<attr>`` is
+    ``name`` with dashes as underscores.
+    """
+    attr = name.replace("-", "_")
+    _mem_reset()
     start = time.perf_counter()
-    try:
-        yield
-    finally:
-        emit_event(
-            "phase.end",
-            phase=phase,
-            unit=unit,
-            duration_ms=round((time.perf_counter() - start) * 1000.0, 3),
-        )
+    with trace_span(f"phase.{name}") as span:
+        emit_event("phase.start", phase=name, unit=unit)
+        try:
+            faults.fire(name, unit=unit, meter=meter)
+            yield span
+        finally:
+            emit_event(
+                "phase.end",
+                phase=name,
+                unit=unit,
+                duration_ms=round((time.perf_counter() - start) * 1000.0, 3),
+            )
+    setattr(times, attr, time.perf_counter() - start)
+    _mem_peak(times, attr)
 
 
 def _run_pipeline(
@@ -355,7 +358,6 @@ def _run_pipeline(
     registry: ImplicitCallRegistry,
     name: str,
     refine: bool,
-    solver_stats: bool,
     meter: Optional[BudgetMeter],
     query: Optional[Tuple[str, int]] = None,
 ) -> RegionWizReport:
@@ -363,37 +365,20 @@ def _run_pipeline(
     times = PhaseTimes()
 
     # Frontend (the paper gets IR from Phoenix; we parse and lower).
-    _mem_reset()
-    start = time.perf_counter()
-    with trace_span("phase.frontend") as span, _phase_events("frontend", name):
-        faults.fire("frontend", unit=name, meter=meter)
+    with _phase(times, "frontend", name, meter) as span:
         sema = analyze(parse(source, filename))
         module = lower(sema)
         span.set(functions=len(module.functions))
-    times.frontend = time.perf_counter() - start
-    _mem_peak(times, "frontend")
 
     # Phase 1: call graph construction.
-    _mem_reset()
-    start = time.perf_counter()
-    with trace_span("phase.call-graph") as span, _phase_events(
-        "call-graph", name
-    ):
-        faults.fire("call-graph", unit=name, meter=meter)
+    with _phase(times, "call-graph", name, meter) as span:
         graph = build_call_graph(
             module, entry=entry, registry=registry, meter=meter
         )
         span.set(reachable=len(graph.reachable), edges=graph.num_edges)
-    times.call_graph = time.perf_counter() - start
-    _mem_peak(times, "call_graph")
 
     # Phase 2: context cloning.
-    _mem_reset()
-    start = time.perf_counter()
-    with trace_span("phase.context-cloning") as span, _phase_events(
-        "context-cloning", name
-    ):
-        faults.fire("context-cloning", unit=name, meter=meter)
+    with _phase(times, "context-cloning", name, meter) as span:
         numbering = number_contexts(
             graph,
             context_sensitive=options.context_sensitive,
@@ -401,16 +386,9 @@ def _run_pipeline(
             meter=meter,
         )
         span.set(contexts=numbering.total_contexts)
-    times.context_cloning = time.perf_counter() - start
-    _mem_peak(times, "context_cloning")
 
     # Phase 3: conditional correlation computation.
-    _mem_reset()
-    start = time.perf_counter()
-    with trace_span("phase.correlation") as span, _phase_events(
-        "correlation", name
-    ):
-        faults.fire("correlation", unit=name, meter=meter)
+    with _phase(times, "correlation", name, meter) as span:
         analysis = analyze_pointers(graph, interface, options, numbering, meter)
         if query is not None:
             # Demand transformation: only the accesses anchored at the
@@ -423,33 +401,22 @@ def _run_pipeline(
             queried = accesses_at_location(
                 analysis, module, query[0], query[1]
             )
-            pairs, demand_stats = solve_demand_pairs(
+            pairs, times.solver = solve_demand_pairs(
                 analysis, hierarchy, queries=queried, meter=meter
             )
             consistency = consistency_from_pairs(
                 analysis, hierarchy, pairs, accesses=queried
             )
-            if solver_stats:
-                times.solver = demand_stats
         else:
             consistency = check_consistency(analysis)
-            if solver_stats:
-                _, times.solver = solve_object_pairs(analysis, meter=meter)
         span.set(
             regions=len(analysis.regions),
             objects=len(analysis.objects),
             object_pairs=consistency.o_pair_count,
         )
-    times.correlation = time.perf_counter() - start
-    _mem_peak(times, "correlation")
 
     # Phase 4: post processing.
-    _mem_reset()
-    start = time.perf_counter()
-    with trace_span("phase.post-processing") as span, _phase_events(
-        "post-processing", name
-    ):
-        faults.fire("post-processing", unit=name, meter=meter)
+    with _phase(times, "post-processing", name, meter) as span:
         if meter is not None:
             meter.checkpoint("post-processing")
         ranked = rank_warnings(consistency)
@@ -491,8 +458,6 @@ def _run_pipeline(
             i_pairs=ranked.i_pair_count,
             high=ranked.high_count,
         )
-    times.post_processing = time.perf_counter() - start
-    _mem_peak(times, "post_processing")
 
     return RegionWizReport(
         sema=sema,
@@ -554,7 +519,6 @@ def run_regionwiz(
     registry: Optional[ImplicitCallRegistry] = None,
     name: str = "program",
     refine: bool = False,
-    solver_stats: bool = False,
     budget: Optional[ResourceBudget] = None,
     degrade: bool = False,
     query: Optional[Tuple[str, int]] = None,
@@ -564,10 +528,6 @@ def run_regionwiz(
     ``refine=True`` additionally applies the Section 4.3 def-use
     refinement (IPSSA-style, deliberately unsound) to suppress warnings
     whose region arguments provably came from the same variable.
-
-    ``solver_stats=True`` re-runs the consistency query on the Datalog
-    engine and attaches its :class:`~repro.datalog.SolverStats` to
-    ``report.times.solver`` (surfaced by ``--stats`` in the CLI).
 
     ``budget`` bounds each attempt (wall clock, derived tuples, contexts,
     abstract objects); a fresh meter is started per attempt.  Without
@@ -581,7 +541,9 @@ def run_regionwiz(
 
     ``query`` (``(filename, line)``) runs the demand-transformed
     consistency query seeded with only the accesses anchored at that
-    location -- the report's warnings are restricted to that seed.
+    location -- the report's warnings are restricted to that seed.  That
+    Datalog solve's :class:`~repro.datalog.SolverStats` land in
+    ``report.times.solver`` and the ``datalog.*`` metrics.
     """
     if interface is None:
         interface = apr_pools_interface()
@@ -616,7 +578,6 @@ def run_regionwiz(
                     registry,
                     name,
                     refine,
-                    solver_stats,
                     meter,
                     query=query,
                 )

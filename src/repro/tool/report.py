@@ -64,9 +64,10 @@ def format_report(
         f" correlation {report.times.correlation * 1000:.1f}ms,"
         f" post {report.times.post_processing * 1000:.1f}ms"
     )
-    # Solver stats deliberately do NOT appear here: the warning listing is
+    # Statistics deliberately do NOT appear here: the warning listing is
     # the machine-greppable product on stdout, so --stats goes to stderr
-    # (see repro.tool.cli) or into the JSON report.
+    # (see repro.tool.cli); a --query solve's stats also go into the JSON
+    # report.
     new_fingerprints = (
         {entry.fingerprint for entry in diff.new} if diff is not None else set()
     )

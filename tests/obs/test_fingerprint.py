@@ -153,19 +153,6 @@ class TestEngineInvariance:
         assert indexed
         assert indexed == legacy == bdd
 
-    def test_solver_stats_runs_do_not_change_fingerprints(self):
-        plain = _run_example("fig1_connection_broken.rc", "fig1")
-        stats = run_regionwiz(
-            (EXAMPLES / "fig1_connection_broken.rc").read_text(),
-            filename="fig1_connection_broken.rc",
-            interface=rc_regions_interface(),
-            name="fig1",
-            solver_stats=True,
-        )
-        assert {w.fingerprint for w in plain.warnings} == {
-            w.fingerprint for w in stats.warnings
-        }
-
 
 class TestShardingInvariance:
     def _fingerprints(self, result):

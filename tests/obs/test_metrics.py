@@ -39,9 +39,14 @@ class TestRegistry:
 
 class TestAbsorption:
     def test_solver_stats_land_under_datalog(self):
+        # --query answers with a Datalog solve; line 28 is fig2c's store.
         report = run_regionwiz(
-            figure("fig2c").full_source, name="fig2c", solver_stats=True
+            figure("fig2c").full_source,
+            filename="fig2c.c",
+            name="fig2c",
+            query=("fig2c.c", 28),
         )
+        assert len(report.warnings) == 1
         metrics = report.metrics.to_dict()
         assert metrics["datalog.facts_loaded"] > 0
         assert metrics["datalog.tuples_derived"] > 0

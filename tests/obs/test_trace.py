@@ -136,7 +136,9 @@ class TestChromeTrace:
         assert solve.attrs["visits"] > 0
 
     def test_datalog_spans_when_stats_requested(self):
-        tracer = self.run_traced(solver_stats=True)
+        # The --query path is the full run that solves on Datalog; line
+        # 28 is fig2c's store.
+        tracer = self.run_traced(filename="fig2c.c", query=("fig2c.c", 28))
         (solve,) = tracer.find("datalog.solve")
         strata = solve.find("datalog.stratum")
         assert strata and all(s.attrs.get("rounds") for s in strata)

@@ -42,7 +42,6 @@ class TestCacheKey:
             budget=None,
             degrade=True,
             refine=False,
-            solver_stats=False,
         )
         base.update(overrides)
         return base
@@ -62,7 +61,6 @@ class TestCacheKey:
             {"options": AnalysisOptions(context_sensitive=False)},
             {"degrade": False},
             {"refine": True},
-            {"solver_stats": True},
         ],
     )
     def test_key_changes_with_inputs(self, override):

@@ -143,6 +143,54 @@ class TestDegradation:
         assert report.degradation_path == ()
 
 
+def without_timing(report_text):
+    """A text report minus its phase-timing line."""
+    return [line for line in report_text.splitlines() if "phases:" not in line]
+
+
+class TestStatsIsDisplayOnly:
+    """``--stats`` prints numbers about the run; it never re-solves, so it
+    cannot change the exit code or the warnings under any budget."""
+
+    #: fig2c's full-precision run fits a 30-tuple budget.
+    LIMIT = "30"
+
+    def test_stats_keeps_exit_code_under_budget(self, tmp_path, capsys):
+        path = write_source(tmp_path, figure("fig2c"))
+        assert main([path, "--max-derived", self.LIMIT]) == 1
+        plain = capsys.readouterr().out
+        assert main([path, "--max-derived", self.LIMIT, "--stats"]) == 1
+        captured = capsys.readouterr()
+        assert "[HIGH]" in captured.out
+        assert "budget exceeded" not in captured.err
+        assert without_timing(captured.out) == without_timing(plain)
+
+    def test_stats_does_not_walk_the_ladder(self, tmp_path, capsys):
+        path = write_source(tmp_path, figure("fig2c"))
+        argv = [path, "--max-derived", self.LIMIT, "--degrade", "--stats"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "[HIGH]" in out
+        assert "degraded(" not in out
+
+    def test_budgeted_ladder_stays_full(self):
+        report = run_regionwiz(
+            figure("fig2c").full_source,
+            budget=ResourceBudget(max_derived_tuples=int(self.LIMIT)),
+            degrade=True,
+        )
+        assert report.precision == "full"
+        assert len(report.high_warnings) == 1
+
+    def test_batch_stats_exits_two(self, tmp_path, capsys):
+        path = write_source(tmp_path, figure("fig2c"))
+        assert main(["--batch", "--stats", path]) == 2
+        assert (
+            "regionwiz: --stats applies to single-file runs;"
+            " use --metrics with --batch"
+        ) in capsys.readouterr().err
+
+
 class TestJsonOnFailure:
     def test_json_flag_on_failing_unit_still_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.c"

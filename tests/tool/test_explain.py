@@ -116,8 +116,9 @@ class TestStderrRouting:
         path = write_source(tmp_path, figure("fig2c"))
         assert main([path, "--stats"]) == 1
         captured = capsys.readouterr()
-        assert "datalog solve" not in captured.out
-        assert "datalog solve" in captured.err
+        assert "consistency statistics:" not in captured.out
+        assert "consistency statistics:" in captured.err
+        assert "warnings.object_pairs" in captured.err
 
     def test_profile_tree_on_stderr(self, tmp_path, capsys):
         path = write_source(tmp_path, figure("fig2c"))
@@ -136,9 +137,11 @@ class TestStderrRouting:
     def test_json_report_embeds_metrics(self, tmp_path, capsys):
         path = write_source(tmp_path, figure("fig2c"))
         assert main([path, "--json", "--stats"]) == 1
-        payload = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert "consistency statistics:" in captured.err
+        payload = json.loads(captured.out)
         assert payload["metrics"]["warnings.high"] == 1
-        assert payload["metrics"]["datalog.tuples_derived"] > 0
+        assert payload["metrics"]["effects.heap"] == 1
 
     def test_batch_metrics_summary_on_stderr(self, tmp_path, capsys):
         paths = [
