@@ -12,7 +12,7 @@ verdict that needs no execution at all.
 real precision benchmark: every figure program is analyzed statically,
 then validated dynamically (``validate_report``: trace one execution,
 replay it, correlate), and the per-ranking-bucket confirmation rates
-over the whole corpus land in ``BENCH_dynamic_vs_static.json``.
+over the whole corpus land in ``BENCH_validation_precision.json``.
 """
 
 import itertools
@@ -156,7 +156,7 @@ def test_validation_precision_over_figures(benchmark):
         )
     write_result("validation_precision.txt", "\n".join(lines))
     record_bench(
-        "dynamic_vs_static",
+        "validation_precision",
         mean_s=bench_seconds(benchmark),
         **headline,
     )

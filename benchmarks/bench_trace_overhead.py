@@ -1,11 +1,11 @@
 """Guard: disabled tracing must stay under 3% of the Datalog join bench.
 
 The span instrumentation is always compiled in -- every rule evaluation,
-stratum, phase, and batch unit calls :func:`repro.obs.trace.trace_span`
-unconditionally -- so the no-op path (no tracer installed: one global
-read, one ``None`` check, a shared stateless span) is on the solver's
-hot path.  This bench bounds its cost on the non-linear transitive
-closure from ``bench_datalog_joins``:
+stratum, phase, and batch unit calls :func:`repro.obs.hub.trace_span`
+unconditionally -- so the no-op path (the installed hub has no tracer:
+one global read, one attribute read, one ``None`` check, a shared
+stateless span) is on the solver's hot path.  This bench bounds its
+cost on the non-linear transitive closure from ``bench_datalog_joins``:
 
 * ``t_off``  -- the benchmark's wall time with tracing disabled;
 * ``spans`` -- how many ``trace_span``/``set`` pairs one run executes
@@ -24,7 +24,8 @@ from __future__ import annotations
 import time
 
 from repro.datalog import Program
-from repro.obs.trace import SpanRecord, Tracer, trace_span, tracing_to
+from repro.obs.hub import Hub, installed, trace_span
+from repro.obs.trace import SpanRecord, Tracer
 
 NONLINEAR_RULES = """
 path(x, y) :- edge(x, y).
@@ -62,7 +63,8 @@ def _count_spans(n: int) -> int:
             count(child) for child in record.children
         )
 
-    with tracing_to() as tracer:
+    tracer = Tracer()
+    with installed(Hub(tracer=tracer)):
         _closure(n)
     return sum(count(root) for root in tracer.roots)
 
@@ -118,7 +120,8 @@ def test_smoke():
     """Tiny instance (CI smoke): same bound, plus enabled-path sanity."""
     _measure(16, runs=1)
     # While we are here: tracing *on* actually records the solver spans.
-    with tracing_to() as tracer:
+    tracer = Tracer()
+    with installed(Hub(tracer=tracer)):
         _closure(8)
     assert tracer.find("datalog.solve")
     assert tracer.find("datalog.stratum")

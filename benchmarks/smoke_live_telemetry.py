@@ -14,7 +14,7 @@ CLI:
   gate to exit 1; a fresh 1-run registry with ``--min-runs 1`` exits 2
   with a clean error (no traceback);
 * an already-bound ``--metrics-port`` exits 2 with a clean error;
-* the telemetry-*disabled* path (no bus installed) is priced under the
+* the telemetry-*disabled* path (the hub has no bus) is priced under the
   same <3% discipline as tracing, recorded in
   ``BENCH_live_overhead.json``.
 
@@ -36,7 +36,8 @@ import urllib.request
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from repro.obs.live import TelemetryBus, bus_event, install_bus, uninstall_bus
+from repro.obs.hub import Hub, bus_event, installed
+from repro.obs.live import TelemetryBus
 from repro.obs.registry import RunRegistry, RunRecord
 from repro.tool.batch import BatchUnit, run_batch
 from repro.tool.cli import main as cli_main
@@ -248,11 +249,11 @@ def check_clean_errors(paths, failures):
 def check_disabled_overhead(failures):
     """Price the telemetry-off path like the tracing-off guard.
 
-    With no bus installed a batch run still calls :func:`bus_event` for
+    With no bus on the hub a batch run still calls :func:`bus_event` for
     the sweep, every unit outcome, and the end-of-sweep marker; each call
-    is one global read plus a None check.  The guard asserts that those
-    calls, priced at the measured no-op rate, are noise (<3%) relative
-    to the serial sweep they annotate.
+    is one global read, one attribute read and a None check.  The guard
+    asserts that those calls, priced at the measured no-op rate, are
+    noise (<3%) relative to the serial sweep they annotate.
     """
     units = [
         BatchUnit(name=name, source=figure(name).full_source)
@@ -274,11 +275,8 @@ def check_disabled_overhead(failures):
         original(kind, **fields)
 
     bus.handle = counting_handle
-    previous = install_bus(bus)
-    try:
+    with installed(Hub(bus=bus)):
         run_batch(units, keep_going=True)
-    finally:
-        uninstall_bus(previous)
     events = calls["n"]
     iterations = 200_000
     start = time.perf_counter()

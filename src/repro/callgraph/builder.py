@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.callgraph.implicit import ImplicitCallRegistry, default_registry
-from repro.obs.trace import trace_span
+from repro.obs.hub import trace_span
 from repro.util.budget import BudgetMeter
 from repro.ir import (
     Add,

@@ -37,7 +37,7 @@ from repro.datalog.rules import (
     Var,
     parse_rules,
 )
-from repro.obs.trace import trace_span, tracing
+from repro.obs.hub import trace_span
 from repro.util.budget import BudgetMeter
 from repro.util.graph import strongly_connected_components
 

@@ -3,6 +3,11 @@
 Cross-cutting facilities every later performance PR measures itself
 against:
 
+* :mod:`repro.obs.hub` -- the one process-global instrumentation hub:
+  the installed :class:`Hub` routes :func:`trace_span`,
+  :func:`emit_event` and ``bus_event`` to the run's tracer, event log
+  and telemetry bus (each off by default), and its ``phase`` bracket
+  times every pipeline phase once for all of them;
 * :mod:`repro.obs.trace` -- a hierarchical span tracer threaded through
   the four pipeline phases, Datalog strata/rules, degradation-ladder
   rungs, and batch units; exports Chrome ``trace_event`` JSON
@@ -28,14 +33,7 @@ against:
   fetches.
 """
 
-from repro.obs.events import (
-    EventLog,
-    current_event_log,
-    emit_event,
-    events_enabled,
-    install_event_log,
-    uninstall_event_log,
-)
+from repro.obs.events import EventLog
 from repro.obs.fingerprint import pair_fingerprint, warning_fingerprint
 from repro.obs.history import (
     BaselineEntry,
@@ -45,6 +43,14 @@ from repro.obs.history import (
     save_baseline,
 )
 from repro.obs.html import render_html_report, write_html_report
+from repro.obs.hub import (
+    Hub,
+    current_hub,
+    emit_event,
+    installed,
+    trace_instant,
+    trace_span,
+)
 from repro.obs.metrics import MetricsRegistry, aggregate_metrics, format_metrics
 from repro.obs.replay import ReplayResult, replay_trace
 from repro.obs.validate import (
@@ -53,21 +59,12 @@ from repro.obs.validate import (
     correlate_warnings,
     label_warning,
 )
-from repro.obs.trace import (
-    SpanRecord,
-    Tracer,
-    current_tracer,
-    install_tracer,
-    trace_instant,
-    trace_span,
-    tracing,
-    tracing_to,
-    uninstall_tracer,
-)
+from repro.obs.trace import SpanRecord, Tracer
 
 __all__ = [
     "BaselineEntry",
     "EventLog",
+    "Hub",
     "MetricsRegistry",
     "ReplayResult",
     "SpanRecord",
@@ -77,14 +74,11 @@ __all__ = [
     "WarningDiff",
     "aggregate_metrics",
     "correlate_warnings",
-    "current_event_log",
-    "current_tracer",
+    "current_hub",
     "diff_entries",
     "emit_event",
-    "events_enabled",
     "format_metrics",
-    "install_event_log",
-    "install_tracer",
+    "installed",
     "label_warning",
     "load_baseline",
     "pair_fingerprint",
@@ -93,10 +87,6 @@ __all__ = [
     "save_baseline",
     "trace_instant",
     "trace_span",
-    "tracing",
-    "tracing_to",
-    "uninstall_event_log",
-    "uninstall_tracer",
     "warning_fingerprint",
     "write_html_report",
 ]

@@ -34,9 +34,9 @@ seq)``.  Workers append to the same file; each record is written as a
 single short ``write()`` of one line, so concurrent appends interleave
 at line granularity.
 
-Like the tracer, the log is process-global and off by default:
-:func:`emit_event` is a single global read plus a ``None`` check when no
-log is installed, so instrumentation sites call it unconditionally.
+Instrumentation sites call :func:`repro.obs.hub.emit_event`
+unconditionally; it writes to the event log of the installed
+:class:`~repro.obs.hub.Hub` and is a no-op when that hub has none.
 """
 
 from __future__ import annotations
@@ -46,14 +46,7 @@ import os
 import time
 from typing import Any, Dict, Optional
 
-__all__ = [
-    "EventLog",
-    "emit_event",
-    "events_enabled",
-    "current_event_log",
-    "install_event_log",
-    "uninstall_event_log",
-]
+__all__ = ["EventLog"]
 
 #: Bump when the record shape changes (consumers key on this).
 EVENT_SCHEMA_VERSION = 1
@@ -102,10 +95,14 @@ class EventLog:
 
     def emit(self, kind: str, **fields: Any) -> None:
         """Write one event record (a single JSONL line)."""
+        self.emit_at(time.perf_counter(), kind, **fields)
+
+    def emit_at(self, now: float, kind: str, **fields: Any) -> None:
+        """Write one event record stamped at ``perf_counter`` reading ``now``."""
         self._seq += 1
         record: Dict[str, Any] = {
             "seq": self._seq,
-            "t_ms": round((time.perf_counter() - self._epoch) * 1000.0, 3),
+            "t_ms": round((now - self._epoch) * 1000.0, 3),
             "pid": os.getpid(),
             "kind": kind,
         }
@@ -123,39 +120,3 @@ class EventLog:
         self.close()
         return False
 
-
-# ---------------------------------------------------------------------------
-# The process-global active event log (mirrors the tracer registry)
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[EventLog] = None
-
-
-def emit_event(kind: str, **fields: Any) -> None:
-    """Emit one event on the active log (no-op when logging is off)."""
-    log = _ACTIVE
-    if log is not None:
-        log.emit(kind, **fields)
-
-
-def events_enabled() -> bool:
-    """Whether an event log is installed (guards costly field prep)."""
-    return _ACTIVE is not None
-
-
-def current_event_log() -> Optional[EventLog]:
-    return _ACTIVE
-
-
-def install_event_log(log: EventLog) -> Optional[EventLog]:
-    """Install ``log`` as the active event log; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = log
-    return previous
-
-
-def uninstall_event_log(previous: Optional[EventLog] = None) -> None:
-    """Restore ``previous`` (default: disable event logging)."""
-    global _ACTIVE
-    _ACTIVE = previous

@@ -7,11 +7,12 @@ the supervision machinery that already exists:
 * :class:`TelemetryBus` -- the parent-side accumulator.  It is fed from
   three places, none of which add work to the analysis hot path:
 
-  - **parent hooks** (:func:`bus_event`): the batch scheduler announces
-    the sweep (``batch.start`` with every unit's source size -- the same
-    byte proxy the LPT dispatch plan load-balances on), each completed
-    outcome (``unit.done``), and the supervisor's poll loop
-    (``tick`` with the live respawn/watchdog counters);
+  - **parent hooks** (:func:`~repro.obs.hub.bus_event`): the batch
+    scheduler announces the sweep (``batch.start`` with every unit's
+    source size -- the same byte proxy the LPT dispatch plan
+    load-balances on), each completed outcome (``unit.done``), and
+    the supervisor's poll loop (``tick`` with the live
+    respawn/watchdog counters);
   - **worker deltas**: workers piggyback one small ``telemetry`` record
     per completed unit on the run-journal heartbeat channel (peak RSS,
     CPU seconds, pid); the supervisor's journal tail forwards them as
@@ -31,11 +32,10 @@ the supervision machinery that already exists:
   because LPT dispatch runs the big units first and a unit-count ETA
   would be wildly optimistic early and pessimistic late.
 
-Like the tracer and the event log, the bus is process-global and off by
-default: :func:`bus_event` is one module-global read plus a ``None``
-check when no bus is installed, so the batch scheduler calls it
-unconditionally and ``benchmarks/smoke_live_telemetry.py`` holds the
-disabled path under the same <3% discipline as tracing.
+The batch scheduler calls :func:`repro.obs.hub.bus_event`
+unconditionally; it feeds the bus of the installed
+:class:`~repro.obs.hub.Hub` and is a no-op when that hub has none
+(``benchmarks/smoke_live_telemetry.py`` holds that path under 3%).
 """
 
 from __future__ import annotations
@@ -45,15 +45,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, TextIO
 
-__all__ = [
-    "new_run_id",
-    "TelemetryBus",
-    "LiveView",
-    "bus_event",
-    "current_bus",
-    "install_bus",
-    "uninstall_bus",
-]
+__all__ = ["new_run_id", "TelemetryBus", "LiveView"]
 
 
 def new_run_id() -> str:
@@ -107,7 +99,7 @@ class TelemetryBus:
         self._view = view.notify
 
     def handle(self, kind: str, **fields: Any) -> None:
-        """Dispatch one bus event (the :func:`bus_event` entry point)."""
+        """Dispatch one bus event (what ``bus_event`` calls)."""
         with self._lock:
             if kind == "batch.start":
                 self._start(fields)
@@ -357,34 +349,3 @@ class LiveView:
         except (OSError, ValueError):
             pass
 
-
-# ---------------------------------------------------------------------------
-# The process-global active bus (mirrors the tracer/event-log registries)
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[TelemetryBus] = None
-
-
-def bus_event(kind: str, **fields: Any) -> None:
-    """Feed the active bus (a no-op global read when telemetry is off)."""
-    bus = _ACTIVE
-    if bus is not None:
-        bus.handle(kind, **fields)
-
-
-def current_bus() -> Optional[TelemetryBus]:
-    return _ACTIVE
-
-
-def install_bus(bus: TelemetryBus) -> Optional[TelemetryBus]:
-    """Install ``bus`` as the active bus; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = bus
-    return previous
-
-
-def uninstall_bus(previous: Optional[TelemetryBus] = None) -> None:
-    """Restore ``previous`` (default: disable live telemetry)."""
-    global _ACTIVE
-    _ACTIVE = previous

@@ -22,30 +22,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
-__all__ = [
-    "MetricsRegistry",
-    "aggregate_metrics",
-    "format_metrics",
-    "set_mem_profile",
-    "mem_profile_enabled",
-]
-
-# Per-phase tracemalloc peaks (--mem-profile) are gated by a process
-# global rather than a threaded-through argument: the flag is set once
-# per process (CLI parse time in the parent, _worker_init in workers)
-# and the disabled path in the pipeline stays one boolean read per
-# phase -- the same "provably free when off" discipline as tracing.
-_MEM_PROFILE = False
-
-
-def set_mem_profile(enabled: bool) -> None:
-    """Enable/disable per-phase tracemalloc peak gauges process-wide."""
-    global _MEM_PROFILE
-    _MEM_PROFILE = bool(enabled)
-
-
-def mem_profile_enabled() -> bool:
-    return _MEM_PROFILE
+__all__ = ["MetricsRegistry", "aggregate_metrics", "format_metrics"]
 
 
 def _percentile(ordered: Sequence[float], q: float) -> float:

@@ -11,21 +11,17 @@ span, and arbitrary counter attributes.  The tree exports to
 * an indented text profile (:meth:`Tracer.format_tree`, CLI:
   ``--profile``).
 
-Instrumentation sites call :func:`trace_span` unconditionally::
+Instrumentation sites call :func:`repro.obs.hub.trace_span`
+unconditionally; it reaches the tracer of the installed
+:class:`~repro.obs.hub.Hub` (a shared no-op span when there is none)::
 
     with trace_span("phase.call-graph") as span:
         graph = build_call_graph(...)
         span.set(edges=graph.num_edges)
 
-With no tracer installed (the default) :func:`trace_span` returns a
-shared, stateless no-op context manager after a single module-global
-read, so always-on instrumentation stays off the profile;
-``benchmarks/bench_trace_overhead.py`` holds the disabled path to < 3%
-of the Datalog join benchmark.  Install a tracer for one run with
-:func:`install_tracer`/:func:`uninstall_tracer` or the :func:`tracing_to`
-context manager.  The registry is process-global and single-threaded by
-design (the tool is a single-threaded pipeline); batch sweeps reuse one
-tracer across units, each unit under its own ``batch.unit`` span.
+A tracer is single-threaded by design (the tool is a single-threaded
+pipeline); batch sweeps reuse one tracer across units, each unit under
+its own ``batch.unit`` span.
 
 Peak RSS is read from ``resource.getrusage`` (kilobytes on Linux); it is
 monotone, so a span's ``rss_delta_kb`` is the high-water-mark growth
@@ -38,21 +34,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = [
-    "SpanRecord",
-    "Tracer",
-    "trace_span",
-    "trace_instant",
-    "tracing",
-    "current_tracer",
-    "install_tracer",
-    "uninstall_tracer",
-    "tracing_to",
-]
+__all__ = ["SpanRecord", "Tracer"]
 
 try:
     import resource
@@ -109,10 +94,16 @@ class _LiveSpan:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close(exc_type)
+        return False
+
+    def close(self, exc_type=None, now: Optional[float] = None) -> None:
+        """End the span at ``perf_counter`` reading ``now`` (default: now)."""
         if exc_type is not None:
             self._record.attrs.setdefault("error", exc_type.__name__)
-        self._tracer._close(self._record)
-        return False
+        self._tracer._close(
+            self._record, time.perf_counter() if now is None else now
+        )
 
     def set(self, **attrs: Any) -> None:
         """Attach attributes (shown in trace args / profile lines)."""
@@ -134,6 +125,9 @@ class _NoopSpan:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
+
+    def close(self, exc_type=None, now: Optional[float] = None) -> None:
+        pass
 
     def set(self, **attrs: Any) -> None:
         pass
@@ -178,10 +172,14 @@ class Tracer:
         return (time.perf_counter() - self._t0) * 1e6
 
     def span(self, name: str, **attrs: Any) -> _LiveSpan:
+        return self.open(name, time.perf_counter(), attrs)
+
+    def open(self, name: str, now: float, attrs: Dict[str, Any]) -> _LiveSpan:
+        """Open a span that started at ``perf_counter`` reading ``now``."""
         record = SpanRecord(
             name=name,
-            start_us=self._now_us(),
-            attrs=dict(attrs),
+            start_us=(now - self._t0) * 1e6,
+            attrs=attrs,
             rss_before_kb=_peak_rss_kb(),
         )
         if self._stack:
@@ -191,8 +189,8 @@ class Tracer:
         self._stack.append(record)
         return _LiveSpan(self, record)
 
-    def _close(self, record: SpanRecord) -> None:
-        record.end_us = self._now_us()
+    def _close(self, record: SpanRecord, now: float) -> None:
+        record.end_us = (now - self._t0) * 1e6
         record.rss_after_kb = _peak_rss_kb()
         # ``with`` unwinds strictly LIFO, including through exceptions.
         if self._stack and self._stack[-1] is record:
@@ -328,58 +326,3 @@ class Tracer:
                 render(root, 1)
         return "\n".join(lines)
 
-
-# ---------------------------------------------------------------------------
-# The process-global active tracer
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[Tracer] = None
-
-
-def trace_span(name: str, **attrs: Any):
-    """Open a span under the active tracer (no-op when tracing is off)."""
-    tracer = _ACTIVE
-    if tracer is None:
-        return _NOOP
-    return tracer.span(name, **attrs)
-
-
-def trace_instant(name: str, **attrs: Any) -> None:
-    """Record a point event under the active tracer (no-op when off)."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.instant(name, **attrs)
-
-
-def tracing() -> bool:
-    """Whether a tracer is installed (for guarding costly attr prep)."""
-    return _ACTIVE is not None
-
-
-def current_tracer() -> Optional[Tracer]:
-    return _ACTIVE
-
-
-def install_tracer(tracer: Tracer) -> Optional[Tracer]:
-    """Install ``tracer`` as the active tracer; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = tracer
-    return previous
-
-
-def uninstall_tracer(previous: Optional[Tracer] = None) -> None:
-    """Restore ``previous`` (default: disable tracing)."""
-    global _ACTIVE
-    _ACTIVE = previous
-
-
-@contextmanager
-def tracing_to(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Install a tracer for the duration of a ``with`` block."""
-    tracer = tracer or Tracer()
-    previous = install_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        uninstall_tracer(previous)

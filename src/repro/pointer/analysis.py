@@ -55,7 +55,7 @@ from repro.ir import (
     Temp,
     VarOp,
 )
-from repro.obs.trace import trace_span
+from repro.obs.hub import trace_span
 from repro.pointer.contexts import ContextNumbering, number_contexts
 from repro.util.budget import BudgetMeter
 

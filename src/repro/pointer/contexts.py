@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.bdd import BDD, DomainSpace
 from repro.callgraph import CallGraph
-from repro.obs.trace import trace_span
+from repro.obs.hub import trace_span
 from repro.util.budget import BudgetMeter
 from repro.util.graph import condensation
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.obs.trace import trace_instant
+from repro.obs.hub import trace_instant
 
 __all__ = ["RegionTracer", "TRACE_SCHEMA_VERSION", "load_trace"]
 

@@ -33,7 +33,7 @@ fan them out to a :class:`~concurrent.futures.ProcessPoolExecutor`.
 The dispatch is built so parallelism *pays* on paper-scale corpora:
 
 * the per-batch invariant state (the sweep's :class:`SweepConfig`, the
-  fault-spec snapshot, and the tracer/event-log epochs) crosses the
+  fault-spec snapshot, and the parent hub's wiring) crosses the
   pool boundary **once per worker** through the pool ``initializer``,
   not once per unit -- a task pickles only ``(index, unit, key)``
   triples;
@@ -111,7 +111,7 @@ import signal as _signal_module
 import tempfile
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.callgraph import ImplicitCallRegistry
@@ -121,34 +121,20 @@ from repro.interfaces import (
     rc_regions_interface,
 )
 from repro.lang.errors import CompileError
-from repro.obs.events import (
-    EventLog,
-    current_event_log,
-    emit_event,
-    install_event_log,
-    uninstall_event_log,
-)
 from repro.obs.history import WarningDiff, merge_diffs
-from repro.obs.live import bus_event, current_bus
-from repro.obs.metrics import (
-    MetricsRegistry,
-    aggregate_metrics,
-    format_metrics,
-    mem_profile_enabled,
-    set_mem_profile,
-)
-from repro.obs.validate import LABELS as _VALIDATION_LABELS
-from repro.obs.validate import VALIDATION_SCHEMA_VERSION, ValidationResult
-from repro.obs.trace import (
-    SpanRecord,
-    Tracer,
-    _peak_rss_kb,
-    current_tracer,
-    install_tracer,
+from repro.obs.hub import (
+    HubWiring,
+    bus_event,
+    current_hub,
+    emit_event,
+    install,
     trace_instant,
     trace_span,
-    uninstall_tracer,
 )
+from repro.obs.metrics import MetricsRegistry, aggregate_metrics, format_metrics
+from repro.obs.validate import LABELS as _VALIDATION_LABELS
+from repro.obs.validate import VALIDATION_SCHEMA_VERSION, ValidationResult
+from repro.obs.trace import SpanRecord, Tracer, _peak_rss_kb
 from repro.pointer import AnalysisOptions
 from repro.tool.cache import AnalysisCache
 from repro.tool.regionwiz import RegionWizReport, run_regionwiz
@@ -877,22 +863,13 @@ class _WorkerConfig:
 
     sweep: SweepConfig
     fault_specs: List[faults.FaultSpec]
-    #: Parent tracer epoch (None: tracing off).
-    trace_epoch: Optional[float]
-    #: Parent event-log path/epoch (None: event logging off).
-    events_path: Optional[str]
-    events_epoch: Optional[float]
     #: The supervisor's run journal: workers heartbeat ``unit.start``,
     #: append completed ``unit.done`` payloads, and record destructive
     #: fault firings into it.
     journal_path: str
-    #: Live telemetry (``--live``/``--metrics-port``): workers piggyback
-    #: one small ``telemetry`` record per completed unit on the journal
-    #: heartbeat channel (rss/cpu deltas for the parent's fleet view).
-    telemetry: bool
-    #: Per-phase tracemalloc peaks (``--mem-profile``), armed per worker
-    #: process via :func:`repro.obs.metrics.set_mem_profile`.
-    mem_profile: bool
+    #: The parent hub's wiring; :func:`_worker_init` installs the worker
+    #: hub it describes.
+    hub: HubWiring
 
 
 #: This worker's copy of the batch config, set by :func:`_worker_init`.
@@ -938,22 +915,6 @@ def _worker_fault_hook(
         }
     )
 
-#: The worker's event log, cached per process: a pool worker handles
-#: many chunks, and reopening the log per chunk would restart its seq
-#: counter -- seq must stay monotonic per *process* for the global
-#: (t_ms, pid, seq) ordering to hold.
-_WORKER_EVENT_LOG: Optional[EventLog] = None
-
-
-def _worker_event_log(path: str, epoch: Optional[float]) -> EventLog:
-    global _WORKER_EVENT_LOG
-    if _WORKER_EVENT_LOG is None or _WORKER_EVENT_LOG.path != path:
-        if _WORKER_EVENT_LOG is not None:
-            _WORKER_EVENT_LOG.close()
-        _WORKER_EVENT_LOG = EventLog(path, epoch=epoch, append=True)
-    return _WORKER_EVENT_LOG
-
-
 
 def _worker_init(config: _WorkerConfig) -> None:
     """Pool initializer: receive the batch config once, warm the worker.
@@ -967,10 +928,12 @@ def _worker_init(config: _WorkerConfig) -> None:
     to run first.  None of that inherited state is garbage the worker
     could free, so ``gc.freeze`` moves it to the permanent generation.
 
-    Also opens the parent's event log (appending on the parent's
-    timeline; each record is one short write, so parent and worker
-    lines interleave cleanly) and drops any tracer or event log
-    inherited through ``fork`` when the parent has them disabled.
+    Also installs the worker's hub, replacing whatever hub ``fork``
+    inherited: the parent's event log reopened for appending on the
+    parent's timeline (each record is one short write, so parent and
+    worker lines interleave cleanly), the ``--mem-profile`` switch, and
+    no tracer (each chunk installs its own) and no bus (telemetry rides
+    the journal).
     """
     global _WORKER_CONFIG
     _WORKER_CONFIG = config
@@ -984,16 +947,8 @@ def _worker_init(config: _WorkerConfig) -> None:
         _signal_module.signal(_signal_module.SIGTERM, _signal_module.SIG_DFL)
     except (ValueError, OSError):
         pass
-    if config.events_path is not None:
-        install_event_log(
-            _worker_event_log(config.events_path, config.events_epoch)
-        )
-    else:
-        uninstall_event_log(None)  # drop any log inherited through fork
-    if config.trace_epoch is None:
-        uninstall_tracer(None)  # drop any tracer inherited through fork
+    install(config.hub.worker_hub())
     faults.set_fire_hook(_worker_fault_hook)
-    set_mem_profile(config.mem_profile)
 
 
 #: One dispatched task: a contiguous run of ``(index, unit, key)``
@@ -1026,13 +981,9 @@ def _worker_analyze_chunk(
     assert _WORKER_CONFIG is not None, "worker used without initializer"
     config = _WORKER_CONFIG
     faults.install(config.fault_specs)
-    tracer = (
-        Tracer(epoch=config.trace_epoch)
-        if config.trace_epoch is not None
-        else None
-    )
-    if tracer is not None:
-        install_tracer(tracer)
+    epoch = config.hub.trace_epoch
+    tracer = Tracer(epoch=epoch) if epoch is not None else None
+    previous = install(replace(current_hub(), tracer=tracer))
     results: List[Tuple[int, UnitOutcome]] = []
     try:
         for index, unit, key in chunk:
@@ -1042,7 +993,7 @@ def _worker_analyze_chunk(
             outcome.worker_pid = os.getpid()
             results.append((index, outcome))
             _worker_journal_append(_journal_record(index, unit, key, outcome))
-            if config.telemetry:
+            if config.hub.telemetry:
                 # The live-telemetry piggyback: one extra journal line
                 # per completed unit, riding the heartbeat channel the
                 # supervisor already tails -- no second IPC path, no
@@ -1065,8 +1016,7 @@ def _worker_analyze_chunk(
             ):
                 break
     finally:
-        if tracer is not None:
-            uninstall_tracer(None)
+        install(previous)
         faults.clear()
     roots = tracer.roots if tracer is not None else []
     return results, roots, os.getpid()
@@ -1192,20 +1142,17 @@ def _run_batch_parallel(
         )
         os.close(fd)
         journal = RunJournal(ephemeral, run_id=config.run_id)
-    tracer = current_tracer()
-    event_log = current_event_log()
+    hub = current_hub()
+    tracer = hub.tracer
+    wiring = hub.wiring()
     journal_path = journal.path
 
     def make_config(fault_specs: List[faults.FaultSpec]) -> _WorkerConfig:
         return _WorkerConfig(
             sweep=config,
             fault_specs=fault_specs,
-            trace_epoch=tracer.epoch if tracer is not None else None,
-            events_path=event_log.path if event_log is not None else None,
-            events_epoch=event_log.epoch if event_log is not None else None,
             journal_path=journal_path,
-            telemetry=current_bus() is not None,
-            mem_profile=mem_profile_enabled(),
+            hub=wiring,
         )
 
     def adopt(roots: List[SpanRecord], pid: int) -> None:

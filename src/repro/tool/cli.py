@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional
 from repro import __version__
 from repro.interfaces import apr_pools_interface, rc_regions_interface
 from repro.lang.errors import CompileError
-from repro.obs.events import EventLog, install_event_log, uninstall_event_log
+from repro.obs.events import EventLog
 from repro.obs.export import MetricsServer, write_metrics_file
 from repro.obs.history import (
     WarningDiff,
@@ -55,21 +55,11 @@ from repro.obs.history import (
     save_baseline,
 )
 from repro.obs.html import write_html_report
-from repro.obs.live import (
-    LiveView,
-    TelemetryBus,
-    install_bus,
-    new_run_id,
-    uninstall_bus,
-)
-from repro.obs.metrics import format_metrics, set_mem_profile
+from repro.obs.hub import Hub, current_hub, installed
+from repro.obs.live import LiveView, TelemetryBus, new_run_id
+from repro.obs.metrics import format_metrics
 from repro.obs.registry import RunRecord, RunRegistry
-from repro.obs.trace import (
-    Tracer,
-    current_tracer,
-    install_tracer,
-    uninstall_tracer,
-)
+from repro.obs.trace import Tracer
 from repro.pointer import AnalysisOptions
 from repro.tool.batch import BatchUnit, run_batch
 from repro.tool.regionwiz import RegionWizReport, run_regionwiz
@@ -658,7 +648,7 @@ def _run_batch_mode(args: argparse.Namespace) -> int:
 
 def _profile_tree() -> Optional[str]:
     """The active tracer's span tree, for the HTML report's profile pane."""
-    tracer = current_tracer()
+    tracer = current_hub().tracer
     if tracer is None or not tracer.roots:
         return None
     return tracer.format_tree()
@@ -776,19 +766,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"regionwiz: {error}", file=sys.stderr)
             return 2
     bus: Optional[TelemetryBus] = None
-    previous_bus: Optional[TelemetryBus] = None
     view: Optional[LiveView] = None
     server: Optional[MetricsServer] = None
     tracer: Optional[Tracer] = None
-    previous: Optional[Tracer] = None
     event_log: Optional[EventLog] = None
-    previous_log: Optional[EventLog] = None
-    bus_installed = False
     try:
         if args.live or args.metrics_port is not None or args.metrics_out:
             bus = TelemetryBus(run_id=args.run_id, jobs=args.jobs)
-            previous_bus = install_bus(bus)
-            bus_installed = True
             if args.live:
                 if args.batch:
                     view = LiveView(bus)
@@ -816,11 +800,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "/metrics (and /healthz)",
                 file=sys.stderr,
             )
-        set_mem_profile(args.mem_profile)
         # --html-report embeds the profile tree, so it wants a tracer too.
         if args.trace or args.profile or args.html_report:
             tracer = Tracer(run_id=args.run_id)
-            previous = install_tracer(tracer)
         if args.events:
             try:
                 event_log = EventLog(args.events, run_id=args.run_id)
@@ -831,26 +813,28 @@ def main(argv: Optional[List[str]] = None) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            previous_log = install_event_log(event_log)
-        code = _run(args)
-        return _finish_telemetry(
-            args, code, bus, registry_store, wall_start, cpu_start
+        hub = Hub(
+            run_id=args.run_id,
+            tracer=tracer,
+            events=event_log,
+            bus=bus,
+            mem_profile=args.mem_profile,
         )
+        with installed(hub):
+            code = _run(args)
+            return _finish_telemetry(
+                args, code, bus, registry_store, wall_start, cpu_start
+            )
     finally:
         if event_log is not None:
-            uninstall_event_log(previous_log)
             event_log.close()
         if tracer is not None:
-            uninstall_tracer(previous)
             if args.trace:
                 tracer.write_chrome_trace(args.trace)
             if args.profile:
                 print(tracer.format_tree(), file=sys.stderr)
-        set_mem_profile(False)
         if view is not None:
             view.close()
-        if bus_installed:
-            uninstall_bus(previous_bus)
         if server is not None:
             server.close()
         if registry_store is not None:

@@ -33,7 +33,6 @@ fewer real inconsistencies.  The rung used is recorded on the report
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
@@ -61,10 +60,9 @@ from repro.datalog import SolverStats
 from repro.interfaces import RegionInterface, apr_pools_interface
 from repro.ir import IRModule, lower
 from repro.lang import SemaResult, SourceLocation, analyze, parse
-from repro.obs.events import emit_event
 from repro.obs.fingerprint import warning_fingerprint
-from repro.obs.metrics import MetricsRegistry, mem_profile_enabled
-from repro.obs.trace import trace_span
+from repro.obs.hub import current_hub, emit_event, trace_span
+from repro.obs.metrics import MetricsRegistry
 from repro.pointer import (
     AnalysisOptions,
     ContextNumbering,
@@ -291,62 +289,24 @@ def _describe(module: IRModule, ipair: IPair) -> str:
     )
 
 
-def _mem_reset() -> None:
-    """Start/reset tracemalloc peak tracking for one pipeline phase.
-
-    No-op unless ``--mem-profile`` armed the process-wide flag: the
-    disabled path is one boolean read per phase, keeping the same <3%
-    discipline as tracing.  tracemalloc itself is *not* free -- that is
-    exactly why the peaks hide behind an explicit opt-in.
-    """
-    if not mem_profile_enabled():
-        return
-    import tracemalloc
-
-    if not tracemalloc.is_tracing():
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-
-
-def _mem_peak(times: PhaseTimes, phase: str) -> None:
-    """Record the tracemalloc peak since the last :func:`_mem_reset`."""
-    if not mem_profile_enabled():
-        return
-    import tracemalloc
-
-    if tracemalloc.is_tracing():
-        times.mem_peaks[phase] = tracemalloc.get_traced_memory()[1]
-
-
 @contextmanager
 def _phase(
     times: PhaseTimes, name: str, unit: str, meter: Optional[BudgetMeter]
 ):
-    """Bracket one pipeline phase and yield its trace span.
+    """Bracket one pipeline phase (:meth:`~repro.obs.hub.Hub.phase`).
 
-    Opens the ``phase.<name>`` span and the ``phase.start``/``phase.end``
-    event records, fires the ``<name>`` fault point, and on success
+    Fires the ``<name>`` fault point inside the bracket and on success
     stores the phase's wall time in ``times.<attr>`` (and its
     ``--mem-profile`` peak under ``<attr>``), where ``<attr>`` is
     ``name`` with dashes as underscores.
     """
     attr = name.replace("-", "_")
-    _mem_reset()
-    start = time.perf_counter()
-    with trace_span(f"phase.{name}") as span:
-        emit_event("phase.start", phase=name, unit=unit)
-        try:
-            faults.fire(name, unit=unit, meter=meter)
-            yield span
-        finally:
-            emit_event(
-                "phase.end",
-                phase=name,
-                unit=unit,
-                duration_ms=round((time.perf_counter() - start) * 1000.0, 3),
-            )
-    setattr(times, attr, time.perf_counter() - start)
-    _mem_peak(times, attr)
+    with current_hub().phase(name, unit) as phase:
+        faults.fire(name, unit=unit, meter=meter)
+        yield phase
+    setattr(times, attr, phase.seconds)
+    if phase.mem_peak is not None:
+        times.mem_peaks[attr] = phase.mem_peak
 
 
 def _run_pipeline(

@@ -92,8 +92,7 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.events import emit_event
-from repro.obs.live import bus_event
+from repro.obs.hub import bus_event, emit_event
 from repro.util.budget import ResourceBudget
 from repro.util.errors import HardTimeout, WorkerCrash
 from repro.util.faults import FaultSpec

@@ -17,8 +17,8 @@ import re
 from typing import Optional, Sequence
 
 from repro.obs.events import EventLog
+from repro.obs.hub import trace_span
 from repro.obs.replay import replay_trace
-from repro.obs.trace import trace_span
 from repro.obs.validate import ValidationResult, correlate_warnings
 from repro.runtime import RegionTracer, run_program
 from repro.util.errors import BudgetExceeded

@@ -122,11 +122,11 @@ class BudgetMeter:
     ) -> None:
         """Emit a ``budget.trip`` event and raise (the only raise path).
 
-        The event log import is local: this is the cold path (budget
-        exhaustion), and :mod:`repro.obs.events` layers above
+        The hub import is local: this is the cold path (budget
+        exhaustion), and :mod:`repro.obs.hub` layers above
         :mod:`repro.util` at import time.
         """
-        from repro.obs.events import emit_event
+        from repro.obs.hub import emit_event
 
         emit_event(
             "budget.trip",

@@ -57,7 +57,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
-from repro.obs.trace import trace_instant
+from repro.obs.hub import trace_instant
 from repro.util.budget import BudgetMeter
 
 __all__ = [

@@ -2,14 +2,8 @@
 
 import json
 
-from repro.obs.trace import (
-    Tracer,
-    current_tracer,
-    trace_instant,
-    trace_span,
-    tracing,
-    tracing_to,
-)
+from repro.obs.hub import Hub, current_hub, installed, trace_instant, trace_span
+from repro.obs.trace import Tracer
 from repro.tool.regionwiz import run_regionwiz
 from repro.workloads import figure
 
@@ -76,26 +70,17 @@ class TestTracer:
 
 class TestGlobalRegistry:
     def test_disabled_tracing_is_shared_noop(self):
-        assert not tracing()
-        assert current_tracer() is None
+        assert current_hub().tracer is None
         # One shared stateless object: nothing allocated per call.
         assert trace_span("x", a=1) is trace_span("y")
         trace_instant("z")  # no-op, must not raise
-
-    def test_tracing_to_installs_and_restores(self):
-        with tracing_to() as tracer:
-            assert tracing()
-            assert current_tracer() is tracer
-            with trace_span("recorded"):
-                pass
-        assert not tracing()
-        assert [root.name for root in tracer.roots] == ["recorded"]
 
 
 class TestChromeTrace:
     def run_traced(self, name="fig2c", **kwargs):
         program = figure(name)
-        with tracing_to() as tracer:
+        tracer = Tracer()
+        with installed(Hub(tracer=tracer)):
             run_regionwiz(program.full_source, name=name, **kwargs)
         return tracer
 

@@ -13,7 +13,8 @@ import tempfile
 
 import pytest
 
-from repro.obs.trace import Tracer, tracing_to
+from repro.obs.hub import Hub, installed
+from repro.obs.trace import Tracer
 from repro.tool.batch import BatchUnit, run_batch
 from repro.util import faults
 from repro.workloads import figure_units
@@ -201,7 +202,8 @@ class TestWorkerObservability:
         import os
 
         units = figure_units(["fig1", "fig2a", "fig2c"])
-        with tracing_to(Tracer()) as tracer:
+        tracer = Tracer()
+        with installed(Hub(tracer=tracer)):
             run_batch(units, keep_going=True, jobs=2)
         assert tracer.lanes, "worker spans should come back as lanes"
         unit_spans = tracer.find("batch.unit")
@@ -220,7 +222,8 @@ class TestWorkerObservability:
         assert "process_name" in names
 
     def test_serial_mode_records_no_lanes(self):
-        with tracing_to(Tracer()) as tracer:
+        tracer = Tracer()
+        with installed(Hub(tracer=tracer)):
             run_batch(figure_units(["fig1"]), keep_going=True)
         assert tracer.lanes == []
         assert len(tracer.find("batch.unit")) == 1
