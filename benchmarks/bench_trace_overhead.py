@@ -36,7 +36,7 @@ MAX_OVERHEAD = 0.03
 
 
 def _closure(n: int):
-    program = Program(backend="set", engine="indexed")
+    program = Program(backend="set")
     program.domain("V", n)
     program.relation("edge", ["V", "V"])
     program.relation("path", ["V", "V"])

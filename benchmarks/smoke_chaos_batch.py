@@ -31,15 +31,10 @@ import sys
 import time
 
 from repro.tool.batch import BatchResult, run_batch
-from repro.tool.supervise import SupervisePolicy
 from repro.util import faults
 from repro.workloads import PACKAGES, package_units
 
 JOBS = 2
-
-#: Snappy supervisor reflexes so the smoke stays cheap: short respawn
-#: backoff and a tight watchdog poll.
-FAST = dict(backoff_base=0.02, backoff_cap=0.2, poll_interval=0.02)
 
 
 def warning_sets(result: BatchResult):
@@ -86,12 +81,7 @@ def main() -> int:
     with faults.injected(
         "batch-unit", unit=kill_victim, action="kill", times=1
     ):
-        killed = run_batch(
-            units,
-            keep_going=True,
-            jobs=JOBS,
-            policy=SupervisePolicy(**FAST),
-        )
+        killed = run_batch(units, keep_going=True, jobs=JOBS)
     with faults.injected(
         "batch-unit",
         unit=hang_victim,
@@ -103,7 +93,7 @@ def main() -> int:
             units,
             keep_going=True,
             jobs=JOBS,
-            policy=SupervisePolicy(hard_timeout=hard_timeout, **FAST),
+            hard_timeout=hard_timeout,
         )
     t_chaos = time.perf_counter() - t0
     respawns = (killed.supervision or {}).get("respawns", 0)
@@ -130,12 +120,7 @@ def main() -> int:
 
     # Phase 2: a poison pill is quarantined, innocents complete.
     with faults.injected("batch-unit", unit=poison, action="kill"):
-        pilled = run_batch(
-            units,
-            keep_going=True,
-            jobs=JOBS,
-            policy=SupervisePolicy(**FAST),
-        )
+        pilled = run_batch(units, keep_going=True, jobs=JOBS)
     check_no_lost_units(pilled, units, failures, "quarantine")
     crashed = pilled.outcome(poison)
     if crashed.status != "crashed":

@@ -10,7 +10,6 @@ from repro.datalog.program import (
 )
 from repro.datalog.relation import (
     BddRelation,
-    LegacySetRelation,
     Relation,
     RelationError,
     SetRelation,
@@ -33,7 +32,6 @@ __all__ = [
     "DatalogError",
     "DatalogSyntaxError",
     "Derivation",
-    "LegacySetRelation",
     "NotEqual",
     "Program",
     "Relation",

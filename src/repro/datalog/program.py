@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.bdd import BDD, DomainInstance, DomainSpace
 from repro.datalog.relation import (
     BddRelation,
-    LegacySetRelation,
     Relation,
     RelationError,
     SetRelation,
@@ -201,20 +200,12 @@ class Program:
     """Declarative Datalog program over finite domains."""
 
     def __init__(
-        self,
-        backend: str = "set",
-        ordering: str = "interleaved",
-        engine: str = "indexed",
+        self, backend: str = "set", ordering: str = "interleaved"
     ) -> None:
         if backend not in ("set", "bdd"):
             raise DatalogError(f"unknown backend {backend!r}")
-        if engine not in ("indexed", "legacy"):
-            raise DatalogError(f"unknown set engine {engine!r}")
-        if backend == "bdd" and engine != "indexed":
-            raise DatalogError("the bdd backend has no legacy engine")
         self.backend = backend
         self.ordering = ordering
-        self.engine = engine
         self._domains: Dict[str, int] = {}
         self._relations: Dict[str, _RelationDecl] = {}
         self._rules: List[Rule] = []
@@ -374,26 +365,22 @@ class Program:
         against the budget's ``max_derived_tuples`` limit, raising a
         structured ``BudgetExceeded`` on a blowup.
 
-        ``provenance=True`` (indexed set engine only) records, for every
+        ``provenance=True`` (set backend only) records, for every
         derived tuple, the rule and the positive body tuples of its first
         derivation; :meth:`Solution.explain` walks those records into a
         :class:`Derivation` tree.  Recording costs time and memory
         proportional to the derived tuple count, so it is off by default
         and enabled per-query (the CLI's ``--explain``).
         """
-        if provenance and (self.backend != "set" or self.engine != "indexed"):
+        if provenance and self.backend != "set":
             raise DatalogError(
-                "provenance recording requires the indexed set engine"
+                "provenance recording requires the set backend"
             )
         started = time.perf_counter()
         strata = self._stratify()
-        if self.backend == "set":
-            if self.engine == "legacy":
-                store: _Store = _LegacySetStore(self)
-            else:
-                store = _SetStore(self)
-        else:
-            store = _BddStore(self)
+        store: _Store = (
+            _SetStore(self) if self.backend == "set" else _BddStore(self)
+        )
         store.meter = meter
         if provenance:
             store.provenance = {}
@@ -406,7 +393,7 @@ class Program:
             store.finalize_stats()
             span.set(
                 backend=self.backend,
-                engine=self.engine,
+                engine=store.stats.engine,
                 facts=store.stats.facts_loaded,
                 derived=store.stats.tuples_derived,
                 rounds=store.stats.rounds,
@@ -564,8 +551,7 @@ class _JoinStep:
 class _SetStore(_Store):
     """Semi-naive evaluation over explicit tuple sets.
 
-    Three things distinguish it from the textbook evaluator (preserved in
-    :class:`_LegacySetStore` for benchmarking):
+    Three things distinguish it from the textbook evaluator:
 
     * relations keep their hash indexes incrementally up to date across
       the insert/lookup interleaving of semi-naive rounds;
@@ -976,163 +962,6 @@ class _SetStore(_Store):
                 self.stats.rule_seconds.get(key, 0.0) + elapsed
             )
             span.set(rule=key, tuples=len(results))
-        return results
-
-
-class _LegacySetStore(_SetStore):
-    """The pre-optimization evaluator, kept as the benchmark baseline.
-
-    Wholesale index invalidation on every insert, per-round deltas as
-    plain Python sets scanned linearly, atoms joined in textual order,
-    and negation/disequality checked only after the full join.  Selected
-    with ``Program(backend="set", engine="legacy")`` so
-    ``benchmarks/bench_datalog_joins`` can quantify the incremental
-    engine against it; results are identical (property-tested).
-    """
-
-    def __init__(self, program: Program) -> None:
-        self._relations = {
-            name: LegacySetRelation(name, decl.domains)
-            for name, decl in program._relations.items()
-        }
-        self.stats = SolverStats(backend="set", engine="legacy")
-
-    def _run_stratum(self, rules: List[Rule], span) -> None:
-        started = time.perf_counter()
-        heads = {rule.head.relation for rule in rules}
-        stratum = StratumStats(relations=tuple(sorted(heads)))
-        span.set(relations=",".join(stratum.relations))
-        self.stats.strata.append(stratum)
-        delta: Dict[str, Set[Tuple[int, ...]]] = {
-            name: set(self._relations[name]) for name in heads
-        }
-        stratum.rounds = 1
-        for rule in rules:
-            fresh = self._legacy_eval(rule, delta_atom=None, delta=None)
-            head = self._relations[rule.head.relation]
-            added = 0
-            for values in fresh:
-                if head.add(values):
-                    delta[rule.head.relation].add(values)
-                    added += 1
-            self._count_derived(rule, added, stratum)
-        while any(delta.values()):
-            if self.meter is not None:
-                self.meter.checkpoint("datalog")
-            stratum.rounds += 1
-            new_delta: Dict[str, Set[Tuple[int, ...]]] = {
-                name: set() for name in heads
-            }
-            for rule in rules:
-                positions = [
-                    i
-                    for i, item in enumerate(rule.body)
-                    if isinstance(item, Atom)
-                    and not item.negated
-                    and item.relation in heads
-                ]
-                for position in positions:
-                    atom = rule.body[position]
-                    assert isinstance(atom, Atom)
-                    if not delta[atom.relation]:
-                        continue
-                    fresh = self._legacy_eval(
-                        rule, delta_atom=position, delta=delta[atom.relation]
-                    )
-                    head = self._relations[rule.head.relation]
-                    added = 0
-                    for values in fresh:
-                        if head.add(values):
-                            new_delta[rule.head.relation].add(values)
-                            added += 1
-                    self._count_derived(rule, added, stratum)
-            delta = new_delta
-        self.stats.rounds += stratum.rounds
-        stratum.seconds = time.perf_counter() - started
-        span.set(rounds=stratum.rounds, derived=stratum.derived)
-
-    def _legacy_eval(
-        self,
-        rule: Rule,
-        delta_atom: Optional[int],
-        delta: Optional[Set[Tuple[int, ...]]],
-    ) -> List[Tuple[int, ...]]:
-        started = time.perf_counter()
-        positive = [
-            (i, item)
-            for i, item in enumerate(rule.body)
-            if isinstance(item, Atom) and not item.negated
-        ]
-        # Join the delta atom first: every derivation must use a new tuple.
-        if delta_atom is not None:
-            positive.sort(key=lambda pair: pair[0] != delta_atom)
-        results: List[Tuple[int, ...]] = []
-
-        def check_tail(bindings: Dict[Var, int]) -> bool:
-            for item in rule.body:
-                if isinstance(item, NotEqual):
-                    if bindings[item.left] == bindings[item.right]:
-                        return False
-                elif item.negated:
-                    values = tuple(
-                        term.value if isinstance(term, Const) else bindings[term]
-                        for term in item.terms
-                    )
-                    if values in self._relations[item.relation]:
-                        return False
-            return True
-
-        def join(position: int, bindings: Dict[Var, int]) -> None:
-            if position == len(positive):
-                if check_tail(bindings):
-                    results.append(
-                        tuple(
-                            term.value
-                            if isinstance(term, Const)
-                            else bindings[term]
-                            for term in rule.head.terms
-                        )
-                    )
-                return
-            body_index, atom = positive[position]
-            bound_positions: List[int] = []
-            key: List[int] = []
-            for i, term in enumerate(atom.terms):
-                if isinstance(term, Const):
-                    bound_positions.append(i)
-                    key.append(term.value)
-                elif term in bindings:
-                    bound_positions.append(i)
-                    key.append(bindings[term])
-            if body_index == delta_atom and delta is not None:
-                candidates = [
-                    values
-                    for values in delta
-                    if all(
-                        values[p] == k for p, k in zip(bound_positions, key)
-                    )
-                ]
-            else:
-                candidates = self._relations[atom.relation].lookup(
-                    tuple(bound_positions), tuple(key)
-                )
-            for values in candidates:
-                extended = dict(bindings)
-                consistent = True
-                for i, term in enumerate(atom.terms):
-                    if isinstance(term, Const):
-                        continue
-                    if term in extended and extended[term] != values[i]:
-                        consistent = False
-                        break
-                    extended[term] = values[i]
-                if consistent:
-                    join(position + 1, extended)
-
-        join(0, {})
-        self.stats.rule_evals += 1
-        elapsed = time.perf_counter() - started
-        self.stats.rule_eval_seconds += elapsed
         return results
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "RelationError",
     "Relation",
     "SetRelation",
-    "LegacySetRelation",
     "BddRelation",
 ]
 
@@ -92,8 +91,7 @@ class SetRelation(Relation):
     and from then on maintained *incrementally* by :meth:`add` -- under
     semi-naive evaluation inserts and lookups interleave every fixpoint
     round, so wholesale invalidation would rebuild every index once per
-    round (that pre-optimization behavior is preserved in
-    :class:`LegacySetRelation` as the benchmark baseline).
+    round.
 
     The full-scan case (``lookup`` with no bound positions) returns a
     cached snapshot list that is appended to on insertion rather than
@@ -186,51 +184,6 @@ class SetRelation(Relation):
             else:
                 self.index_hits += 1
             return self._snapshot
-        index = self._indexes.get(positions)
-        if index is None:
-            index = {}
-            for values in self._tuples:
-                index_key = tuple(values[p] for p in positions)
-                index.setdefault(index_key, []).append(values)
-            self._indexes[positions] = index
-            self.index_builds += 1
-        else:
-            self.index_hits += 1
-        return index.get(key, _EMPTY)
-
-
-class LegacySetRelation(SetRelation):
-    """The pre-optimization storage behavior, kept for benchmarking.
-
-    Every insertion invalidates all indexes wholesale (so each fixpoint
-    round rebuilds them from scratch) and the no-bound-columns lookup
-    copies the tuple set on every call.  ``benchmarks/bench_datalog_joins``
-    measures the incremental engine against this baseline.
-    """
-
-    def add(self, values: Tuple_) -> bool:
-        values = tuple(values)
-        self._check_arity(values)
-        if values in self._tuples:
-            return False
-        self._tuples.add(values)
-        self._indexes.clear()
-        return True
-
-    def add_all(self, tuples: Iterable[Tuple_]) -> bool:
-        changed = False
-        for values in tuples:
-            changed |= self.add(values)
-        return changed
-
-    def insert_new(self, values: Tuple_) -> bool:
-        return self.add(values)
-
-    def lookup(
-        self, positions: Tuple[int, ...], key: Tuple_
-    ) -> List[Tuple_]:
-        if not positions:
-            return list(self._tuples)
         index = self._indexes.get(positions)
         if index is None:
             index = {}

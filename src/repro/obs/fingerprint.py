@@ -24,8 +24,8 @@ Deliberately **excluded** from the hash (DESIGN.md §11):
 * context numbers and the per-warning context count -- they depend on
   the Whaley-Lam path numbering, which shifts with unrelated call-graph
   edits and with the ``--max-contexts`` clamp;
-* the Datalog backend/engine (``set``/``bdd``, ``indexed``/``legacy``)
-  and the ``--jobs`` sharding level -- pure evaluation strategy;
+* the Datalog backend (``set``/``bdd``) and the ``--jobs`` sharding
+  level -- pure evaluation strategy;
 * the ranking score (``high``/``low``) -- re-ranking a known finding
   must not make it "new";
 * the warning's position in the report -- ordering is presentation.

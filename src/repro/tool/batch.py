@@ -24,57 +24,15 @@ contribute: their ``exit_code`` is ``None`` (``null`` in JSON), so a
 stopped sweep can never be mistaken for a mostly-clean one by consumers
 keying on exit codes.
 
-Parallel sharding (``jobs > 1``)
---------------------------------
+Parallel sweeps (``jobs > 1``)
+------------------------------
 
-Units are independent by construction -- that independence is exactly
-what the fault-isolation design guarantees -- so :func:`run_batch` can
-fan them out to a :class:`~concurrent.futures.ProcessPoolExecutor`.
-The dispatch is built so parallelism *pays* on paper-scale corpora:
-
-* the per-batch invariant state (the sweep's :class:`SweepConfig`, the
-  fault-spec snapshot, and the parent hub's wiring) crosses the
-  pool boundary **once per worker** through the pool ``initializer``,
-  not once per unit -- a task pickles only ``(index, unit, key)``
-  triples;
-* units are dispatched in **contiguous chunks** so small units amortize
-  the submit/result round trip, and the same **warm workers** serve
-  every chunk of the batch -- worker startup is paid ``jobs`` times per
-  sweep, never per unit;
-* outcomes are reassembled in **submission order** regardless of
-  completion order;
-* armed fault-injection specs are re-installed per dispatched chunk
-  from the worker-local snapshot so injection scopes correctly inside
-  workers;
-* worker-side metrics snapshots and trace spans are shipped back and
-  merged into the parent's fleet percentiles and Chrome trace export
-  (one lane per worker ``pid``);
-* ``keep_going=False`` cancels not-yet-started chunks once a hard
-  failure lands (a worker also abandons the rest of its own chunk),
-  then **normalizes to serial semantics**: every unit after the
-  earliest hard failure in submission order is reported ``skipped``,
-  even if a worker happened to finish it first.  Because units are
-  deterministic and independent, the parallel report is byte-identical
-  to the serial one modulo timing/pid fields.
-
-Supervision (crash-proofing)
-----------------------------
-
-With ``jobs > 1`` the pool always runs under a
-:class:`~repro.tool.supervise.BatchSupervisor` (see that module for the
-full design): a SIGKILL'd/OOM'd worker does not take the sweep down --
-its units are retried on a respawned pool and a unit that repeatedly
-kills workers is bisected solo and quarantined with a ``crashed``
-outcome (exit 3); a hard per-unit wall-clock deadline (the policy's
-``hard_timeout``, or budget wall clock x grace factor) SIGKILLs hung
-units and records ``timeout`` outcomes (exit 4); a JSONL run
-``journal`` of completed outcomes makes sweeps resumable
-(``resume=True``) after even the parent dies; and SIGINT/SIGTERM drain
-in-flight results into a partial report (``BatchResult.interrupted``).
-Supervision keeps the serial-equivalence contract: a fault-free
-parallel sweep produces the serial sweep's batch JSON byte for byte,
-and transient kills/hangs converge to the fault-free report (modulo
-``attempts`` and the ``supervision`` telemetry block).
+With ``jobs > 1`` the units are sharded over a warm process pool run by
+a crash-proofing supervisor; :mod:`repro.tool.supervise` holds that
+code and the full design (chunked dispatch, worker-loss recovery, the
+hung-unit watchdog, the run journal and resume, the interrupt drain).
+The parallel report is byte-identical to the serial one modulo
+timing/pid fields.
 
 Persistent caching
 ------------------
@@ -103,16 +61,21 @@ earliest hard failure (all of them when no hard failure occurred).
 
 from __future__ import annotations
 
-import gc
 import json
-import math
 import os
-import signal as _signal_module
-import tempfile
 import time
 import traceback
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.callgraph import ImplicitCallRegistry
 from repro.interfaces import (
@@ -122,28 +85,13 @@ from repro.interfaces import (
 )
 from repro.lang.errors import CompileError
 from repro.obs.history import WarningDiff, merge_diffs
-from repro.obs.hub import (
-    HubWiring,
-    bus_event,
-    current_hub,
-    emit_event,
-    install,
-    trace_instant,
-    trace_span,
-)
+from repro.obs.hub import bus_event, emit_event, trace_instant, trace_span
 from repro.obs.metrics import MetricsRegistry, aggregate_metrics, format_metrics
 from repro.obs.validate import LABELS as _VALIDATION_LABELS
 from repro.obs.validate import VALIDATION_SCHEMA_VERSION, ValidationResult
-from repro.obs.trace import SpanRecord, Tracer, _peak_rss_kb
 from repro.pointer import AnalysisOptions
 from repro.tool.cache import AnalysisCache
 from repro.tool.regionwiz import RegionWizReport, run_regionwiz
-from repro.tool.supervise import (
-    BatchSupervisor,
-    RunJournal,
-    SupervisePolicy,
-    interruptible,
-)
 from repro.tool.validate import (
     DEFAULT_VALIDATE_STEPS,
     trace_out_path,
@@ -151,7 +99,10 @@ from repro.tool.validate import (
 )
 from repro.util import faults
 from repro.util.budget import ResourceBudget
-from repro.util.errors import BudgetExceeded, InputError
+from repro.util.errors import BudgetExceeded, InputError, WorkerCrash
+
+if TYPE_CHECKING:
+    from repro.tool.supervise import RunJournal
 
 __all__ = [
     "BatchUnit",
@@ -167,6 +118,15 @@ SEVERITY_ORDER = (3, 4, 2, 1, 0)
 
 #: Unit exit codes that stop a ``keep_going=False`` sweep.
 _HARD_FAILURES = (2, 3, 4)
+
+#: The exit code of each failure status (``skipped`` units have none).
+_FAILURE_EXIT_CODES = {
+    "input-error": 2,
+    "internal-error": 3,
+    "crashed": 3,
+    "budget-exhausted": 4,
+    "timeout": 4,
+}
 
 #: Exponential backoff between ``max_retries`` attempts at a unit that
 #: failed with an *internal* error: ``min(cap, base * 2**(attempt-1))``
@@ -365,6 +325,35 @@ class UnitOutcome:
 def _skipped(unit_name: str) -> UnitOutcome:
     return UnitOutcome(
         unit=unit_name, status="skipped", exit_code=None, attempts=0
+    )
+
+
+def _failure(
+    unit_name: str,
+    status: str,
+    error: BaseException,
+    attempts: int = 1,
+    message: Optional[str] = None,
+    trace: Optional[str] = None,
+) -> UnitOutcome:
+    """A failed unit's outcome; ``status`` fixes its exit code.
+
+    Budget exhaustion (hard timeouts included) and worker crashes carry
+    their structured error as ``error_detail``.
+    """
+    return UnitOutcome(
+        unit=unit_name,
+        status=status,
+        exit_code=_FAILURE_EXIT_CODES[status],
+        attempts=attempts,
+        error=str(error) if message is None else message,
+        error_type=type(error).__name__,
+        error_detail=(
+            error.to_dict()
+            if isinstance(error, (BudgetExceeded, WorkerCrash))
+            else None
+        ),
+        traceback=trace,
     )
 
 
@@ -617,7 +606,8 @@ class BatchResult:
 class SweepConfig:
     """The analysis settings of one sweep, fixed for all of its units.
 
-    :func:`run_batch` builds one from its keyword arguments; the serial
+    :func:`run_batch` builds one from its setting keywords, so each
+    field here is one of those settings with its default; the serial
     loop, the pool workers and the bisection child all read it, and
     :meth:`key` derives each unit's content key (cache address and
     journal identity) from it.
@@ -636,6 +626,11 @@ class SweepConfig:
     #: material, since it only changes where an artifact lands.
     trace_dir: Optional[str] = None
     run_id: Optional[str] = None
+    #: Hard per-unit wall-clock ceiling in seconds for parallel sweeps
+    #: (``--hard-timeout``); ``None`` derives one from the budget's wall
+    #: clock.  Not key material: it decides when a hung worker is
+    #: killed, not what a finished unit reports.
+    hard_timeout: Optional[float] = None
 
     def key(
         self, unit: BatchUnit, cache: Optional[AnalysisCache] = None
@@ -704,26 +699,11 @@ def _analyze_unit_isolated(
             )
         except (CompileError, InputError) as error:
             # Deterministic input failure: retrying cannot help.
-            return UnitOutcome(
-                unit=unit.name,
-                status="input-error",
-                exit_code=2,
-                attempts=attempts,
-                error=str(error),
-                error_type=type(error).__name__,
-            )
+            return _failure(unit.name, "input-error", error, attempts)
         except BudgetExceeded as error:
             # Deterministic resource exhaustion (even after degradation
             # when enabled): retrying the same budget cannot help.
-            return UnitOutcome(
-                unit=unit.name,
-                status="budget-exhausted",
-                exit_code=4,
-                attempts=attempts,
-                error=str(error),
-                error_type=type(error).__name__,
-                error_detail=error.to_dict(),
-            )
+            return _failure(unit.name, "budget-exhausted", error, attempts)
         except Exception as error:  # internal crash: isolate, maybe retry
             if attempts <= config.max_retries:
                 time.sleep(
@@ -733,14 +713,12 @@ def _analyze_unit_isolated(
                     )
                 )
                 continue
-            return UnitOutcome(
-                unit=unit.name,
-                status="internal-error",
-                exit_code=3,
-                attempts=attempts,
-                error=str(error),
-                error_type=type(error).__name__,
-                traceback=traceback.format_exc(),
+            return _failure(
+                unit.name,
+                "internal-error",
+                error,
+                attempts,
+                trace=traceback.format_exc(),
             )
         high = sum(1 for w in report.warnings if w.high_ranked)
         validation_payload: Optional[Dict[str, Any]] = None
@@ -850,356 +828,11 @@ def _cache_store(
     cache.store(key, outcome.to_cache_payload())
 
 
-# ---------------------------------------------------------------------------
-# The process-pool shard scheduler
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _WorkerConfig:
-    """What a pool worker needs besides its units: the sweep's settings
-    plus the process wiring.  Shipped to each worker exactly once,
-    through the pool ``initializer``, so a task pickles only its units.
-    """
-
-    sweep: SweepConfig
-    fault_specs: List[faults.FaultSpec]
-    #: The supervisor's run journal: workers heartbeat ``unit.start``,
-    #: append completed ``unit.done`` payloads, and record destructive
-    #: fault firings into it.
-    journal_path: str
-    #: The parent hub's wiring; :func:`_worker_init` installs the worker
-    #: hub it describes.
-    hub: HubWiring
-
-
-#: This worker's copy of the batch config, set by :func:`_worker_init`.
-_WORKER_CONFIG: Optional[_WorkerConfig] = None
-
-#: The worker's journal append handle, opened lazily per process (same
-#: one-line-per-write discipline as the event log, so parent and worker
-#: appends interleave at line granularity).
-_WORKER_JOURNAL = None
-
-
-def _worker_journal_append(payload: Dict[str, Any]) -> None:
-    global _WORKER_JOURNAL
-    assert _WORKER_CONFIG is not None and _WORKER_CONFIG.journal_path
-    if _WORKER_JOURNAL is None or _WORKER_JOURNAL.closed:
-        _WORKER_JOURNAL = open(
-            _WORKER_CONFIG.journal_path, "a", buffering=1
-        )
-    _WORKER_JOURNAL.write(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def _worker_fault_hook(
-    spec: faults.FaultSpec, unit: Optional[str]
-) -> None:
-    """Journal a destructive fault firing *before* it executes.
-
-    A ``kill``/``hang`` takes the worker down with it, so this journal
-    line is the only record the parent ever gets that the armed
-    ``times=`` count was consumed; the supervisor replays it against its
-    master snapshot (see
-    :meth:`repro.tool.supervise.BatchSupervisor._consume_fault`).
-    """
-    if spec.action not in ("kill", "hang"):
-        return
-    _worker_journal_append(
-        {
-            "kind": "fault.fired",
-            "point": spec.point,
-            "action": spec.action,
-            "unit": unit,
-            "pid": os.getpid(),
-            "t": time.time(),
-        }
-    )
-
-
-def _worker_init(config: _WorkerConfig) -> None:
-    """Pool initializer: receive the batch config once, warm the worker.
-
-    Runs once per worker process at spawn.  Freezes the inherited heap
-    out of the cyclic GC: a forked worker inherits everything the
-    parent retained (on a fork start-method, possibly whole prior batch
-    reports), and the first full collection in the child would walk all
-    of it -- touching every object's header, copy-on-write-faulting the
-    shared pages, and billing seconds of CPU to whatever unit happened
-    to run first.  None of that inherited state is garbage the worker
-    could free, so ``gc.freeze`` moves it to the permanent generation.
-
-    Also installs the worker's hub, replacing whatever hub ``fork``
-    inherited: the parent's event log reopened for appending on the
-    parent's timeline (each record is one short write, so parent and
-    worker lines interleave cleanly), the ``--mem-profile`` switch, and
-    no tracer (each chunk installs its own) and no bus (telemetry rides
-    the journal).
-    """
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = config
-    gc.freeze()
-    try:
-        # The parent runs sweeps under interruptible() (SIGTERM ->
-        # KeyboardInterrupt) and workers fork while it is installed; a
-        # worker must just die on SIGTERM (pool teardown terminates
-        # idle workers), not raise a phantom interrupt into the
-        # executor plumbing.
-        _signal_module.signal(_signal_module.SIGTERM, _signal_module.SIG_DFL)
-    except (ValueError, OSError):
-        pass
-    install(config.hub.worker_hub())
-    faults.set_fire_hook(_worker_fault_hook)
-
-
-#: One dispatched task: a contiguous run of ``(index, unit, key)``
-#: triples -- ``key`` is the unit's content key (None when neither a
-#: cache nor a journal is configured).
-_WorkerChunk = List[Tuple[int, BatchUnit, Optional[str]]]
-
-
-def _worker_analyze_chunk(
-    chunk: _WorkerChunk,
-) -> Tuple[List[Tuple[int, UnitOutcome]], List[SpanRecord], int]:
-    """Analyze one chunk of units inside a warm pool worker.
-
-    Re-arms the fault-spec snapshot from the worker-local config (one
-    dispatch = one chunk, preserving the documented per-dispatch scope
-    of bare ``times=`` specs) and, when the parent is tracing, records
-    the chunk under a fresh tracer pinned to the parent's epoch.  Ships
-    back the slimmed outcomes, the recorded span roots, and this
-    worker's pid.  Under ``keep_going=False`` the rest of the chunk is
-    abandoned after a hard failure -- the parent would relabel those
-    units ``skipped`` anyway, exactly as a serial run never reaches
-    them.
-
-    Each unit is bracketed by journal heartbeats: a ``unit.start``
-    before analysis (the parent's watchdog clock and, if this process
-    dies, the crash attribution) and a ``unit.done`` carrying the full
-    outcome payload after (so results that completed before a later
-    unit killed the worker are adopted, not re-run).
-    """
-    assert _WORKER_CONFIG is not None, "worker used without initializer"
-    config = _WORKER_CONFIG
-    faults.install(config.fault_specs)
-    epoch = config.hub.trace_epoch
-    tracer = Tracer(epoch=epoch) if epoch is not None else None
-    previous = install(replace(current_hub(), tracer=tracer))
-    results: List[Tuple[int, UnitOutcome]] = []
-    try:
-        for index, unit, key in chunk:
-            _worker_journal_append(_journal_record(index, unit))
-            outcome = _analyze_unit(unit, config.sweep)
-            outcome.report = None  # the full report does not cross the pool
-            outcome.worker_pid = os.getpid()
-            results.append((index, outcome))
-            _worker_journal_append(_journal_record(index, unit, key, outcome))
-            if config.hub.telemetry:
-                # The live-telemetry piggyback: one extra journal line
-                # per completed unit, riding the heartbeat channel the
-                # supervisor already tails -- no second IPC path, no
-                # cost when telemetry is off.
-                _worker_journal_append(
-                    {
-                        "kind": "telemetry",
-                        "index": index,
-                        "unit": unit.name,
-                        "pid": os.getpid(),
-                        "t": time.time(),
-                        "rss_kb": _peak_rss_kb(),
-                        "cpu_s": round(time.process_time(), 6),
-                        "run": config.sweep.run_id,
-                    }
-                )
-            if (
-                not config.sweep.keep_going
-                and outcome.exit_code in _HARD_FAILURES
-            ):
-                break
-    finally:
-        install(previous)
-        faults.clear()
-    roots = tracer.roots if tracer is not None else []
-    return results, roots, os.getpid()
-
-
-def _solo_entry(
-    config: _WorkerConfig,
-    index: int,
-    unit: BatchUnit,
-    key: Optional[str],
-    conn,
-) -> None:
-    """Bisection child: one unit, one fresh process, result via pipe.
-
-    Reuses the full chunk path (journal heartbeats, fault snapshot,
-    event log) so a solo run is observably identical to a pool run of a
-    single-unit chunk.  If the unit kills this process too, the parent
-    reads the exitcode/signal off the dead child and quarantines the
-    unit; trace spans are not shipped (the pool path's tracer adoption
-    needs the executor plumbing, and a bisection rerun's spans are not
-    worth a second IPC channel).
-    """
-    _worker_init(config)
-    results, _roots, _pid = _worker_analyze_chunk([(index, unit, key)])
-    _, outcome = results[0]
-    conn.send(outcome.to_cache_payload())
-    conn.close()
-
-
-def _pool_failure_outcome(unit: BatchUnit, error: BaseException) -> UnitOutcome:
-    """A structured outcome for a unit whose *worker* died (not the unit)."""
-    return UnitOutcome(
-        unit=unit.name,
-        status="internal-error",
-        exit_code=3,
-        attempts=1,
-        error=f"worker process failed: {error}",
-        error_type=type(error).__name__,
-    )
-
-
-def _chunked(indices: List[int], workers: int, chunk_size: Optional[int]) -> List[List[int]]:
-    """Contiguous chunks of submission indices, FIFO order.
-
-    Contiguity + FIFO dispatch is what makes early-stop normalization
-    sound: whenever a chunk is cancelled before starting, every unit in
-    it has a higher submission index than every unit already completed
-    or in flight, so the "earliest hard failure" scan never misses a
-    unit a serial run would have reached first.
-
-    The default size targets ~4 chunks per worker: large enough that
-    small units amortize the submit/result round trip, small enough
-    that the tail of the sweep still load-balances.
-    """
-    if chunk_size is None:
-        chunk_size = max(1, min(8, math.ceil(len(indices) / (workers * 4))))
-    return [
-        indices[start:start + chunk_size]
-        for start in range(0, len(indices), chunk_size)
-    ]
-
-
 def _first_hard_failure(slots: List[Optional[UnitOutcome]]) -> Optional[int]:
     for index, outcome in enumerate(slots):
         if outcome is not None and outcome.exit_code in _HARD_FAILURES:
             return index
     return None
-
-
-def _run_batch_parallel(
-    units: List[BatchUnit],
-    config: SweepConfig,
-    jobs: int,
-    cache: Optional[AnalysisCache],
-    keys: List[Optional[str]],
-    chunk_size: Optional[int],
-    journal: Optional[RunJournal],
-    policy: SupervisePolicy,
-    resumed_slots: Dict[int, UnitOutcome],
-) -> Tuple[List[Optional[UnitOutcome]], Dict[str, int], bool]:
-    """Fan unit chunks out to a supervised warm process pool.
-
-    Returns ``(slots, supervision_stats, interrupted)``.  A ``None``
-    slot means the unit never ran (cancelled after an early stop, or
-    still in flight when the sweep was interrupted); the caller turns
-    those -- and, without ``keep_going``, every slot after the earliest
-    hard failure -- into ``skipped`` outcomes.
-
-    The :class:`~repro.tool.supervise.BatchSupervisor` owns the pool
-    lifecycle: it recovers from dead workers, enforces the hard per-unit
-    deadline, and drains on SIGINT/SIGTERM.  Its heartbeat channel is
-    the caller's ``journal``, or a throwaway one opened here when the
-    caller has none and some unit is left to analyze.
-
-    Without ``keep_going``, cache stores are deferred until the pool
-    drains and flushed only for units *before* the earliest hard
-    failure: an in-flight worker may deliver a result after the stop,
-    and persisting it would let a warm re-run resurrect an outcome the
-    batch report relabelled ``skipped`` (diverging from the serial
-    cache state).  The same deferral covers interrupted sweeps -- only
-    outcomes the partial report actually carries are persisted.
-    """
-    slots: List[Optional[UnitOutcome]] = [None] * len(units)
-    to_run: List[int] = []
-    for index, unit in enumerate(units):
-        if index in resumed_slots:
-            slots[index] = resumed_slots[index]
-            bus_event("unit.done", index=index, outcome=slots[index])
-            continue
-        hit = _cache_lookup(cache, keys[index], unit)
-        if hit is not None:
-            slots[index] = hit
-            bus_event("unit.done", index=index, outcome=hit)
-        else:
-            to_run.append(index)
-    if not to_run:
-        return slots, {}, False
-
-    ephemeral: Optional[str] = None
-    if journal is None:
-        fd, ephemeral = tempfile.mkstemp(
-            prefix="regionwiz-journal-", suffix=".jsonl"
-        )
-        os.close(fd)
-        journal = RunJournal(ephemeral, run_id=config.run_id)
-    hub = current_hub()
-    tracer = hub.tracer
-    wiring = hub.wiring()
-    journal_path = journal.path
-
-    def make_config(fault_specs: List[faults.FaultSpec]) -> _WorkerConfig:
-        return _WorkerConfig(
-            sweep=config,
-            fault_specs=fault_specs,
-            journal_path=journal_path,
-            hub=wiring,
-        )
-
-    def adopt(roots: List[SpanRecord], pid: int) -> None:
-        if tracer is not None and roots:
-            tracer.adopt(roots, pid=pid)
-
-    supervisor = BatchSupervisor(
-        units=units,
-        to_run=to_run,
-        jobs=jobs,
-        keep_going=config.keep_going,
-        policy=policy,
-        deadline=policy.deadline(config.budget),
-        journal=journal,
-        keys=keys,
-        fault_specs=faults.snapshot(),
-        make_config=make_config,
-        worker_init=_worker_init,
-        worker_chunk=_worker_analyze_chunk,
-        solo_entry=_solo_entry,
-        chunk_fn=lambda indices, workers: _chunked(
-            indices, workers, chunk_size
-        ),
-        adopt=adopt,
-        pool_failure=_pool_failure_outcome,
-    )
-    try:
-        for index, outcome in supervisor.run().items():
-            slots[index] = outcome
-    finally:
-        if ephemeral is not None:
-            journal.close()
-            try:
-                os.unlink(ephemeral)
-            except OSError:
-                pass
-
-    first_failure = (
-        None if config.keep_going else _first_hard_failure(slots)
-    )
-    for index in to_run:
-        outcome = slots[index]
-        if outcome is None:
-            continue
-        if first_failure is None or index < first_failure:
-            _cache_store(cache, keys[index], outcome)
-    return slots, dict(supervisor.stats), supervisor.interrupted
 
 
 def _run_batch_serial(
@@ -1212,33 +845,30 @@ def _run_batch_serial(
 ) -> Tuple[List[UnitOutcome], bool]:
     """Analyze the units in order, in this process.
 
-    Returns ``(outcomes, interrupted)``; on SIGINT/SIGTERM everything
-    completed so far is kept and the rest is ``skipped``.
+    Returns ``(outcomes, interrupted)``; on SIGINT (or SIGTERM, under
+    the caller's ``interruptible()``) everything completed so far is
+    kept and the rest is ``skipped``.
     """
     outcomes: List[UnitOutcome] = []
     interrupted = False
     try:
-        with interruptible():
-            for index, unit in enumerate(pending):
-                outcome = resumed_slots.get(index)
-                if outcome is None:
-                    outcome = _cache_lookup(cache, keys[index], unit)
-                if outcome is None:
-                    if journal is not None:
-                        journal.append(_journal_record(index, unit))
-                    outcome = _analyze_unit(unit, config)
-                    _cache_store(cache, keys[index], outcome)
-                    if journal is not None:
-                        journal.append(
-                            _journal_record(index, unit, keys[index], outcome)
-                        )
-                outcomes.append(outcome)
-                bus_event("unit.done", index=index, outcome=outcome)
-                if (
-                    not config.keep_going
-                    and outcome.exit_code in _HARD_FAILURES
-                ):
-                    break
+        for index, unit in enumerate(pending):
+            outcome = resumed_slots.get(index)
+            if outcome is None:
+                outcome = _cache_lookup(cache, keys[index], unit)
+            if outcome is None:
+                if journal is not None:
+                    journal.append(_journal_record(index, unit))
+                outcome = _analyze_unit(unit, config)
+                _cache_store(cache, keys[index], outcome)
+                if journal is not None:
+                    journal.append(
+                        _journal_record(index, unit, keys[index], outcome)
+                    )
+            outcomes.append(outcome)
+            bus_event("unit.done", index=index, outcome=outcome)
+            if not config.keep_going and outcome.exit_code in _HARD_FAILURES:
+                break
     except KeyboardInterrupt:
         emit_event(
             "batch.interrupted",
@@ -1252,47 +882,39 @@ def _run_batch_serial(
 
 def run_batch(
     units: Iterable[BatchUnit],
-    options: Optional[AnalysisOptions] = None,
-    budget: Optional[ResourceBudget] = None,
-    degrade: bool = True,
-    keep_going: bool = False,
-    max_retries: int = 0,
-    refine: bool = False,
-    registry: Optional[ImplicitCallRegistry] = None,
+    *,
     jobs: int = 1,
     cache: Optional[Union[AnalysisCache, str]] = None,
     chunk_size: Optional[int] = None,
     journal: Optional[str] = None,
     resume: bool = False,
-    policy: Optional[SupervisePolicy] = None,
-    validate: bool = False,
-    validate_steps: int = DEFAULT_VALIDATE_STEPS,
-    trace_dir: Optional[str] = None,
-    run_id: Optional[str] = None,
+    **settings: Any,
 ) -> BatchResult:
     """Analyze every unit with per-unit fault isolation.
+
+    ``settings`` are the sweep's analysis settings, the fields of
+    :class:`SweepConfig` (``options``, ``budget``, ``degrade``,
+    ``keep_going``, ``max_retries``, ``validate``, ``hard_timeout``,
+    ...), with that class's defaults.
 
     No exception escapes: each unit yields a :class:`UnitOutcome`.  With
     ``keep_going`` the sweep always covers every unit; without it, the
     first hard failure (exit code 2/3/4) stops the sweep and the
     remaining units are recorded as ``skipped`` (``exit_code=None``).
 
-    ``jobs > 1`` shards the sweep over that many warm worker processes;
-    outcomes come back in submission order either way (see the module
-    docstring for the full equivalence argument).  ``chunk_size`` pins
-    how many units ride in one dispatched chunk (default: sized for ~4
-    chunks per worker).  ``cache`` (an
+    ``jobs > 1`` shards the sweep over that many warm worker processes
+    under the crash-proofing supervisor (see :mod:`repro.tool.supervise`);
+    outcomes come back in submission order either way.  ``chunk_size``
+    (>= 1) pins how many units ride in one dispatched chunk (default:
+    sized for ~4 chunks per worker).  Dead workers are respawned and
+    their units retried/bisected, and ``hard_timeout`` (> 0 seconds; by
+    default the budget's wall clock times a grace factor) arms a
+    watchdog that SIGKILLs hung units.  ``cache`` (an
     :class:`~repro.tool.cache.AnalysisCache` or a directory path)
-    enables the persistent result cache.
-
-    A parallel sweep always runs under the crash-proofing supervisor
-    (see :mod:`repro.tool.supervise`): dead workers are respawned and
-    their units retried/bisected, and the ``policy``'s ``hard_timeout``
-    (or the budget's wall clock times its grace factor) arms a watchdog
-    that SIGKILLs hung units.  ``journal`` names a JSONL run journal of
-    completed outcomes; ``resume=True`` replays completed units from it
-    instead of re-analyzing them (their outcomes are marked
-    ``resumed``).  SIGINT/SIGTERM drain in-flight results into a
+    enables the persistent result cache.  ``journal`` names a JSONL run
+    journal of completed outcomes; ``resume=True`` replays completed
+    units from it instead of re-analyzing them (their outcomes are
+    marked ``resumed``).  SIGINT/SIGTERM drain in-flight results into a
     partial :class:`BatchResult` with ``interrupted=True`` (serial
     sweeps included).
 
@@ -1307,27 +929,26 @@ def run_batch(
     (:meth:`SweepConfig.key`), which addresses both the cache and the
     journal, so changing one re-analyzes rather than replaying.
     """
+    # Function-local: supervise imports this module's types.
+    from repro.tool.supervise import (
+        RunJournal,
+        _run_batch_parallel,
+        interruptible,
+    )
+
+    config = SweepConfig(**settings)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if config.hard_timeout is not None and config.hard_timeout <= 0:
+        raise ValueError(
+            f"hard_timeout must be > 0 seconds, got {config.hard_timeout}"
+        )
     if resume and journal is None:
         raise ValueError("resume=True requires a journal path")
     if isinstance(cache, str):
         cache = AnalysisCache(cache)
-    if policy is None:
-        policy = SupervisePolicy()
-    config = SweepConfig(
-        options=options,
-        budget=budget,
-        degrade=degrade,
-        refine=refine,
-        registry=registry,
-        max_retries=max_retries,
-        keep_going=keep_going,
-        validate=validate,
-        validate_steps=validate_steps,
-        trace_dir=trace_dir,
-        run_id=run_id,
-    )
     pending = list(units)
     keys: List[Optional[str]] = (
         [config.key(unit, cache) for unit in pending]
@@ -1335,7 +956,7 @@ def run_batch(
         else [None] * len(pending)
     )
     run_journal = (
-        RunJournal(journal, resume=resume, run_id=run_id)
+        RunJournal(journal, resume=resume, run_id=config.run_id)
         if journal is not None
         else None
     )
@@ -1375,7 +996,6 @@ def run_batch(
                         keys,
                         chunk_size,
                         run_journal,
-                        policy,
                         resumed_slots,
                     )
             except KeyboardInterrupt:
@@ -1385,7 +1005,7 @@ def run_batch(
                 slots = [resumed_slots.get(i) for i in range(len(pending))]
             first_failure = (
                 None
-                if keep_going or interrupted
+                if config.keep_going or interrupted
                 else _first_hard_failure(slots)
             )
             for index, (unit, outcome) in enumerate(zip(pending, slots)):
@@ -1404,14 +1024,15 @@ def run_batch(
                 else:
                     result.outcomes.append(outcome)
         else:
-            result.outcomes, interrupted = _run_batch_serial(
-                pending, config, cache, keys, run_journal, resumed_slots
-            )
+            with interruptible():
+                result.outcomes, interrupted = _run_batch_serial(
+                    pending, config, cache, keys, run_journal, resumed_slots
+                )
     finally:
         if run_journal is not None:
             run_journal.close()
     result.interrupted = interrupted
-    result.run_id = run_id
+    result.run_id = config.run_id
     resumed_count = sum(1 for o in result.outcomes if o.resumed)
     if resumed_count:
         supervision["resumed"] = resumed_count

@@ -64,7 +64,6 @@ from repro.pointer import AnalysisOptions
 from repro.tool.batch import BatchUnit, run_batch
 from repro.tool.regionwiz import RegionWizReport, run_regionwiz
 from repro.tool.report import format_report, format_solver_stats
-from repro.tool.supervise import SupervisePolicy
 from repro.tool.validate import trace_out_path
 from repro.util.budget import ResourceBudget
 from repro.util.errors import BudgetExceeded, InputError
@@ -228,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         dest="chunk_size",
         help=(
-            "in parallel batch mode, dispatch N units per worker task"
-            " (default: sized for ~4 chunks per worker)"
+            "in parallel batch mode, dispatch N >= 1 units per worker"
+            " task (default: sized for ~4 chunks per worker)"
         ),
     )
     batch.add_argument(
@@ -255,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help=(
             "in parallel batch mode, SIGKILL any unit still running"
-            " after SECONDS of wall clock and record a timeout outcome"
-            " (exit 4); default: budget wall clock x grace factor, or"
-            " no hard limit without a wall-clock budget"
+            " after SECONDS (> 0) of wall clock and record a timeout"
+            " outcome (exit 4); default: budget wall clock x 4, or no"
+            " hard limit without a wall-clock budget"
         ),
     )
     batch.add_argument(
@@ -553,14 +552,18 @@ def _detect_interface(paths: List[str], explicit: Optional[str]) -> str:
 
 
 def _run_batch_mode(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        print("regionwiz: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.resume and not args.journal:
-        print(
-            "regionwiz: --resume requires --journal FILE", file=sys.stderr
-        )
-        return 2
+    for invalid, message in (
+        (args.jobs < 1, "--jobs must be >= 1"),
+        (args.chunk_size is not None and args.chunk_size < 1,
+         "--chunk must be >= 1"),
+        (args.hard_timeout is not None and args.hard_timeout <= 0,
+         "--hard-timeout must be > 0"),
+        (args.resume and not args.journal,
+         "--resume requires --journal FILE"),
+    ):
+        if invalid:
+            print(f"regionwiz: {message}", file=sys.stderr)
+            return 2
     chunks = _read_sources(args.files)
     units = [
         BatchUnit(
@@ -587,7 +590,7 @@ def _run_batch_mode(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=cache,
         chunk_size=args.chunk_size,
-        policy=SupervisePolicy(hard_timeout=args.hard_timeout),
+        hard_timeout=args.hard_timeout,
         journal=args.journal,
         resume=args.resume,
         validate=args.validate,

@@ -1,22 +1,45 @@
-"""Crash-proof supervision for the parallel batch executor.
+"""The parallel batch executor: a warm process pool under a supervisor.
 
-The warm-worker shard scheduler (:func:`repro.tool.batch.run_batch`
-with ``jobs > 1``) isolates *exceptions* per unit, but three failure
-classes escape in-process isolation entirely:
+:func:`repro.tool.batch.run_batch` with ``jobs > 1`` hands its units to
+:func:`_run_batch_parallel`, which fans them out to a
+:class:`~concurrent.futures.ProcessPoolExecutor` run by a
+:class:`BatchSupervisor`.
 
-* a **worker process dies** (segfault, the OOM killer, an injected
-  ``kill`` fault) -- ``ProcessPoolExecutor`` marks the whole pool
-  broken and every outstanding future fails with
-  ``BrokenProcessPool``, taking the sweep down with it;
-* a **unit hangs between budget checkpoints** -- cooperative
-  :class:`~repro.util.budget.BudgetMeter` polling only runs at fixpoint
-  round boundaries, so a worker stuck inside one (or in an injected
-  ``hang``) stalls the sweep forever;
-* the **parent itself is killed** mid-sweep -- every completed result
-  is discarded and the next run starts from zero.
+**Sharding.**  Units are independent by construction -- that is what
+per-unit fault isolation guarantees -- so the dispatch is built to make
+parallelism pay on paper-scale corpora:
 
-:class:`BatchSupervisor` is the external harness that competition-grade
-analyzers (2LS, PredatorHP) rely on, built into the executor:
+* the per-batch invariant state (the sweep's
+  :class:`~repro.tool.batch.SweepConfig`, the fault-spec snapshot and
+  the parent hub's wiring) crosses the pool boundary **once per
+  worker** through the pool ``initializer``; a task pickles only
+  ``(index, unit, key)`` triples;
+* units are dispatched in **contiguous chunks** so small units amortize
+  the submit/result round trip, and the same **warm workers** serve
+  every chunk of the sweep;
+* outcomes are reassembled in **submission order** regardless of
+  completion order;
+* armed fault-injection specs are re-installed per dispatched chunk
+  from the worker-local snapshot, so injection scopes correctly inside
+  workers;
+* worker trace spans are shipped back and adopted into the parent's
+  Chrome trace (one lane per worker ``pid``);
+* ``keep_going=False`` cancels not-yet-started chunks once a hard
+  failure lands (a worker also abandons the rest of its own chunk),
+  and the caller then **normalizes to serial semantics**: every unit
+  after the earliest hard failure in submission order is reported
+  ``skipped``.  Because units are deterministic and independent, the
+  parallel report is byte-identical to the serial one modulo
+  timing/pid fields.
+
+In-process isolation cannot catch three failure classes: a **worker
+process dies** (segfault, the OOM killer, an injected ``kill`` fault),
+which breaks the whole pool; a **unit hangs between budget
+checkpoints** (cooperative :class:`~repro.util.budget.BudgetMeter`
+polling only runs at fixpoint round boundaries); and the **parent
+itself is killed** mid-sweep.  The supervisor is the external harness
+that competition-grade analyzers (2LS, PredatorHP) rely on, built into
+the executor:
 
 **Worker-loss recovery.**  Each pool generation runs under a
 :class:`RunJournal` -- an O_APPEND JSONL file that workers heartbeat
@@ -27,21 +50,21 @@ the journal tells the parent which units *completed but never shipped*
 (adopted straight from their journaled payloads, no re-analysis), which
 were *in flight* (retried on a fresh pool after bounded exponential
 backoff), and which never started (simply rescheduled).  A unit that is
-in flight across more than ``crash_retries`` pool losses is **bisected**
-one-unit-per-fresh-process: if the solo process also dies, the unit is
-the poison pill and is quarantined with a ``crashed`` outcome (exit 3,
-:class:`~repro.util.errors.WorkerCrash` detail carrying the dead pid
-and signal); if it survives solo, it was an innocent casualty of a
-shared pool and its outcome is adopted.
+in flight across more than :data:`_CRASH_RETRIES` pool losses is
+**bisected** one-unit-per-fresh-process: if the solo process also dies,
+the unit is the poison pill and is quarantined with a ``crashed``
+outcome (exit 3, :class:`~repro.util.errors.WorkerCrash` detail
+carrying the dead pid and signal); if it survives solo, it was an
+innocent casualty of a shared pool and its outcome is adopted.
 
 **Hung-unit watchdog.**  The parent polls the journal's heartbeats and
-enforces a hard per-unit wall-clock deadline -- ``--hard-timeout``, or
-the budget's wall clock times :attr:`SupervisePolicy.grace_factor` (see
-:meth:`~repro.util.budget.ResourceBudget.hard_deadline`).  A unit past
-its deadline gets its worker SIGKILLed; the resulting pool break flows
-through the same recovery path.  Timeouts are retried like crashes (a
-hang may be transient); a unit that *repeatedly* blows the deadline is
-recorded as a ``timeout`` outcome (exit 4) carrying a
+enforces a hard per-unit wall-clock deadline -- the sweep's
+``hard_timeout`` (``--hard-timeout``), or the budget's wall clock times
+a grace factor (:meth:`~repro.util.budget.ResourceBudget.hard_deadline`).
+A unit past its deadline gets its worker SIGKILLed; the resulting pool
+break flows through the same recovery path.  Timeouts are retried like
+crashes (a hang may be transient); a unit that *repeatedly* blows the
+deadline is recorded as a ``timeout`` outcome (exit 4) carrying a
 :class:`~repro.util.errors.HardTimeout` -- a ``BudgetExceeded``
 subclass, so hard enforcement folds into the existing budget contract.
 
@@ -62,14 +85,21 @@ incomplete units -- surviving even ``kill -9`` of the parent.
 :func:`interruptible` converts SIGTERM to ``KeyboardInterrupt`` so both
 signals drain in-flight results, write partial batch JSON, and exit 130
 without orphaning children.
+
+A fault-free parallel sweep produces the serial sweep's batch JSON byte
+for byte, and transient kills/hangs converge to the fault-free report
+(modulo ``attempts`` and the ``supervision`` telemetry block).
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import math
 import multiprocessing
 import os
 import signal
+import tempfile
 import time
 from collections import defaultdict
 from concurrent.futures import (
@@ -81,24 +111,33 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.obs.hub import bus_event, emit_event
-from repro.util.budget import ResourceBudget
+from repro.obs.hub import (
+    HubWiring,
+    bus_event,
+    current_hub,
+    emit_event,
+    install,
+)
+from repro.obs.trace import SpanRecord, Tracer, _peak_rss_kb
+from repro.tool.batch import (
+    _HARD_FAILURES,
+    BatchUnit,
+    SweepConfig,
+    UnitOutcome,
+    _analyze_unit,
+    _cache_lookup,
+    _cache_store,
+    _failure,
+    _first_hard_failure,
+    _journal_record,
+)
+from repro.tool.cache import AnalysisCache
+from repro.util import faults
 from repro.util.errors import HardTimeout, WorkerCrash
-from repro.util.faults import FaultSpec
 
 __all__ = [
-    "SupervisePolicy",
     "RunJournal",
     "BatchSupervisor",
     "interruptible",
@@ -110,51 +149,36 @@ __all__ = [
 #: misread.
 JOURNAL_SCHEMA_VERSION = 1
 
-#: Unit exit codes that stop a ``keep_going=False`` sweep (mirrors
-#: :data:`repro.tool.batch._HARD_FAILURES`; duplicated to keep this
-#: module importable before batch).
-_HARD_FAILURES = (2, 3, 4)
-
-
-@dataclass(frozen=True)
-class SupervisePolicy:
-    """Tunables for one supervised sweep (defaults suit production)."""
-
-    #: Explicit per-unit wall-clock ceiling in seconds (``--hard-timeout``).
-    #: ``None`` derives one from the budget via ``grace_factor``; with no
-    #: wall-clock budget either, the watchdog stays disarmed.
-    hard_timeout: Optional[float] = None
-    #: Hard deadline = budget wall clock x this (covers every
-    #: degradation-ladder rung getting a fresh meter).
-    grace_factor: float = 4.0
-    #: How many times a unit may be in flight during a pool loss before
-    #: it is bisected solo to find the poison pill.
-    crash_retries: int = 1
-    #: How many watchdog kills a unit may absorb before its outcome is
-    #: recorded as ``timeout`` instead of being retried.
-    timeout_retries: int = 1
-    #: Pool respawns before the supervisor gives up on the sweep
-    #: (``None``: scaled to the corpus, ``2 * units + 4``).
-    max_respawns: Optional[int] = None
-    #: Exponential backoff before respawning the pool:
-    #: ``min(cap, base * 2**(respawn - 1))`` seconds.
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    #: How often the parent wakes to read heartbeats and check deadlines.
-    poll_interval: float = 0.05
-
-    def deadline(self, budget: Optional[ResourceBudget]) -> Optional[float]:
-        """The effective hard per-unit deadline, or ``None`` (no watchdog)."""
-        if self.hard_timeout is not None:
-            return self.hard_timeout
-        if budget is not None:
-            return budget.hard_deadline(self.grace_factor)
-        return None
+#: How many times a unit may be in flight during a pool loss before it
+#: is bisected solo to find the poison pill.
+_CRASH_RETRIES = 1
+#: How many watchdog kills a unit may absorb before its outcome is
+#: recorded as ``timeout`` instead of being retried.
+_TIMEOUT_RETRIES = 1
+#: Exponential backoff before respawning the pool:
+#: ``min(_BACKOFF_CAP, _BACKOFF_BASE * 2**(respawn - 1))`` seconds.
+_BACKOFF_BASE = 0.05
+_BACKOFF_CAP = 2.0
+#: How often the parent wakes to read heartbeats and check deadlines.
+_POLL_INTERVAL = 0.05
 
 
 # ---------------------------------------------------------------------------
 # The run journal
 # ---------------------------------------------------------------------------
+
+
+def _parse_lines(data: bytes) -> List[Dict[str, Any]]:
+    """Every parseable JSON line in ``data``; corrupt lines are skipped."""
+    records = []
+    for line in data.splitlines():
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line.decode("utf-8")))
+        except (ValueError, UnicodeDecodeError):
+            continue
+    return records
 
 
 class RunJournal:
@@ -226,40 +250,20 @@ class RunJournal:
             self._reader = open(self.path, "rb")
         self._reader.seek(self._read_pos)
         data = self._reader.read()
-        if not data:
-            return []
         end = data.rfind(b"\n")
         if end < 0:
-            return []  # only a torn line so far
-        consumed = data[: end + 1]
-        self._read_pos += len(consumed)
-        records = []
-        for line in consumed.splitlines():
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line.decode("utf-8")))
-            except (ValueError, UnicodeDecodeError):
-                continue
-        return records
+            return []  # nothing new, or only a torn line so far
+        self._read_pos += end + 1
+        return _parse_lines(data[: end + 1])
 
     @staticmethod
     def load(path: str) -> List[Dict[str, Any]]:
         """Every complete, parseable record in ``path`` (tolerant)."""
         try:
             with open(path, "rb") as handle:
-                data = handle.read()
+                return _parse_lines(handle.read())
         except OSError:
             return []
-        records = []
-        for line in data.splitlines():
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line.decode("utf-8")))
-            except (ValueError, UnicodeDecodeError):
-                continue
-        return records
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -273,50 +277,6 @@ class RunJournal:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
-
-
-# ---------------------------------------------------------------------------
-# Outcome builders (UnitOutcome imported lazily: batch imports us)
-# ---------------------------------------------------------------------------
-
-
-def crashed_outcome(
-    unit_name: str,
-    attempts: int,
-    pid: Optional[int],
-    signum: Optional[int],
-):
-    """A quarantined poison pill: the worker died and so did the retry."""
-    from repro.tool.batch import UnitOutcome
-
-    error = WorkerCrash(unit_name, pid=pid, signum=signum)
-    return UnitOutcome(
-        unit=unit_name,
-        status="crashed",
-        exit_code=3,
-        attempts=attempts,
-        error=str(error),
-        error_type="WorkerCrash",
-        error_detail=error.to_dict(),
-    )
-
-
-def timeout_outcome(
-    unit_name: str, attempts: int, limit: float, used: float
-):
-    """A unit SIGKILLed past the hard deadline (maps to exit 4)."""
-    from repro.tool.batch import UnitOutcome
-
-    error = HardTimeout(limit, used)
-    return UnitOutcome(
-        unit=unit_name,
-        status="timeout",
-        exit_code=4,
-        attempts=attempts,
-        error=str(error),
-        error_type="HardTimeout",
-        error_detail=error.to_dict(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +309,225 @@ def interruptible() -> Iterator[None]:
 
 
 # ---------------------------------------------------------------------------
+# The worker side
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _WorkerConfig:
+    """What a pool worker needs besides its units: the sweep's settings
+    plus the process wiring.  Shipped to each worker exactly once,
+    through the pool ``initializer``, so a task pickles only its units.
+    """
+
+    sweep: SweepConfig
+    fault_specs: List[faults.FaultSpec]
+    #: The supervisor's run journal: workers heartbeat ``unit.start``,
+    #: append completed ``unit.done`` payloads, and record destructive
+    #: fault firings into it.
+    journal_path: str
+    #: The parent hub's wiring; :func:`_worker_init` installs the worker
+    #: hub it describes.
+    hub: HubWiring
+
+
+#: This worker's copy of the batch config, set by :func:`_worker_init`.
+_WORKER_CONFIG: Optional[_WorkerConfig] = None
+
+#: The worker's journal append handle, opened lazily per process (same
+#: one-line-per-write discipline as the event log, so parent and worker
+#: appends interleave at line granularity).
+_WORKER_JOURNAL = None
+
+
+def _worker_journal_append(payload: Dict[str, Any]) -> None:
+    global _WORKER_JOURNAL
+    assert _WORKER_CONFIG is not None and _WORKER_CONFIG.journal_path
+    if _WORKER_JOURNAL is None or _WORKER_JOURNAL.closed:
+        _WORKER_JOURNAL = open(
+            _WORKER_CONFIG.journal_path, "a", buffering=1
+        )
+    _WORKER_JOURNAL.write(json.dumps(payload, sort_keys=True) + "\n")
+
+
+def _worker_fault_hook(
+    spec: faults.FaultSpec, unit: Optional[str]
+) -> None:
+    """Journal a destructive fault firing *before* it executes.
+
+    A ``kill``/``hang`` takes the worker down with it, so this journal
+    line is the only record the parent ever gets that the armed
+    ``times=`` count was consumed; the supervisor replays it against its
+    master snapshot (see :meth:`BatchSupervisor._consume_fault`).
+    """
+    if spec.action not in ("kill", "hang"):
+        return
+    _worker_journal_append(
+        {
+            "kind": "fault.fired",
+            "point": spec.point,
+            "action": spec.action,
+            "unit": unit,
+            "pid": os.getpid(),
+            "t": time.time(),
+        }
+    )
+
+
+def _worker_init(config: _WorkerConfig) -> None:
+    """Pool initializer: receive the batch config once, warm the worker.
+
+    Runs once per worker process at spawn.  Freezes the inherited heap
+    out of the cyclic GC: a forked worker inherits everything the
+    parent retained (on a fork start-method, possibly whole prior batch
+    reports), and the first full collection in the child would walk all
+    of it -- touching every object's header, copy-on-write-faulting the
+    shared pages, and billing seconds of CPU to whatever unit happened
+    to run first.  None of that inherited state is garbage the worker
+    could free, so ``gc.freeze`` moves it to the permanent generation.
+
+    Also installs the worker's hub, replacing whatever hub ``fork``
+    inherited: the parent's event log reopened for appending on the
+    parent's timeline (each record is one short write, so parent and
+    worker lines interleave cleanly), the ``--mem-profile`` switch, and
+    no tracer (each chunk installs its own) and no bus (telemetry rides
+    the journal).
+    """
+    global _WORKER_CONFIG
+    _WORKER_CONFIG = config
+    gc.freeze()
+    try:
+        # The parent runs sweeps under interruptible() (SIGTERM ->
+        # KeyboardInterrupt) and workers fork while it is installed; a
+        # worker must just die on SIGTERM (pool teardown terminates
+        # idle workers), not raise a phantom interrupt into the
+        # executor plumbing.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    except (ValueError, OSError):
+        pass
+    install(config.hub.worker_hub())
+    faults.set_fire_hook(_worker_fault_hook)
+
+
+#: One dispatched task: a contiguous run of ``(index, unit, key)``
+#: triples -- ``key`` is the unit's content key (None when neither a
+#: cache nor a journal is configured).
+_WorkerChunk = List[Tuple[int, BatchUnit, Optional[str]]]
+
+
+def _worker_analyze_chunk(
+    chunk: _WorkerChunk,
+) -> Tuple[List[Tuple[int, UnitOutcome]], List[SpanRecord], int]:
+    """Analyze one chunk of units inside a warm pool worker.
+
+    Re-arms the fault-spec snapshot from the worker-local config (one
+    dispatch = one chunk, preserving the documented per-dispatch scope
+    of bare ``times=`` specs) and, when the parent is tracing, records
+    the chunk under a fresh tracer pinned to the parent's epoch.  Ships
+    back the slimmed outcomes, the recorded span roots, and this
+    worker's pid.  Under ``keep_going=False`` the rest of the chunk is
+    abandoned after a hard failure -- the parent would relabel those
+    units ``skipped`` anyway, exactly as a serial run never reaches
+    them.
+
+    Each unit is bracketed by journal heartbeats: a ``unit.start``
+    before analysis (the parent's watchdog clock and, if this process
+    dies, the crash attribution) and a ``unit.done`` carrying the full
+    outcome payload after (so results that completed before a later
+    unit killed the worker are adopted, not re-run).
+    """
+    assert _WORKER_CONFIG is not None, "worker used without initializer"
+    config = _WORKER_CONFIG
+    faults.install(config.fault_specs)
+    epoch = config.hub.trace_epoch
+    tracer = Tracer(epoch=epoch) if epoch is not None else None
+    previous = install(replace(current_hub(), tracer=tracer))
+    results: List[Tuple[int, UnitOutcome]] = []
+    try:
+        for index, unit, key in chunk:
+            _worker_journal_append(_journal_record(index, unit))
+            outcome = _analyze_unit(unit, config.sweep)
+            outcome.report = None  # the full report does not cross the pool
+            outcome.worker_pid = os.getpid()
+            results.append((index, outcome))
+            _worker_journal_append(_journal_record(index, unit, key, outcome))
+            if config.hub.telemetry:
+                # The live-telemetry piggyback: one extra journal line
+                # per completed unit, riding the heartbeat channel the
+                # supervisor already tails -- no second IPC path, no
+                # cost when telemetry is off.
+                _worker_journal_append(
+                    {
+                        "kind": "telemetry",
+                        "index": index,
+                        "unit": unit.name,
+                        "pid": os.getpid(),
+                        "t": time.time(),
+                        "rss_kb": _peak_rss_kb(),
+                        "cpu_s": round(time.process_time(), 6),
+                        "run": config.sweep.run_id,
+                    }
+                )
+            if (
+                not config.sweep.keep_going
+                and outcome.exit_code in _HARD_FAILURES
+            ):
+                break
+    finally:
+        install(previous)
+        faults.clear()
+    roots = tracer.roots if tracer is not None else []
+    return results, roots, os.getpid()
+
+
+def _solo_entry(
+    config: _WorkerConfig,
+    index: int,
+    unit: BatchUnit,
+    key: Optional[str],
+    conn,
+) -> None:
+    """Bisection child: one unit, one fresh process, result via pipe.
+
+    Reuses the full chunk path (journal heartbeats, fault snapshot,
+    event log) so a solo run is observably identical to a pool run of a
+    single-unit chunk.  If the unit kills this process too, the parent
+    reads the exitcode/signal off the dead child and quarantines the
+    unit; trace spans are not shipped (the pool path's tracer adoption
+    needs the executor plumbing, and a bisection rerun's spans are not
+    worth a second IPC channel).
+    """
+    _worker_init(config)
+    results, _roots, _pid = _worker_analyze_chunk([(index, unit, key)])
+    _, outcome = results[0]
+    conn.send(outcome.to_cache_payload())
+    conn.close()
+
+
+def _chunked(
+    indices: List[int], workers: int, chunk_size: Optional[int]
+) -> List[List[int]]:
+    """Contiguous chunks of submission indices, FIFO order.
+
+    Contiguity + FIFO dispatch is what makes early-stop normalization
+    sound: whenever a chunk is cancelled before starting, every unit in
+    it has a higher submission index than every unit already completed
+    or in flight, so the "earliest hard failure" scan never misses a
+    unit a serial run would have reached first.
+
+    The default size targets ~4 chunks per worker: large enough that
+    small units amortize the submit/result round trip, small enough
+    that the tail of the sweep still load-balances.
+    """
+    if chunk_size is None:
+        chunk_size = max(1, min(8, math.ceil(len(indices) / (workers * 4))))
+    return [
+        indices[start:start + chunk_size]
+        for start in range(0, len(indices), chunk_size)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # The supervisor
 # ---------------------------------------------------------------------------
 
@@ -356,59 +535,48 @@ def interruptible() -> Iterator[None]:
 class BatchSupervisor:
     """Run one sweep's pool generations; recover, watch, and retry.
 
-    The batch layer wires in everything process-pool-shaped
-    (``make_config`` rebuilding the worker initializer payload from a
-    fault snapshot, the picklable ``worker_init``/``worker_chunk``/
-    ``solo_entry`` functions, the chunker, and the tracer ``adopt``
-    callback) so this class owns only the supervision state machine:
-
-    ``DISPATCH -> (drain | BROKEN)``; on ``BROKEN``: adopt journaled
-    outcomes, attribute in-flight units, bisect repeat offenders,
-    backoff, respawn; on watchdog expiry: SIGKILL the worker and fold
-    into ``BROKEN``.  The ``journal`` is the heartbeat and outcome
-    channel every one of those steps reads.
+    A state machine over pool generations: ``DISPATCH -> (drain |
+    BROKEN)``; on ``BROKEN``: adopt journaled outcomes, attribute
+    in-flight units, bisect repeat offenders, backoff, respawn; on
+    watchdog expiry: SIGKILL the worker and fold into ``BROKEN``.  The
+    ``journal`` is the heartbeat and outcome channel every one of those
+    steps reads.  Outcomes land in ``slots`` (one per unit, ``None``
+    until the unit has one), which may arrive pre-filled with cache
+    hits and resumed outcomes.
     """
 
     def __init__(
         self,
         *,
-        units: Sequence[Any],
+        units: List[BatchUnit],
+        slots: List[Optional[UnitOutcome]],
         to_run: List[int],
+        config: SweepConfig,
         jobs: int,
-        keep_going: bool,
-        policy: SupervisePolicy,
-        deadline: Optional[float],
+        chunk_size: Optional[int],
         journal: RunJournal,
-        keys: Sequence[Optional[str]],
-        fault_specs: List[FaultSpec],
-        make_config: Callable[[List[FaultSpec]], Any],
-        worker_init: Callable,
-        worker_chunk: Callable,
-        solo_entry: Callable,
-        chunk_fn: Callable[[List[int], int], List[List[int]]],
-        adopt: Callable[[List[Any], int], None],
-        pool_failure: Callable[[Any, BaseException], Any],
+        keys: List[Optional[str]],
     ) -> None:
         self.units = units
+        self.slots = slots
         self.to_run = list(to_run)
+        self.config = config
         self.jobs = jobs
-        self.keep_going = keep_going
-        self.policy = policy
-        self.deadline = deadline
+        self.chunk_size = chunk_size
         self.journal = journal
         self.keys = keys
-        self.make_config = make_config
-        self.worker_init = worker_init
-        self.worker_chunk = worker_chunk
-        self.solo_entry = solo_entry
-        self.chunk_fn = chunk_fn
-        self.adopt = adopt
-        self.pool_failure = pool_failure
+        #: Hard per-unit wall-clock deadline; ``None`` disarms the
+        #: watchdog.
+        self.deadline = config.hard_timeout
+        if self.deadline is None and config.budget is not None:
+            self.deadline = config.budget.hard_deadline()
+        hub = current_hub()
+        self.tracer = hub.tracer
+        self.wiring = hub.wiring()
 
-        self.slots: Dict[int, Any] = {}
         self.interrupted = False
         self.stats: Dict[str, int] = defaultdict(int)
-        self._fault_specs = [replace(spec) for spec in fault_specs]
+        self._fault_specs = faults.snapshot()
         self._crash_count: Dict[int, int] = defaultdict(int)
         self._timeout_count: Dict[int, int] = defaultdict(int)
         #: index -> (pid, started_at) for units currently heartbeating.
@@ -424,13 +592,11 @@ class BatchSupervisor:
 
     # -- public entry ------------------------------------------------------
 
-    def run(self) -> Dict[int, Any]:
+    def run(self) -> None:
         """Supervise until every runnable unit has an outcome."""
-        max_respawns = (
-            self.policy.max_respawns
-            if self.policy.max_respawns is not None
-            else 2 * len(self.to_run) + 4
-        )
+        # Pool respawns before giving up on the sweep, scaled to the
+        # corpus: every unit may cost a crash retry and a bisection.
+        max_respawns = 2 * len(self.to_run) + 4
         generation = 0
         while not self.interrupted:
             runnable = self._runnable()
@@ -439,11 +605,9 @@ class BatchSupervisor:
             if generation > 0:
                 self.stats["respawns"] += 1
                 delay = min(
-                    self.policy.backoff_cap,
-                    self.policy.backoff_base * (2 ** (generation - 1)),
+                    _BACKOFF_CAP, _BACKOFF_BASE * (2 ** (generation - 1))
                 )
-                if delay > 0:
-                    time.sleep(delay)
+                time.sleep(delay)
                 emit_event(
                     "supervisor.respawn",
                     generation=generation,
@@ -460,23 +624,13 @@ class BatchSupervisor:
             if generation > max_respawns:
                 self._give_up()
                 break
-        return self.slots
 
     # -- scheduling helpers ------------------------------------------------
 
-    def _first_failure(self) -> Optional[int]:
-        """Earliest submission index with a hard failure (2/3/4)."""
-        first: Optional[int] = None
-        for index, outcome in self.slots.items():
-            if outcome.exit_code in _HARD_FAILURES:
-                if first is None or index < first:
-                    first = index
-        return first
-
     def _runnable(self) -> List[int]:
-        pending = [i for i in self.to_run if i not in self.slots]
-        if not self.keep_going:
-            first = self._first_failure()
+        pending = [i for i in self.to_run if self.slots[i] is None]
+        if not self.config.keep_going:
+            first = _first_hard_failure(self.slots)
             if first is not None:
                 # Serial semantics: everything after the earliest hard
                 # failure stays unrun (reported skipped by the caller),
@@ -484,22 +638,27 @@ class BatchSupervisor:
                 pending = [i for i in pending if i < first]
         return pending
 
+    def _worker_config(self) -> _WorkerConfig:
+        return _WorkerConfig(
+            sweep=self.config,
+            fault_specs=[replace(spec) for spec in self._fault_specs],
+            journal_path=self.journal.path,
+            hub=self.wiring,
+        )
+
     # -- one pool generation ----------------------------------------------
 
     def _generation(self, runnable: List[int]) -> bool:
         order = list(runnable)
-        if self.keep_going:
+        if self.config.keep_going:
             # LPT dispatch: safe because every unit runs regardless of
             # order.
             order.sort(key=lambda i: -len(self.units[i].source))
         workers = min(self.jobs, len(order))
-        chunks = self.chunk_fn(order, workers)
+        chunks = _chunked(order, workers, self.chunk_size)
         # No more workers than chunks: an idle worker still pays its
         # fork and gc.freeze.
         workers = max(1, min(workers, len(chunks)))
-        config = self.make_config(
-            [replace(spec) for spec in self._fault_specs]
-        )
         self._gen_started = set()
         self._watchdog_killed = set()
         self._running.clear()
@@ -507,8 +666,8 @@ class BatchSupervisor:
         stopping = False
         executor = ProcessPoolExecutor(
             max_workers=workers,
-            initializer=self.worker_init,
-            initargs=(config,),
+            initializer=_worker_init,
+            initargs=(self._worker_config(),),
         )
         futures: Dict[Any, List[int]] = {}
         try:
@@ -518,7 +677,7 @@ class BatchSupervisor:
                         (index, self.units[index], self.keys[index])
                         for index in indices
                     ]
-                    futures[executor.submit(self.worker_chunk, task)] = (
+                    futures[executor.submit(_worker_analyze_chunk, task)] = (
                         indices
                     )
             except BrokenProcessPool:
@@ -527,7 +686,7 @@ class BatchSupervisor:
             while not_done:
                 done, not_done = wait(
                     not_done,
-                    timeout=self.policy.poll_interval,
+                    timeout=_POLL_INTERVAL,
                     return_when=FIRST_COMPLETED,
                 )
                 self._consume_journal()
@@ -545,22 +704,28 @@ class BatchSupervisor:
                         # A structural dispatch failure (pickling, ...):
                         # deterministic, so retrying cannot help.
                         for index in indices:
-                            if index not in self.slots:
+                            if self.slots[index] is None:
                                 self._record(
                                     index,
-                                    self.pool_failure(
-                                        self.units[index], error
+                                    _failure(
+                                        self.units[index].name,
+                                        "internal-error",
+                                        error,
+                                        message=(
+                                            f"worker process failed: {error}"
+                                        ),
                                     ),
                                     adjust=False,
                                 )
                         continue
-                    self.adopt(roots, pid)
+                    if self.tracer is not None and roots:
+                        self.tracer.adopt(roots, pid=pid)
                     for index, outcome in results:
                         self._record(index, outcome)
                 if (
-                    not self.keep_going
+                    not self.config.keep_going
                     and not stopping
-                    and self._first_failure() is not None
+                    and _first_hard_failure(self.slots) is not None
                 ):
                     stopping = True
                     for future in not_done:
@@ -570,7 +735,7 @@ class BatchSupervisor:
         except KeyboardInterrupt:
             self.interrupted = True
             self.stats["interrupted"] = 1
-            self._drain_interrupt(executor, futures)
+            self._drain_interrupt(executor)
             return False
         finally:
             procs = []
@@ -609,8 +774,8 @@ class BatchSupervisor:
                 )
             elif kind == "telemetry":
                 # Worker metric/RSS deltas piggybacked on the heartbeat
-                # channel (see batch._worker_analyze_chunk); forwarded
-                # to the live bus, never interpreted here.
+                # channel (see _worker_analyze_chunk); forwarded to the
+                # live bus, never interpreted here.
                 bus_event("worker.delta", record=record)
             elif kind == "unit.done":
                 index = record.get("index")
@@ -649,7 +814,9 @@ class BatchSupervisor:
 
     # -- outcome recording -------------------------------------------------
 
-    def _record(self, index: int, outcome: Any, adjust: bool = True) -> None:
+    def _record(
+        self, index: int, outcome: UnitOutcome, adjust: bool = True
+    ) -> None:
         if adjust:
             retries = self._crash_count[index] + self._timeout_count[index]
             if retries:
@@ -660,10 +827,8 @@ class BatchSupervisor:
 
     def _adopt_journal_done(self) -> None:
         """Units that completed in a worker but never shipped a result."""
-        from repro.tool.batch import UnitOutcome
-
         for index, record in self._journal_done.items():
-            if index in self.slots or index not in self.to_run:
+            if self.slots[index] is not None or index not in self.to_run:
                 continue
             try:
                 outcome = UnitOutcome.from_payload(record["outcome"])
@@ -676,6 +841,37 @@ class BatchSupervisor:
             )
             self._record(index, outcome)
 
+    def _timed_out(self, index: int, used: float, attempts: int) -> None:
+        """Record a unit's ``timeout`` outcome (maps to exit 4)."""
+        assert self.deadline is not None
+        self.stats["timeouts"] += 1
+        self._record(
+            index,
+            _failure(
+                self.units[index].name,
+                "timeout",
+                HardTimeout(self.deadline, used),
+                attempts=attempts,
+            ),
+            adjust=False,
+        )
+
+    def _crashed(
+        self, index: int, pid: Optional[int], signum: Optional[int]
+    ) -> None:
+        """Record a quarantined unit's ``crashed`` outcome (exit 3)."""
+        name = self.units[index].name
+        self._record(
+            index,
+            _failure(
+                name,
+                "crashed",
+                WorkerCrash(name, pid=pid, signum=signum),
+                attempts=self._crash_count[index] + 1,
+            ),
+            adjust=False,
+        )
+
     # -- the watchdog ------------------------------------------------------
 
     def _watchdog(self) -> None:
@@ -683,7 +879,7 @@ class BatchSupervisor:
             return
         now = time.time()
         for index, (pid, started) in list(self._running.items()):
-            if index in self.slots:
+            if self.slots[index] is not None:
                 continue
             used = now - started
             if used <= self.deadline:
@@ -692,26 +888,15 @@ class BatchSupervisor:
             self._watchdog_killed.add(index)
             self._timeout_count[index] += 1
             self.stats["watchdog_kills"] += 1
-            unit_name = self.units[index].name
             emit_event(
                 "supervisor.watchdog-kill",
-                unit=unit_name,
+                unit=self.units[index].name,
                 pid=pid,
                 used_s=round(used, 3),
                 limit_s=self.deadline,
             )
-            if self._timeout_count[index] > self.policy.timeout_retries:
-                self.stats["timeouts"] += 1
-                self._record(
-                    index,
-                    timeout_outcome(
-                        unit_name,
-                        self._timeout_count[index],
-                        self.deadline,
-                        used,
-                    ),
-                    adjust=False,
-                )
+            if self._timeout_count[index] > _TIMEOUT_RETRIES:
+                self._timed_out(index, used, self._timeout_count[index])
             if pid:
                 try:
                     os.kill(pid, signal.SIGKILL)
@@ -733,7 +918,7 @@ class BatchSupervisor:
         self._adopt_journal_done()
         suspects = []
         for index in runnable:
-            if index in self.slots:
+            if self.slots[index] is not None:
                 continue
             if (
                 index in self._gen_started
@@ -748,7 +933,7 @@ class BatchSupervisor:
                     signal=self._signal_for(pid),
                     crashes=self._crash_count[index],
                 )
-                if self._crash_count[index] > self.policy.crash_retries:
+                if self._crash_count[index] > _CRASH_RETRIES:
                     suspects.append(index)
         self._running.clear()
         for index in suspects:
@@ -758,14 +943,17 @@ class BatchSupervisor:
         """One unit, one fresh process: find (and quarantine) poison pills."""
         unit = self.units[index]
         emit_event("supervisor.bisect", unit=unit.name)
-        config = self.make_config(
-            [replace(spec) for spec in self._fault_specs]
-        )
         ctx = multiprocessing.get_context()
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
-            target=self.solo_entry,
-            args=(config, index, unit, self.keys[index], child_conn),
+            target=_solo_entry,
+            args=(
+                self._worker_config(),
+                index,
+                unit,
+                self.keys[index],
+                child_conn,
+            ),
         )
         proc.start()
         child_conn.close()
@@ -777,17 +965,11 @@ class BatchSupervisor:
             self._consume_journal()
             self._timeout_count[index] += 1
             self.stats["watchdog_kills"] += 1
-            self.stats["timeouts"] += 1
             assert self.deadline is not None
-            self._record(
+            self._timed_out(
                 index,
-                timeout_outcome(
-                    unit.name,
-                    self._crash_count[index] + self._timeout_count[index],
-                    self.deadline,
-                    self.deadline,
-                ),
-                adjust=False,
+                self.deadline,
+                self._crash_count[index] + self._timeout_count[index],
             )
             return
         payload = None
@@ -800,8 +982,6 @@ class BatchSupervisor:
             parent_conn.close()
         self._consume_journal()
         if isinstance(payload, dict):
-            from repro.tool.batch import UnitOutcome
-
             try:
                 outcome = UnitOutcome.from_payload(payload)
             except (KeyError, TypeError, ValueError):
@@ -822,36 +1002,17 @@ class BatchSupervisor:
             pid=proc.pid,
             signal=signum,
         )
-        self._record(
-            index,
-            crashed_outcome(
-                unit.name,
-                attempts=self._crash_count[index] + 1,
-                pid=proc.pid,
-                signum=signum,
-            ),
-            adjust=False,
-        )
+        self._crashed(index, proc.pid, signum)
 
     def _give_up(self) -> None:
         """Respawn budget exhausted: fail what's left, structurally."""
         for index in self._runnable():
-            unit = self.units[index]
-            emit_event("supervisor.gave-up", unit=unit.name)
-            self._record(
-                index,
-                crashed_outcome(
-                    unit.name,
-                    attempts=self._crash_count[index] + 1,
-                    pid=self._last_pid.get(index),
-                    signum=None,
-                ),
-                adjust=False,
-            )
+            emit_event("supervisor.gave-up", unit=self.units[index].name)
+            self._crashed(index, self._last_pid.get(index), None)
 
     # -- interrupt drain ---------------------------------------------------
 
-    def _drain_interrupt(self, executor, futures: Dict[Any, Any]) -> None:
+    def _drain_interrupt(self, executor) -> None:
         """Ctrl-C/SIGTERM: keep what finished, kill children, come home.
 
         Completed futures were already harvested; journaled ``unit.done``
@@ -896,3 +1057,93 @@ class BatchSupervisor:
             pass
         self._consume_journal()
         self._adopt_journal_done()
+
+
+# ---------------------------------------------------------------------------
+# The parallel sweep
+# ---------------------------------------------------------------------------
+
+
+def _run_batch_parallel(
+    units: List[BatchUnit],
+    config: SweepConfig,
+    jobs: int,
+    cache: Optional[AnalysisCache],
+    keys: List[Optional[str]],
+    chunk_size: Optional[int],
+    journal: Optional[RunJournal],
+    resumed_slots: Dict[int, UnitOutcome],
+) -> Tuple[List[Optional[UnitOutcome]], Dict[str, int], bool]:
+    """Fan unit chunks out to a supervised warm process pool.
+
+    Returns ``(slots, supervision_stats, interrupted)``.  A ``None``
+    slot means the unit never ran (cancelled after an early stop, or
+    still in flight when the sweep was interrupted); the caller turns
+    those -- and, without ``keep_going``, every slot after the earliest
+    hard failure -- into ``skipped`` outcomes.
+
+    The supervisor's heartbeat channel is the caller's ``journal``, or a
+    throwaway one opened here when the caller has none and some unit is
+    left to analyze.
+
+    Without ``keep_going``, cache stores are deferred until the pool
+    drains and flushed only for units *before* the earliest hard
+    failure: an in-flight worker may deliver a result after the stop,
+    and persisting it would let a warm re-run resurrect an outcome the
+    batch report relabelled ``skipped`` (diverging from the serial
+    cache state).  The same deferral covers interrupted sweeps -- only
+    outcomes the partial report actually carries are persisted.
+    """
+    slots: List[Optional[UnitOutcome]] = [None] * len(units)
+    to_run: List[int] = []
+    for index, unit in enumerate(units):
+        if index in resumed_slots:
+            slots[index] = resumed_slots[index]
+            bus_event("unit.done", index=index, outcome=slots[index])
+            continue
+        hit = _cache_lookup(cache, keys[index], unit)
+        if hit is not None:
+            slots[index] = hit
+            bus_event("unit.done", index=index, outcome=hit)
+        else:
+            to_run.append(index)
+    if not to_run:
+        return slots, {}, False
+
+    ephemeral: Optional[str] = None
+    if journal is None:
+        fd, ephemeral = tempfile.mkstemp(
+            prefix="regionwiz-journal-", suffix=".jsonl"
+        )
+        os.close(fd)
+        journal = RunJournal(ephemeral, run_id=config.run_id)
+    supervisor = BatchSupervisor(
+        units=units,
+        slots=slots,
+        to_run=to_run,
+        config=config,
+        jobs=jobs,
+        chunk_size=chunk_size,
+        journal=journal,
+        keys=keys,
+    )
+    try:
+        supervisor.run()
+    finally:
+        if ephemeral is not None:
+            journal.close()
+            try:
+                os.unlink(ephemeral)
+            except OSError:
+                pass
+
+    first_failure = (
+        None if config.keep_going else _first_hard_failure(slots)
+    )
+    for index in to_run:
+        outcome = slots[index]
+        if outcome is None:
+            continue
+        if first_failure is None or index < first_failure:
+            _cache_store(cache, keys[index], outcome)
+    return slots, dict(supervisor.stats), supervisor.interrupted

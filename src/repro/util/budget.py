@@ -27,6 +27,10 @@ from repro.util.errors import BudgetExceeded
 
 __all__ = ["ResourceBudget", "BudgetMeter"]
 
+#: :meth:`ResourceBudget.hard_deadline` is the wall-clock budget times
+#: this factor.
+HARD_DEADLINE_GRACE = 4.0
+
 
 @dataclass(frozen=True)
 class ResourceBudget:
@@ -55,26 +59,22 @@ class ResourceBudget:
         """Begin one attempt: the wall clock starts ticking now."""
         return BudgetMeter(self, clock=clock)
 
-    def hard_deadline(self, grace_factor: float) -> Optional[float]:
+    def hard_deadline(self) -> Optional[float]:
         """The supervisor's per-unit wall-clock ceiling, in seconds.
 
         Cooperative checkpoints should always trip first; the hard
-        deadline is the budget's wall clock times ``grace_factor``
-        (covering every degradation-ladder rung retrying under a fresh
-        meter plus checkpoint latency), after which the batch
-        supervisor assumes the unit is *stuck between checkpoints* and
-        kills the worker outright.  ``None`` when the budget carries no
-        wall-clock limit -- there is nothing to scale a grace period
-        from, so only an explicit ``--hard-timeout`` can arm the
-        watchdog.
+        deadline is the budget's wall clock times
+        :data:`HARD_DEADLINE_GRACE` (covering every degradation-ladder
+        rung retrying under a fresh meter plus checkpoint latency),
+        after which the batch supervisor assumes the unit is *stuck
+        between checkpoints* and kills the worker outright.  ``None``
+        when the budget carries no wall-clock limit -- there is nothing
+        to scale a grace period from, so only an explicit
+        ``--hard-timeout`` can arm the watchdog.
         """
         if self.wall_clock_seconds is None:
             return None
-        if grace_factor <= 0:
-            raise ValueError(
-                f"grace_factor must be > 0, got {grace_factor}"
-            )
-        return self.wall_clock_seconds * grace_factor
+        return self.wall_clock_seconds * HARD_DEADLINE_GRACE
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -84,8 +84,8 @@ PLANNER_RELATIONS = (
 )
 
 
-def build_planner(backend, edges, engine="indexed"):
-    program = Program(backend=backend, engine=engine)
+def build_planner(backend, edges):
+    program = Program(backend=backend)
     program.domain("V", DOMAIN_SIZE)
     program.relation("edge", ["V", "V"])
     program.relation("node", ["V"])
@@ -111,16 +111,6 @@ def test_backends_agree_on_planner_mix(edges):
     bdd_solution = build_planner("bdd", edges)
     for name in PLANNER_RELATIONS:
         assert set_solution.tuples(name) == bdd_solution.tuples(name), name
-
-
-@settings(max_examples=40, deadline=None)
-@given(edges_strategy)
-def test_engines_agree_on_planner_mix(edges):
-    """The indexed evaluator matches the legacy (pre-planner) one."""
-    indexed = build_planner("set", edges, engine="indexed")
-    legacy = build_planner("set", edges, engine="legacy")
-    for name in PLANNER_RELATIONS:
-        assert indexed.tuples(name) == legacy.tuples(name), name
 
 
 @settings(max_examples=40, deadline=None)

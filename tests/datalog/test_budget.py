@@ -7,8 +7,8 @@ from repro.util.budget import ResourceBudget
 from repro.util.errors import BudgetExceeded
 
 
-def closure_program(backend, engine="indexed", size=32):
-    program = Program(backend=backend, engine=engine)
+def closure_program(backend, size=32):
+    program = Program(backend=backend)
     program.domain("V", size)
     program.relation("edge", ["V", "V"])
     program.relation("path", ["V", "V"])
@@ -23,17 +23,14 @@ def closure_program(backend, engine="indexed", size=32):
     return program
 
 
-@pytest.fixture(params=["set", "set-legacy", "bdd"])
-def backend_engine(request):
-    if request.param == "set-legacy":
-        return "set", "legacy"
-    return request.param, "indexed"
+@pytest.fixture(params=["set", "bdd"])
+def backend(request):
+    return request.param
 
 
 class TestDatalogBudget:
-    def test_tuple_budget_trips_mid_fixpoint(self, backend_engine):
-        backend, engine = backend_engine
-        program = closure_program(backend, engine)
+    def test_tuple_budget_trips_mid_fixpoint(self, backend):
+        program = closure_program(backend)
         meter = ResourceBudget(max_derived_tuples=20).start()
         with pytest.raises(BudgetExceeded) as excinfo:
             program.solve(meter=meter)
@@ -43,25 +40,22 @@ class TestDatalogBudget:
         # stopped the run well before completion.
         assert meter.tuples_used <= 32 * 31 / 2
 
-    def test_generous_budget_completes(self, backend_engine):
-        backend, engine = backend_engine
-        program = closure_program(backend, engine)
+    def test_generous_budget_completes(self, backend):
+        program = closure_program(backend)
         meter = ResourceBudget(max_derived_tuples=10**6).start()
         solution = program.solve(meter=meter)
         assert len(solution.tuples("path")) == 31 * 32 / 2
         assert meter.tuples_used > 0
 
-    def test_wall_clock_checkpoint(self, backend_engine):
-        backend, engine = backend_engine
-        program = closure_program(backend, engine)
+    def test_wall_clock_checkpoint(self, backend):
+        program = closure_program(backend)
         # A deadline already in the past trips on the first round.
         meter = ResourceBudget(wall_clock_seconds=-1.0).start()
         with pytest.raises(BudgetExceeded) as excinfo:
             program.solve(meter=meter)
         assert excinfo.value.resource == "wall_clock"
 
-    def test_no_meter_is_unchanged(self, backend_engine):
-        backend, engine = backend_engine
-        program = closure_program(backend, engine)
+    def test_no_meter_is_unchanged(self, backend):
+        program = closure_program(backend)
         solution = program.solve()
         assert len(solution.tuples("path")) == 31 * 32 / 2

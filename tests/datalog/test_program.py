@@ -263,14 +263,6 @@ class TestDeclarationErrors:
         with pytest.raises(DatalogError):
             Program(backend="sqlite")
 
-    def test_unknown_engine(self):
-        with pytest.raises(DatalogError):
-            Program(backend="set", engine="warp")
-
-    def test_legacy_engine_requires_set_backend(self):
-        with pytest.raises(DatalogError):
-            Program(backend="bdd", engine="legacy")
-
     def test_fact_with_unbound_variable_rejected(self, backend):
         # Regression: a body-less rule with a Var in its head used to
         # escape validation and crash with AttributeError on Var.value.

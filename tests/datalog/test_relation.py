@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datalog import LegacySetRelation, RelationError, SetRelation
+from repro.datalog import RelationError, SetRelation
 
 
 class TestIncrementalIndexes:
@@ -89,35 +89,3 @@ class TestSnapshotCaching:
         relation = SetRelation("r", ["V", "V"])
         with pytest.raises(RelationError):
             relation.add((0,))
-
-
-class TestLegacyRelation:
-    def test_legacy_copies_full_scan(self):
-        relation = LegacySetRelation("r", ["V"])
-        relation.add((0,))
-        first = relation.lookup((), ())
-        second = relation.lookup((), ())
-        assert first == second == [(0,)]
-        assert first is not second
-
-    def test_legacy_rebuilds_index_after_insert(self):
-        relation = LegacySetRelation("r", ["V", "V"])
-        relation.add((0, 1))
-        relation.lookup((0,), (0,))
-        builds = relation.index_builds
-        relation.add((0, 2))
-        assert sorted(relation.lookup((0,), (0,))) == [(0, 1), (0, 2)]
-        assert relation.index_builds == builds + 1
-
-    def test_legacy_same_answers_as_incremental(self):
-        legacy = LegacySetRelation("r", ["V", "V"])
-        incremental = SetRelation("r", ["V", "V"])
-        for values in [(0, 1), (1, 2), (0, 3), (2, 2)]:
-            legacy.add(values)
-            incremental.add(values)
-            assert sorted(legacy.lookup((0,), (0,))) == sorted(
-                incremental.lookup((0,), (0,))
-            )
-            assert sorted(legacy.lookup((), ())) == sorted(
-                incremental.lookup((), ())
-            )

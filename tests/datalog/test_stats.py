@@ -5,8 +5,8 @@ import pytest
 from repro.datalog import Program, SolverStats
 
 
-def closure_program(backend, engine="indexed", n=12):
-    program = Program(backend=backend, engine=engine)
+def closure_program(backend, n=12):
+    program = Program(backend=backend)
     program.domain("V", n)
     program.relation("edge", ["V", "V"])
     program.relation("path", ["V", "V"])
@@ -72,15 +72,6 @@ class TestStatsConsistency:
         assert stats.bdd_cache_lookups > 0
         assert stats.bdd_cache_hits > 0
         assert 0.0 < stats.bdd_cache_hit_rate <= 1.0
-
-    def test_legacy_engine_has_stats_too(self):
-        indexed = closure_program("set", engine="indexed").solve()
-        legacy = closure_program("set", engine="legacy").solve()
-        assert legacy.stats.engine == "legacy"
-        assert indexed.stats.engine == "indexed"
-        assert legacy.stats.tuples_derived == indexed.stats.tuples_derived
-        assert legacy.stats.rounds == indexed.stats.rounds
-        assert legacy.tuples("free") == indexed.tuples("free")
 
     def test_rule_attribution(self):
         solution = closure_program("set").solve()

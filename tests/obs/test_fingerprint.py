@@ -129,12 +129,11 @@ class TestWarningFingerprint:
 
 
 class TestEngineInvariance:
-    """The same corpus through every Datalog backend/engine yields the
-    same objectPair set, hence the same fingerprint set."""
+    """The same corpus through every Datalog backend yields the same
+    objectPair set, hence the same fingerprint set."""
 
-    def _pair_fingerprints(self, analysis, backend, engine="indexed"):
+    def _pair_fingerprints(self, analysis, backend):
         built = build_consistency_program(analysis, backend=backend)
-        built.program.engine = engine
         solution = built.program.solve()
         return {
             pair_fingerprint(
@@ -145,13 +144,12 @@ class TestEngineInvariance:
             for s, _, t in solution.tuples("objectPair")
         }
 
-    def test_set_indexed_legacy_and_bdd_agree(self):
+    def test_set_and_bdd_agree(self):
         report = _run_example("fig1_connection_broken.rc", "fig1")
-        indexed = self._pair_fingerprints(report.analysis, "set", "indexed")
-        legacy = self._pair_fingerprints(report.analysis, "set", "legacy")
+        indexed = self._pair_fingerprints(report.analysis, "set")
         bdd = self._pair_fingerprints(report.analysis, "bdd")
         assert indexed
-        assert indexed == legacy == bdd
+        assert indexed == bdd
 
 
 class TestShardingInvariance:

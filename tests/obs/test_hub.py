@@ -18,7 +18,7 @@ from repro.obs.hub import (
 )
 from repro.obs.live import TelemetryBus
 from repro.obs.trace import Tracer
-from repro.tool import batch
+from repro.tool import batch, supervise
 from repro.tool.batch import run_batch
 from repro.util import faults
 from repro.workloads import FIGURES, figure_units
@@ -115,7 +115,7 @@ class TestWorkerWiring:
             bus=TelemetryBus(run_id="run1"),
             mem_profile=True,
         )
-        config = batch._WorkerConfig(
+        config = supervise._WorkerConfig(
             sweep=batch.SweepConfig(),
             fault_specs=[],
             journal_path=str(tmp_path / "journal.jsonl"),
@@ -124,7 +124,7 @@ class TestWorkerWiring:
         sigterm = signal.getsignal(signal.SIGTERM)
         previous = install(parent)
         try:
-            batch._worker_init(config)
+            supervise._worker_init(config)
             worker = current_hub()
             worker.events.close()
             assert worker.bus is None
@@ -138,7 +138,7 @@ class TestWorkerWiring:
             install(parent)
             assert current_hub() is parent
             install(previous)
-            batch._WORKER_CONFIG = None
+            supervise._WORKER_CONFIG = None
             faults.set_fire_hook(None)
             signal.signal(signal.SIGTERM, sigterm)
             gc.unfreeze()

@@ -8,8 +8,8 @@ from repro.tool.regionwiz import run_regionwiz
 from repro.workloads import figure
 
 
-def transitive_closure_program(backend="set", engine="indexed"):
-    program = Program(backend=backend, engine=engine)
+def transitive_closure_program(backend="set"):
+    program = Program(backend=backend)
     program.domain("V", 4)
     program.relation("edge", ["V", "V"])
     program.relation("path", ["V", "V"])
@@ -50,10 +50,6 @@ class TestDerivationRecording:
         assert node.rule is None and not node.is_fact
 
     def test_requires_indexed_set_engine(self):
-        with pytest.raises(DatalogError):
-            transitive_closure_program(engine="legacy").solve(
-                provenance=True
-            )
         with pytest.raises(DatalogError):
             transitive_closure_program(backend="bdd").solve(
                 provenance=True

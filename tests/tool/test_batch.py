@@ -198,3 +198,31 @@ class TestRunBatch:
         text = result.summary()
         assert "1/1 unit(s) analyzed" in text
         assert "fig1: clean" in text
+
+
+class TestPoolSettings:
+    """Out-of-range pool settings are rejected before any unit runs.
+
+    A negative chunk size used to mark every unit skipped and exit 0
+    (a CI gate passing while analyzing nothing); zero crashed in
+    ``range()``; a non-positive hard timeout SIGKILLs every unit at the
+    watchdog's first poll.
+    """
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_chunk_size_below_one_rejected(self, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size"):
+            run_batch(
+                figure_units(["fig1"]), jobs=2, chunk_size=chunk_size
+            )
+
+    @pytest.mark.parametrize("hard_timeout", [0.0, -1.0])
+    def test_non_positive_hard_timeout_rejected(self, hard_timeout):
+        with pytest.raises(ValueError, match="hard_timeout"):
+            run_batch(
+                figure_units(["fig1"]), jobs=2, hard_timeout=hard_timeout
+            )
+
+    def test_unknown_setting_rejected(self):
+        with pytest.raises(TypeError):
+            run_batch(figure_units(["fig1"]), hard_timout=5.0)

@@ -209,7 +209,7 @@ class TestBatchCli:
         argv = ["--batch", "--jobs", "2", "--hard-timeout", "5", *paths]
         assert main(argv) == 0
         assert seen["jobs"] == 2
-        assert seen["policy"].hard_timeout == 5.0
+        assert seen["hard_timeout"] == 5.0
 
 
 class TestQueryCli:

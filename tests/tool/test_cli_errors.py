@@ -245,6 +245,28 @@ class TestBatchMode:
         assert main(["--batch", str(tmp_path / "nope.c")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--chunk", "-1"], "--chunk must be >= 1"),
+            (["--chunk", "0"], "--chunk must be >= 1"),
+            (["--hard-timeout", "0"], "--hard-timeout must be > 0"),
+            (["--hard-timeout", "-5"], "--hard-timeout must be > 0"),
+        ],
+    )
+    def test_out_of_range_pool_setting_exit_two(
+        self, tmp_path, capsys, flags, message
+    ):
+        # --chunk -1 used to skip every unit and exit 0; --chunk 0
+        # crashed with a traceback (exit 3).
+        good = tmp_path / "fig1.c"
+        good.write_text(figure("fig1").full_source)
+        argv = ["--batch", "--keep-going", "--jobs", "2", *flags, str(good)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"regionwiz: {message}\n"
+
     def test_resume_requires_a_journal(self, tmp_path, capsys):
         good = tmp_path / "fig1.c"
         good.write_text(figure("fig1").full_source)

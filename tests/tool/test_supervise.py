@@ -10,6 +10,7 @@ with structured ``crashed``/``timeout`` outcomes.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -19,12 +20,9 @@ import time
 
 import pytest
 
+import repro.tool.supervise as supervise
 from repro.tool.batch import BatchUnit, run_batch
-from repro.tool.supervise import (
-    JOURNAL_SCHEMA_VERSION,
-    RunJournal,
-    SupervisePolicy,
-)
+from repro.tool.supervise import JOURNAL_SCHEMA_VERSION, RunJournal
 from repro.util import faults
 from repro.util.budget import ResourceBudget
 from repro.workloads import figure, figure_units
@@ -50,16 +48,6 @@ def _clean_registry():
     faults.clear()
     yield
     faults.clear()
-
-
-#: Test policy: tight backoff/poll so recovery rounds take milliseconds.
-FAST = SupervisePolicy(backoff_base=0.01, poll_interval=0.02)
-
-
-def fast_policy(**overrides):
-    from dataclasses import replace
-
-    return replace(FAST, **overrides)
 
 
 def clone_unit(name, of="fig1"):
@@ -161,24 +149,40 @@ class TestRunJournal:
         assert kinds == ["journal.open", "unit.start"]
 
 
-class TestSupervisePolicy:
+class TestHardDeadline:
+    def _hung_sweep(self, **settings):
+        """fig1 plus a fig2c that hangs on every attempt."""
+        faults.inject(
+            "batch-unit", action="hang", unit="fig2c", delay_seconds=30.0
+        )
+        return run_batch(
+            figure_units(["fig1", "fig2c"]),
+            keep_going=True,
+            jobs=2,
+            **settings,
+        )
+
     def test_explicit_hard_timeout_wins(self):
-        policy = SupervisePolicy(hard_timeout=7.0)
-        budget = ResourceBudget(wall_clock_seconds=100.0)
-        assert policy.deadline(budget) == 7.0
+        result = self._hung_sweep(
+            budget=ResourceBudget(wall_clock_seconds=100.0), hard_timeout=0.8
+        )
+        outcome = result.outcome("fig2c")
+        assert outcome.status == "timeout"
+        assert outcome.error_detail["limit"] == 0.8
 
     def test_deadline_derived_from_budget(self):
-        policy = SupervisePolicy(grace_factor=4.0)
-        budget = ResourceBudget(wall_clock_seconds=2.0)
-        assert policy.deadline(budget) == 8.0
+        assert ResourceBudget(wall_clock_seconds=2.0).hard_deadline() == 8.0
+        # No hard_timeout: the budget's wall clock arms the watchdog.
+        result = self._hung_sweep(
+            budget=ResourceBudget(wall_clock_seconds=0.25)
+        )
+        outcome = result.outcome("fig2c")
+        assert outcome.status == "timeout"
+        assert outcome.error_detail["limit"] == 1.0
 
     def test_no_budget_no_timeout_means_no_watchdog(self):
-        assert SupervisePolicy().deadline(None) is None
-        assert SupervisePolicy().deadline(ResourceBudget()) is None
-
-    def test_bad_grace_factor_rejected(self):
-        with pytest.raises(ValueError):
-            ResourceBudget(wall_clock_seconds=1.0).hard_deadline(0.0)
+        assert ResourceBudget().hard_deadline() is None
+        assert ResourceBudget(max_contexts=10).hard_deadline() is None
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +195,7 @@ class TestWorkerLossRecovery:
         units = figure_units(["fig1", "fig2a", "fig2c"])
         serial = run_batch(units, keep_going=True)
         faults.inject("batch-unit", action="kill", unit="fig2a", times=1)
-        parallel = run_batch(units, keep_going=True, jobs=2, policy=FAST)
+        parallel = run_batch(units, keep_going=True, jobs=2)
         assert chaos_normalized(serial) == chaos_normalized(parallel)
         assert parallel.supervision["respawns"] >= 1
         assert parallel.outcome("fig2a").attempts >= 2
@@ -200,7 +204,7 @@ class TestWorkerLossRecovery:
         units = figure_units(["fig1", "fig2a", "fig2c", "fig3", "fig5"])
         faults.inject("batch-unit", action="kill", unit="fig3", times=1)
         result = run_batch(
-            units, keep_going=True, jobs=2, chunk_size=2, policy=FAST
+            units, keep_going=True, jobs=2, chunk_size=2
         )
         assert len(result.outcomes) == len(units)
         assert all(o.ok for o in result.outcomes)
@@ -209,7 +213,7 @@ class TestWorkerLossRecovery:
     def test_poison_pill_is_bisected_and_quarantined(self):
         units = figure_units(["fig1", "fig2a", "fig2c"])
         faults.inject("batch-unit", action="kill", unit="fig2a")
-        result = run_batch(units, keep_going=True, jobs=2, policy=FAST)
+        result = run_batch(units, keep_going=True, jobs=2)
         outcome = result.outcome("fig2a")
         assert outcome.status == "crashed"
         assert outcome.exit_code == 3
@@ -226,7 +230,7 @@ class TestWorkerLossRecovery:
     def test_quarantine_respects_early_stop_semantics(self):
         units = figure_units(["fig1", "fig2a", "fig2c"])
         faults.inject("batch-unit", action="kill", unit="fig2a")
-        result = run_batch(units, keep_going=False, jobs=2, policy=FAST)
+        result = run_batch(units, keep_going=False, jobs=2)
         assert result.outcome("fig2a").status == "crashed"
         # Everything after the quarantined unit reads skipped, exactly
         # as if a serial run had crashed there.
@@ -244,10 +248,38 @@ class TestWorkerLossRecovery:
         ]
         faults.inject("batch-unit", action="kill", unit="killer", times=1)
         result = run_batch(
-            units, keep_going=True, jobs=2, chunk_size=2, policy=FAST
+            units, keep_going=True, jobs=2, chunk_size=2
         )
         assert all(o.ok for o in result.outcomes)
         assert result.supervision.get("journal_recovered", 0) >= 1
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patch reaches pool workers only through fork",
+    )
+    def test_chunk_function_failure_fails_its_chunk(self, monkeypatch):
+        # The chunk function itself raises, outside per-unit isolation:
+        # every unit of that chunk gets a structured internal-error
+        # outcome, and the other chunk and the sweep still finish.
+        analyze = supervise._analyze_unit
+
+        def broken_on_c(unit, config):
+            if unit.name == "c":
+                raise RuntimeError("chunk plumbing broke")
+            return analyze(unit, config)
+
+        monkeypatch.setattr(supervise, "_analyze_unit", broken_on_c)
+        units = [clone_unit(name) for name in "abcd"]
+        result = run_batch(units, keep_going=True, jobs=2, chunk_size=2)
+        assert [o.status for o in result.outcomes] == [
+            "clean", "clean", "internal-error", "internal-error"
+        ]
+        for name in "cd":
+            outcome = result.outcome(name)
+            assert outcome.exit_code == 3
+            assert outcome.error_type == "RuntimeError"
+            assert outcome.error.startswith("worker process failed:")
+        assert result.exit_code() == 3
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +299,7 @@ class TestWatchdog:
             units,
             keep_going=True,
             jobs=2,
-            policy=SupervisePolicy(hard_timeout=1.0),
+            hard_timeout=1.0,
         )
         assert chaos_normalized(serial) == chaos_normalized(parallel)
         assert parallel.supervision["watchdog_kills"] >= 1
@@ -282,7 +314,7 @@ class TestWatchdog:
             units,
             keep_going=True,
             jobs=2,
-            policy=fast_policy(hard_timeout=0.8),
+            hard_timeout=0.8,
         )
         outcome = result.outcome("fig2c")
         assert outcome.status == "timeout"
@@ -295,7 +327,7 @@ class TestWatchdog:
 
     def test_no_deadline_means_no_watchdog_kills(self):
         units = figure_units(["fig1", "fig2a"])
-        result = run_batch(units, keep_going=True, jobs=2, policy=FAST)
+        result = run_batch(units, keep_going=True, jobs=2)
         assert result.supervision is None
         assert all(o.ok for o in result.outcomes)
 
@@ -526,7 +558,7 @@ if HAVE_HYPOTHESIS:
                     units,
                     keep_going=True,
                     jobs=jobs,
-                    policy=fast_policy(hard_timeout=1.0),
+                    hard_timeout=1.0,
                 )
             finally:
                 faults.clear()

@@ -13,7 +13,7 @@ from repro.callgraph import ImplicitCallRegistry, default_registry
 from repro.callgraph.implicit import ImplicitCallSpec
 from repro.interfaces import APR_HEADER
 from repro.pointer import AnalysisOptions
-import repro.tool.batch as batch
+import repro.tool.supervise as supervise
 from repro.tool.batch import BatchUnit, SweepConfig, run_batch
 from repro.tool.cache import AnalysisCache
 from repro.util.budget import ResourceBudget
@@ -201,6 +201,6 @@ def test_a_fully_cached_parallel_sweep_opens_no_journal(
     def no_journal(*args, **kwargs):
         raise AssertionError("a fully cached sweep opened a journal")
 
-    monkeypatch.setattr(batch, "RunJournal", no_journal)
+    monkeypatch.setattr(supervise, "RunJournal", no_journal)
     warm = run_batch(units, keep_going=True, jobs=2, cache=cache)
     assert all(o.cached for o in warm.outcomes)
