@@ -44,52 +44,6 @@ __all__ = ["lower", "GLOBAL_INIT"]
 GLOBAL_INIT = "_global_init"
 
 
-def _collect_address_taken(node, taken: set) -> None:
-    """Names (ir_names) of variables whose storage is observable through
-    a pointer: ``&x``, struct variables accessed by value (``v.f``), and
-    arrays.  Those must live in memory, so every access goes through
-    their memory object -- otherwise stores through the pointer and
-    direct reads of the variable would never meet in the flow-insensitive
-    analysis.  Applies to locals, params, AND globals (a global pool
-    passed as ``&global_pool`` is the canonical APR idiom)."""
-    demotable = ("local", "param", "global")
-    if isinstance(node, nodes.Unary) and node.op == "&":
-        base = node.operand
-        while isinstance(base, (nodes.Member, nodes.Index, nodes.Cast)):
-            if isinstance(base, nodes.Member) and base.arrow:
-                base = None
-                break
-            base = base.operand if isinstance(base, nodes.Cast) else base.base
-        if isinstance(base, nodes.Ident):
-            symbol = getattr(base, "symbol", None)
-            if symbol is not None and symbol.kind in demotable:
-                taken.add(symbol.ir_name)
-    elif isinstance(node, nodes.Member) and not node.arrow:
-        base = node.base
-        while isinstance(base, nodes.Member) and not base.arrow:
-            base = base.base
-        if isinstance(base, nodes.Ident):
-            symbol = getattr(base, "symbol", None)
-            if symbol is not None and symbol.kind in demotable:
-                taken.add(symbol.ir_name)
-    elif isinstance(node, nodes.Ident):
-        symbol = getattr(node, "symbol", None)
-        if (
-            symbol is not None
-            and symbol.kind in demotable
-            and isinstance(symbol.ctype, ArrayType)
-        ):
-            taken.add(symbol.ir_name)
-    for child_name in getattr(node, "__dataclass_fields__", {}):
-        child = getattr(node, child_name)
-        if isinstance(child, nodes.Node):
-            _collect_address_taken(child, taken)
-        elif isinstance(child, list):
-            for item in child:
-                if isinstance(item, nodes.Node):
-                    _collect_address_taken(item, taken)
-
-
 class _FunctionLowerer:
     def __init__(
         self,
@@ -473,22 +427,12 @@ class _ModuleLowerer:
         return StrConst(self._string_counter, value)
 
     def run(self) -> IRModule:
-        # Module-wide pass: globals whose address escapes anywhere must be
-        # demoted in *every* function.
-        global_taken: set = set()
-        for info in self.sema.functions.values():
-            assert info.decl.body is not None
-            taken: set = set()
-            _collect_address_taken(info.decl.body, taken)
-            global_taken |= {
-                name
-                for name in taken
-                if name in self.sema.globals
-                and self.sema.globals[name].kind == "global"
-            }
+        # Globals whose address escapes anywhere are demoted in *every*
+        # function (sema's address-taken sets).
+        global_taken = self.sema.global_address_taken
         # Globals and their initializers (synthetic _global_init).
         init_lowerer = _FunctionLowerer(
-            self, GLOBAL_INIT, address_taken=set(global_taken)
+            self, GLOBAL_INIT, address_taken=global_taken
         )
         for decl in self.sema.unit.decls:
             if isinstance(decl, nodes.VarDecl):
@@ -512,9 +456,9 @@ class _ModuleLowerer:
         # Function bodies.
         for name, info in self.sema.functions.items():
             assert info.decl.body is not None
-            taken = set(global_taken)
-            _collect_address_taken(info.decl.body, taken)
-            lowerer = _FunctionLowerer(self, name, address_taken=taken)
+            lowerer = _FunctionLowerer(
+                self, name, address_taken=global_taken | info.address_taken
+            )
             lowerer.emit_param_spills(info.params)
             lowerer.lower_block(info.decl.body)
             self.module.add_function(

@@ -15,6 +15,15 @@ Supports what the RegionWiz corpora need from real-world region code:
 Typedef names are tracked during the parse (the classic lexer-feedback
 problem), so ``(apr_pool_t *)p`` parses as a cast while ``(x) * p``
 parses as multiplication.
+
+The parser reads the lexer's flat token lists directly
+(:class:`~repro.lang.lexer.TokenStream`): ``_kinds[_pos]`` and
+``_values[_pos]`` are the current token.  The lists end in EOF
+sentinels, so a one-token lookahead needs no bounds check, and
+:meth:`Parser._loc` builds a :class:`SourceLocation` only for the tokens
+an AST node or an error points at.  A value match is confirmed by kind
+(:data:`_SYMBOLS`), so a string literal ``"("`` is never taken for
+punctuation.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.lang import nodes
 from repro.lang.errors import ParseError, SourceLocation
-from repro.lang.lexer import Token, TokenKind, tokenize
+from repro.lang.lexer import TokenKind, tokenize
 from repro.lang.types import (
     ArrayType,
     CHAR,
@@ -47,6 +56,22 @@ _BASE_TYPE_KEYWORDS = frozenset(
     "void char short int long unsigned signed float double".split()
 )
 _QUALIFIERS = frozenset("const volatile static extern inline".split())
+_TYPE_START_KEYWORDS = (
+    _BASE_TYPE_KEYWORDS | _QUALIFIERS | {"struct", "union", "enum", "typedef"}
+)
+
+_IDENT = TokenKind.IDENT
+_KEYWORD = TokenKind.KEYWORD
+_INT = TokenKind.INT
+_STRING = TokenKind.STRING
+_PUNCT = TokenKind.PUNCT
+_EOF = TokenKind.EOF
+
+#: The kinds whose value is matched literally by _at/_accept/_expect.
+_SYMBOLS = frozenset((_PUNCT, _KEYWORD))
+
+_UNARY_OPS = frozenset(("*", "&", "!", "-", "+", "~"))
+_POSTFIX_OPS = frozenset(("(", "->", ".", "[", "++", "--"))
 
 # Operator precedence for the expression climber (binary operators only).
 _PRECEDENCE: Dict[str, int] = {
@@ -69,7 +94,6 @@ _ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<
 @dataclass
 class _DName:
     name: Optional[str]
-    loc: SourceLocation
 
 
 @dataclass
@@ -96,6 +120,8 @@ _DTree = Union[_DName, _DPtr, _DFunc, _DArr]
 class Parser:
     def __init__(self, text: str, filename: str = "<input>") -> None:
         self._tokens = tokenize(text, filename)
+        self._kinds = self._tokens.kinds
+        self._values = self._tokens.values
         self._pos = 0
         self._typedefs: Dict[str, CType] = {}
         self._structs: Dict[str, StructType] = {}
@@ -106,52 +132,56 @@ class Parser:
     # Token helpers
     # ------------------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _loc(self) -> SourceLocation:
+        return self._tokens.loc(self._pos)
 
-    def _next(self) -> Token:
-        token = self._peek()
-        if token.kind != TokenKind.EOF:
-            self._pos += 1
-        return token
+    def _next(self) -> str:
+        """Consume the current token (EOF stays put); return its value."""
+        pos = self._pos
+        if self._kinds[pos] != _EOF:
+            self._pos = pos + 1
+        return self._values[pos]
 
     def _at(self, value: str) -> bool:
-        token = self._peek()
-        return token.kind in (TokenKind.PUNCT, TokenKind.KEYWORD) and token.value == value
+        pos = self._pos
+        return self._values[pos] == value and self._kinds[pos] in _SYMBOLS
 
     def _accept(self, value: str) -> bool:
-        if self._at(value):
-            self._next()
+        pos = self._pos
+        if self._values[pos] == value and self._kinds[pos] in _SYMBOLS:
+            self._pos = pos + 1
             return True
         return False
 
-    def _expect(self, value: str) -> Token:
-        token = self._peek()
-        if not self._at(value):
-            raise ParseError(f"expected {value!r}, found {token.value!r}", token.loc)
-        return self._next()
+    def _expect(self, value: str) -> None:
+        pos = self._pos
+        if self._values[pos] == value and self._kinds[pos] in _SYMBOLS:
+            self._pos = pos + 1
+            return
+        raise ParseError(
+            f"expected {value!r}, found {self._values[pos]!r}", self._loc()
+        )
 
-    def _expect_ident(self) -> Token:
-        token = self._peek()
-        if token.kind != TokenKind.IDENT:
-            raise ParseError(f"expected identifier, found {token.value!r}", token.loc)
-        return self._next()
+    def _expect_ident(self) -> str:
+        pos = self._pos
+        if self._kinds[pos] != _IDENT:
+            raise ParseError(
+                f"expected identifier, found {self._values[pos]!r}", self._loc()
+            )
+        self._pos = pos + 1
+        return self._values[pos]
 
     # ------------------------------------------------------------------
     # Type detection
     # ------------------------------------------------------------------
 
     def _starts_type(self, offset: int = 0) -> bool:
-        token = self._peek(offset)
-        if token.kind == TokenKind.KEYWORD:
-            return (
-                token.value in _BASE_TYPE_KEYWORDS
-                or token.value in ("struct", "union", "enum", "typedef")
-                or token.value in _QUALIFIERS
-            )
-        if token.kind == TokenKind.IDENT:
-            return token.value in self._typedefs
+        pos = self._pos + offset
+        kind = self._kinds[pos]
+        if kind == _KEYWORD:
+            return self._values[pos] in _TYPE_START_KEYWORDS
+        if kind == _IDENT:
+            return self._values[pos] in self._typedefs
         return False
 
     # ------------------------------------------------------------------
@@ -159,9 +189,10 @@ class Parser:
     # ------------------------------------------------------------------
 
     def parse_translation_unit(self) -> nodes.TranslationUnit:
-        loc = self._peek().loc
+        loc = self._loc()
         decls: List[nodes.Decl] = []
-        while self._peek().kind != TokenKind.EOF:
+        kinds = self._kinds
+        while kinds[self._pos] != _EOF:
             decls.extend(self._parse_top_decl())
         unit = nodes.TranslationUnit(loc, decls)
         unit.enum_constants = dict(self._enum_constants)  # type: ignore[attr-defined]
@@ -169,7 +200,7 @@ class Parser:
         return unit
 
     def _parse_top_decl(self) -> List[nodes.Decl]:
-        loc = self._peek().loc
+        loc = self._loc()
         if self._accept("typedef"):
             return [self._parse_typedef(loc)]
         if self._accept(";"):
@@ -242,48 +273,55 @@ class Parser:
         words: List[str] = []
         ctype: Optional[CType] = None
         tag_decl: Optional[nodes.Decl] = None
+        kinds, values = self._kinds, self._values
         while True:
-            token = self._peek()
-            if token.kind == TokenKind.KEYWORD and token.value in _QUALIFIERS:
-                self._next()
-                continue
-            if token.kind == TokenKind.KEYWORD and token.value in _BASE_TYPE_KEYWORDS:
-                words.append(token.value)
-                self._next()
-                continue
-            if token.kind == TokenKind.KEYWORD and token.value in ("struct", "union"):
-                if words or ctype is not None:
-                    raise ParseError("conflicting type specifiers", token.loc)
-                ctype, tag_decl = self._parse_struct_specifier()
-                continue
-            if token.kind == TokenKind.KEYWORD and token.value == "enum":
-                if words or ctype is not None:
-                    raise ParseError("conflicting type specifiers", token.loc)
-                self._parse_enum_specifier()
-                ctype = INT
-                continue
-            if (
-                token.kind == TokenKind.IDENT
-                and token.value in self._typedefs
+            pos = self._pos
+            kind, value = kinds[pos], values[pos]
+            if kind == _KEYWORD:
+                if value in _QUALIFIERS:
+                    self._pos = pos + 1
+                    continue
+                if value in _BASE_TYPE_KEYWORDS:
+                    words.append(value)
+                    self._pos = pos + 1
+                    continue
+                if value in ("struct", "union"):
+                    if words or ctype is not None:
+                        raise ParseError("conflicting type specifiers", self._loc())
+                    ctype, tag_decl = self._parse_struct_specifier()
+                    continue
+                if value == "enum":
+                    if words or ctype is not None:
+                        raise ParseError("conflicting type specifiers", self._loc())
+                    self._parse_enum_specifier()
+                    ctype = INT
+                    continue
+            elif (
+                kind == _IDENT
+                and value in self._typedefs
                 and not words
                 and ctype is None
             ):
                 # A typedef name is only a specifier if we still need one.
-                ctype = self._typedefs[token.value]
-                self._next()
+                ctype = self._typedefs[value]
+                self._pos = pos + 1
                 continue
             break
         if ctype is None:
             if not words:
-                raise ParseError("expected a type", self._peek().loc)
-            ctype = _combine_base_words(words, self._peek().loc)
+                raise ParseError("expected a type", self._loc())
+            ctype = _combine_base_words(words)
+            if ctype is None:
+                raise ParseError(
+                    f"unsupported type specifier {' '.join(words)!r}", self._loc()
+                )
         return ctype, tag_decl
 
     def _parse_struct_specifier(self) -> Tuple[CType, Optional[nodes.Decl]]:
-        loc = self._peek().loc
+        loc = self._loc()
         self._next()  # struct / union (unions are laid out like structs here)
-        if self._peek().kind == TokenKind.IDENT:
-            name = self._next().value
+        if self._kinds[self._pos] == _IDENT:
+            name = self._next()
         else:
             self._anon_counter += 1
             name = f"<anon{self._anon_counter}>"
@@ -315,23 +353,22 @@ class Parser:
 
     def _parse_enum_specifier(self) -> None:
         self._next()  # enum
-        if self._peek().kind == TokenKind.IDENT:
+        if self._kinds[self._pos] == _IDENT:
             self._next()  # tag (ignored; enums are just ints here)
         if not self._at("{"):
             return
         self._next()
         value = 0
         while not self._accept("}"):
-            name_token = self._expect_ident()
+            name = self._expect_ident()
             if self._accept("="):
-                value_token = self._next()
-                if value_token.kind != TokenKind.INT:
+                if self._kinds[self._pos] != _INT:
                     raise ParseError(
                         "enumerator initializers must be integer literals",
-                        value_token.loc,
+                        self._loc(),
                     )
-                value = int(value_token.value)
-            self._enum_constants[name_token.value] = value
+                value = int(self._next())
+            self._enum_constants[name] = value
             value += 1
             if not self._accept(","):
                 self._expect("}")
@@ -343,34 +380,34 @@ class Parser:
 
     def _parse_declarator(self) -> _DTree:
         if self._accept("*"):
-            while self._peek().kind == TokenKind.KEYWORD and self._peek().value in _QUALIFIERS:
-                self._next()
+            kinds, values = self._kinds, self._values
+            while kinds[self._pos] == _KEYWORD and values[self._pos] in _QUALIFIERS:
+                self._pos += 1
             return _DPtr(self._parse_declarator())
         return self._parse_direct_declarator()
 
     def _parse_direct_declarator(self) -> _DTree:
-        token = self._peek()
+        pos = self._pos
+        value = self._values[pos]
         node: _DTree
-        if token.kind == TokenKind.IDENT and token.value not in self._typedefs:
-            self._next()
-            node = _DName(token.value, token.loc)
+        if self._kinds[pos] == _IDENT and value not in self._typedefs:
+            self._pos = pos + 1
+            node = _DName(value)
         elif self._at("(") and self._is_parenthesized_declarator():
-            self._next()
+            self._pos = pos + 1
             node = self._parse_declarator()
             self._expect(")")
         else:
-            node = _DName(None, token.loc)  # abstract declarator
+            node = _DName(None)  # abstract declarator
         while True:
-            if self._at("("):
-                self._next()
+            if self._accept("("):
                 params, varargs = self._parse_params()
                 self._expect(")")
                 node = _DFunc(node, params, varargs)
-            elif self._at("["):
-                self._next()
+            elif self._accept("["):
                 length = 0
-                if self._peek().kind == TokenKind.INT:
-                    length = int(self._next().value)
+                if self._kinds[self._pos] == _INT:
+                    length = int(self._next())
                 self._expect("]")
                 node = _DArr(node, length)
             else:
@@ -378,10 +415,11 @@ class Parser:
 
     def _is_parenthesized_declarator(self) -> bool:
         """After '(' in declarator position: inner declarator vs params."""
-        token = self._peek(1)
-        if token.kind == TokenKind.PUNCT and token.value in ("*", "("):
+        pos = self._pos + 1
+        kind, value = self._kinds[pos], self._values[pos]
+        if kind == _PUNCT and value in ("*", "("):
             return True
-        if token.kind == TokenKind.IDENT and token.value not in self._typedefs:
+        if kind == _IDENT and value not in self._typedefs:
             return True
         return False
 
@@ -390,15 +428,14 @@ class Parser:
         varargs = False
         if self._at(")"):
             return params, varargs
-        if self._at("void") and self._peek(1).value == ")":
+        if self._at("void") and self._values[self._pos + 1] == ")":
             self._next()
             return params, varargs
         while True:
-            if self._at("..."):
-                self._next()
+            if self._accept("..."):
                 varargs = True
                 break
-            loc = self._peek().loc
+            loc = self._loc()
             base, _ = self._parse_decl_specifiers()
             tree = self._parse_declarator()
             name, ctype = self._apply_declarator(tree, base)
@@ -435,7 +472,7 @@ class Parser:
         tree = self._parse_declarator()
         name, ctype = self._apply_declarator(tree, base)
         if name is not None:
-            raise ParseError(f"unexpected name {name!r} in type", self._peek().loc)
+            raise ParseError(f"unexpected name {name!r} in type", self._loc())
         return ctype
 
     # ------------------------------------------------------------------
@@ -443,45 +480,56 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _parse_block(self) -> nodes.Block:
-        loc = self._expect("{").loc
+        loc = self._loc()
+        self._expect("{")
         stmts: List[nodes.Stmt] = []
         while not self._accept("}"):
             stmts.extend(self._parse_statement())
         return nodes.Block(loc, stmts)
 
     def _parse_statement(self) -> List[nodes.Stmt]:
-        token = self._peek()
-        loc = token.loc
-        if self._at("{"):
-            return [self._parse_block()]
-        if self._accept(";"):
-            return []
-        if self._at("if"):
-            return [self._parse_if()]
-        if self._at("while"):
-            return [self._parse_while()]
-        if self._at("do"):
-            return [self._parse_do_while()]
-        if self._at("for"):
-            return [self._parse_for()]
-        if self._accept("return"):
-            value = None if self._at(";") else self._parse_expr()
-            self._expect(";")
-            return [nodes.Return(loc, value)]
-        if self._accept("break"):
-            self._expect(";")
-            return [nodes.Break(loc)]
-        if self._accept("continue"):
-            self._expect(";")
-            return [nodes.Continue(loc)]
+        pos = self._pos
+        kind, value = self._kinds[pos], self._values[pos]
+        if kind == _PUNCT:
+            if value == "{":
+                return [self._parse_block()]
+            if value == ";":
+                self._pos = pos + 1
+                return []
+        elif kind == _KEYWORD:
+            if value == "if":
+                return [self._parse_if()]
+            if value == "return":
+                loc = self._loc()
+                self._pos = pos + 1
+                result = None if self._at(";") else self._parse_expr()
+                self._expect(";")
+                return [nodes.Return(loc, result)]
+            if value == "while":
+                return [self._parse_while()]
+            if value == "do":
+                return [self._parse_do_while()]
+            if value == "for":
+                return [self._parse_for()]
+            if value == "break":
+                loc = self._loc()
+                self._pos = pos + 1
+                self._expect(";")
+                return [nodes.Break(loc)]
+            if value == "continue":
+                loc = self._loc()
+                self._pos = pos + 1
+                self._expect(";")
+                return [nodes.Continue(loc)]
         if self._starts_type():
             return self._parse_local_declaration()
+        loc = self._loc()
         expr = self._parse_expr()
         self._expect(";")
         return [nodes.ExprStmt(loc, expr)]
 
     def _parse_local_declaration(self) -> List[nodes.Stmt]:
-        loc = self._peek().loc
+        loc = self._loc()
         base, _ = self._parse_decl_specifiers()
         stmts: List[nodes.Stmt] = []
         if self._accept(";"):
@@ -508,7 +556,8 @@ class Parser:
             return stmts
 
     def _parse_if(self) -> nodes.If:
-        loc = self._expect("if").loc
+        loc = self._loc()
+        self._expect("if")
         self._expect("(")
         cond = self._parse_expr()
         self._expect(")")
@@ -519,7 +568,8 @@ class Parser:
         return nodes.If(loc, cond, then, other)
 
     def _parse_while(self) -> nodes.While:
-        loc = self._expect("while").loc
+        loc = self._loc()
+        self._expect("while")
         self._expect("(")
         cond = self._parse_expr()
         self._expect(")")
@@ -527,7 +577,8 @@ class Parser:
         return nodes.While(loc, cond, body)
 
     def _parse_do_while(self) -> nodes.DoWhile:
-        loc = self._expect("do").loc
+        loc = self._loc()
+        self._expect("do")
         body = _as_single(self._parse_statement(), loc)
         self._expect("while")
         self._expect("(")
@@ -537,7 +588,8 @@ class Parser:
         return nodes.DoWhile(loc, body, cond)
 
     def _parse_for(self) -> nodes.For:
-        loc = self._expect("for").loc
+        loc = self._loc()
+        self._expect("for")
         self._expect("(")
         init: Optional[Union[nodes.Expr, nodes.VarDecl]] = None
         if not self._at(";"):
@@ -566,7 +618,8 @@ class Parser:
     def _parse_expr(self) -> nodes.Expr:
         expr = self._parse_expr_no_comma()
         while self._at(","):
-            loc = self._next().loc
+            loc = self._loc()
+            self._pos += 1
             right = self._parse_expr_no_comma()
             # The comma operator evaluates both; model as a binary op.
             expr = nodes.Binary(loc, ",", expr, right)
@@ -577,24 +630,24 @@ class Parser:
 
     def _parse_assignment(self) -> nodes.Expr:
         left = self._parse_conditional()
-        token = self._peek()
-        if token.kind == TokenKind.PUNCT and token.value in _ASSIGN_OPS:
-            self._next()
+        pos = self._pos
+        value = self._values[pos]
+        if value in _ASSIGN_OPS and self._kinds[pos] == _PUNCT:
+            loc = self._loc()
+            self._pos = pos + 1
             right = self._parse_assignment()
-            if token.value == "=":
-                return nodes.Assign(token.loc, left, right)
+            if value == "=":
+                return nodes.Assign(loc, left, right)
             # Compound assignment desugars to load-op-store.
-            op = token.value[:-1]
-            return nodes.Assign(
-                token.loc, left, nodes.Binary(token.loc, op, left, right)
-            )
+            return nodes.Assign(loc, left, nodes.Binary(loc, value[:-1], left, right))
         return left
 
     def _parse_conditional(self) -> nodes.Expr:
         cond = self._parse_binary(1)
         if not self._at("?"):
             return cond
-        loc = self._next().loc
+        loc = self._loc()
+        self._pos += 1
         then = self._parse_expr()
         self._expect(":")
         other = self._parse_conditional()
@@ -602,110 +655,122 @@ class Parser:
 
     def _parse_binary(self, min_precedence: int) -> nodes.Expr:
         left = self._parse_unary()
+        kinds, values = self._kinds, self._values
         while True:
-            token = self._peek()
-            if token.kind != TokenKind.PUNCT:
+            pos = self._pos
+            op = values[pos]
+            precedence = _PRECEDENCE.get(op)
+            if (
+                precedence is None
+                or precedence < min_precedence
+                or kinds[pos] != _PUNCT
+            ):
                 return left
-            precedence = _PRECEDENCE.get(token.value)
-            if precedence is None or precedence < min_precedence:
-                return left
-            self._next()
+            loc = self._loc()
+            self._pos = pos + 1
             right = self._parse_binary(precedence + 1)
-            left = nodes.Binary(token.loc, token.value, left, right)
+            left = nodes.Binary(loc, op, left, right)
 
     def _parse_unary(self) -> nodes.Expr:
-        token = self._peek()
-        loc = token.loc
-        if token.kind == TokenKind.PUNCT and token.value in ("*", "&", "!", "-", "+", "~"):
-            self._next()
-            return nodes.Unary(loc, token.value, self._parse_unary())
-        if token.kind == TokenKind.PUNCT and token.value in ("++", "--"):
-            self._next()
-            target = self._parse_unary()
-            # ++x desugars to x = x + 1 (value semantics suffice here).
-            op = "+" if token.value == "++" else "-"
-            return nodes.Assign(
-                loc, target, nodes.Binary(loc, op, target, nodes.IntLit(loc, 1))
-            )
-        if self._at("sizeof"):
-            self._next()
+        pos = self._pos
+        kind, value = self._kinds[pos], self._values[pos]
+        if kind == _PUNCT:
+            if value in _UNARY_OPS:
+                loc = self._loc()
+                self._pos = pos + 1
+                return nodes.Unary(loc, value, self._parse_unary())
+            if value == "++" or value == "--":
+                loc = self._loc()
+                self._pos = pos + 1
+                target = self._parse_unary()
+                # ++x desugars to x = x + 1 (value semantics suffice here).
+                op = "+" if value == "++" else "-"
+                return nodes.Assign(
+                    loc, target, nodes.Binary(loc, op, target, nodes.IntLit(loc, 1))
+                )
+            if value == "(" and self._starts_type(1):
+                loc = self._loc()
+                self._pos = pos + 1
+                ctype = self._parse_type_name()
+                self._expect(")")
+                return nodes.Cast(loc, ctype, self._parse_unary())
+        elif kind == _KEYWORD and value == "sizeof":
+            loc = self._loc()
+            self._pos = pos + 1
             if self._at("(") and self._starts_type(1):
-                self._next()
+                self._pos += 1
                 ctype = self._parse_type_name()
                 self._expect(")")
                 return nodes.SizeOf(loc, ctype)
             return nodes.SizeOf(loc, self._parse_unary())
-        if self._at("(") and self._starts_type(1):
-            self._next()
-            ctype = self._parse_type_name()
-            self._expect(")")
-            return nodes.Cast(loc, ctype, self._parse_unary())
         return self._parse_postfix()
 
     def _parse_postfix(self) -> nodes.Expr:
         expr = self._parse_primary()
+        kinds, values = self._kinds, self._values
         while True:
-            token = self._peek()
-            if self._at("("):
-                self._next()
+            pos = self._pos
+            op = values[pos]
+            if op not in _POSTFIX_OPS or kinds[pos] != _PUNCT:
+                return expr
+            loc = self._loc()
+            self._pos = pos + 1
+            if op == "(":
                 args: List[nodes.Expr] = []
                 if not self._at(")"):
                     args.append(self._parse_expr_no_comma())
                     while self._accept(","):
                         args.append(self._parse_expr_no_comma())
                 self._expect(")")
-                expr = nodes.Call(token.loc, expr, args)
-            elif self._at("->"):
-                self._next()
-                name = self._expect_ident().value
-                expr = nodes.Member(token.loc, expr, name, arrow=True)
-            elif self._at("."):
-                self._next()
-                name = self._expect_ident().value
-                expr = nodes.Member(token.loc, expr, name, arrow=False)
-            elif self._at("["):
-                self._next()
+                expr = nodes.Call(loc, expr, args)
+            elif op == "->":
+                expr = nodes.Member(loc, expr, self._expect_ident(), arrow=True)
+            elif op == ".":
+                expr = nodes.Member(loc, expr, self._expect_ident(), arrow=False)
+            elif op == "[":
                 index = self._parse_expr()
                 self._expect("]")
-                expr = nodes.Index(token.loc, expr, index)
-            elif self._at("++") or self._at("--"):
-                op_token = self._next()
-                op = "+" if op_token.value == "++" else "-"
+                expr = nodes.Index(loc, expr, index)
+            else:
                 # x++ as a statement-level desugar (value not preserved,
                 # which the analysis never needs).
                 expr = nodes.Assign(
-                    op_token.loc,
+                    loc,
                     expr,
-                    nodes.Binary(op_token.loc, op, expr, nodes.IntLit(op_token.loc, 1)),
+                    nodes.Binary(
+                        loc, "+" if op == "++" else "-", expr, nodes.IntLit(loc, 1)
+                    ),
                 )
-            else:
-                return expr
 
     def _parse_primary(self) -> nodes.Expr:
-        token = self._peek()
-        loc = token.loc
-        if token.kind == TokenKind.INT:
-            self._next()
-            return nodes.IntLit(loc, int(token.value))
-        if token.kind == TokenKind.STRING:
-            self._next()
-            value = token.value
-            # Adjacent string literals concatenate.
-            while self._peek().kind == TokenKind.STRING:
-                value += self._next().value
-            return nodes.StrLit(loc, value)
-        if token.kind == TokenKind.IDENT:
-            self._next()
-            if token.value == "NULL":
+        pos = self._pos
+        kind, value = self._kinds[pos], self._values[pos]
+        if kind == _IDENT:
+            loc = self._loc()
+            self._pos = pos + 1
+            if value == "NULL":
                 return nodes.NullLit(loc)
-            if token.value in self._enum_constants:
-                return nodes.IntLit(loc, self._enum_constants[token.value])
-            return nodes.Ident(loc, token.value)
+            if value in self._enum_constants:
+                return nodes.IntLit(loc, self._enum_constants[value])
+            return nodes.Ident(loc, value)
+        if kind == _INT:
+            loc = self._loc()
+            self._pos = pos + 1
+            return nodes.IntLit(loc, int(value))
+        if kind == _STRING:
+            loc = self._loc()
+            self._pos = pos + 1
+            # Adjacent string literals concatenate.
+            kinds, values = self._kinds, self._values
+            while kinds[self._pos] == _STRING:
+                value += values[self._pos]
+                self._pos += 1
+            return nodes.StrLit(loc, value)
         if self._accept("("):
             expr = self._parse_expr()
             self._expect(")")
             return expr
-        raise ParseError(f"unexpected token {token.value!r}", loc)
+        raise ParseError(f"unexpected token {value!r}", self._loc())
 
 
 def _as_single(stmts: List[nodes.Stmt], loc: SourceLocation) -> nodes.Stmt:
@@ -714,7 +779,8 @@ def _as_single(stmts: List[nodes.Stmt], loc: SourceLocation) -> nodes.Stmt:
     return nodes.Block(loc, stmts)
 
 
-def _combine_base_words(words: List[str], loc: SourceLocation) -> CType:
+def _combine_base_words(words: List[str]) -> Optional[CType]:
+    """The type a run of base-type keywords names (None if unsupported)."""
     key = frozenset(words)
     signed = "unsigned" not in key
     if "void" in key:
@@ -731,7 +797,7 @@ def _combine_base_words(words: List[str], loc: SourceLocation) -> CType:
         return INT if signed else UNSIGNED
     if key == {"unsigned"}:
         return UNSIGNED
-    raise ParseError(f"unsupported type specifier {' '.join(words)!r}", loc)
+    return None
 
 
 def parse(text: str, filename: str = "<input>") -> nodes.TranslationUnit:

@@ -7,12 +7,16 @@ weakly-typed C, and RegionWiz explicitly "handles unsafe typecasts
 including casts between integers and pointers" (Section 5.5) -- but it is
 strict about the things the analysis depends on: unresolved names, unknown
 struct fields, and calls through non-function values are errors.
+
+Sema also records which variables are *address-taken* as it resolves
+them (see :meth:`_Analyzer._take_address`), so lowering needs no walk of
+its own to decide which variables live in memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.lang import nodes
 from repro.lang.errors import SemaError
@@ -50,19 +54,29 @@ class Symbol:
 
 @dataclass
 class FunctionInfo:
-    """Per-function sema output: the decl plus its resolved symbols."""
+    """Per-function sema output: the decl plus its resolved symbols.
+
+    ``address_taken`` holds the ``ir_name`` of every local and parameter
+    of this function whose address is taken (globals are recorded in
+    :attr:`SemaResult.global_address_taken`).
+    """
 
     decl: nodes.FuncDecl
     params: List[Symbol]
     locals: List[Symbol] = field(default_factory=list)
+    address_taken: Set[str] = field(default_factory=set)
 
 
 @dataclass
 class SemaResult:
+    """``global_address_taken`` names the globals whose address is taken
+    anywhere: in a function body or in a global initializer."""
+
     unit: nodes.TranslationUnit
     globals: Dict[str, Symbol]
     functions: Dict[str, FunctionInfo]
     prototypes: Dict[str, nodes.FuncDecl]
+    global_address_taken: Set[str] = field(default_factory=set)
 
     def function_type(self, name: str) -> Optional[FunctionType]:
         info = self.functions.get(name)
@@ -100,6 +114,10 @@ class _Analyzer:
         self.globals: Dict[str, Symbol] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.prototypes: Dict[str, nodes.FuncDecl] = {}
+        self.global_address_taken: Set[str] = set()
+        # Where _take_address records locals and params: the set of the
+        # function being analyzed.
+        self._address_taken: Set[str] = set()
         self._uid = 0
 
     def _fresh_uid(self) -> int:
@@ -128,22 +146,26 @@ class _Analyzer:
                 self.globals[decl.name] = Symbol(
                     decl.name, decl.type, "global", 0
                 )
-        # Pass 2: analyze bodies and global initializers.
+        # Pass 2: analyze bodies and global initializers.  Nothing is
+        # defined at file scope from here on, so they share one scope.
+        file_scope = _Scope()
+        file_scope.names.update(self.globals)
         for decl in self.unit.decls:
             if isinstance(decl, nodes.FuncDecl) and decl.is_definition:
-                self._analyze_function(self.functions[decl.name])
+                self._analyze_function(self.functions[decl.name], file_scope)
             elif isinstance(decl, nodes.VarDecl) and decl.init is not None:
-                scope = _Scope()
-                for symbol in self.globals.values():
-                    scope.define(symbol)
-                self._expr(decl.init, scope)
-        return SemaResult(self.unit, self.globals, self.functions, self.prototypes)
+                self._expr(decl.init, file_scope)
+        return SemaResult(
+            self.unit,
+            self.globals,
+            self.functions,
+            self.prototypes,
+            self.global_address_taken,
+        )
 
-    def _analyze_function(self, info: FunctionInfo) -> None:
-        scope = _Scope()
-        for symbol in self.globals.values():
-            scope.define(symbol)
-        function_scope = _Scope(scope)
+    def _analyze_function(self, info: FunctionInfo, file_scope: _Scope) -> None:
+        self._address_taken = info.address_taken
+        function_scope = _Scope(file_scope)
         for param in info.decl.params:
             if param.name is None:
                 raise SemaError(
@@ -239,6 +261,8 @@ class _Analyzer:
             if symbol is None:
                 raise SemaError(f"undeclared identifier {expr.name!r}", expr.loc)
             expr.symbol = symbol  # type: ignore[attr-defined]
+            if isinstance(symbol.ctype, ArrayType):
+                self._take_address(expr)
             return symbol.ctype
         if isinstance(expr, nodes.Unary):
             operand = self._expr(expr.operand, scope)
@@ -249,6 +273,13 @@ class _Analyzer:
                     )
                 return operand.pointee()
             if expr.op == "&":
+                base: Optional[nodes.Expr] = expr.operand
+                while isinstance(base, (nodes.Member, nodes.Index, nodes.Cast)):
+                    if isinstance(base, nodes.Member) and base.arrow:
+                        base = None
+                        break
+                    base = base.operand if isinstance(base, nodes.Cast) else base.base
+                self._take_address(base)
                 return PointerType(operand)
             if expr.op in ("!", "~"):
                 return INT
@@ -325,6 +356,12 @@ class _Analyzer:
 
     def _member(self, expr: nodes.Member, scope: _Scope) -> CType:
         base = self._expr(expr.base, scope)
+        if not expr.arrow:
+            # A struct accessed by value lives in memory.
+            node = expr.base
+            while isinstance(node, nodes.Member) and not node.arrow:
+                node = node.base
+            self._take_address(node)
         if expr.arrow:
             if not base.is_pointerlike:
                 raise SemaError(
@@ -336,6 +373,27 @@ class _Analyzer:
                 f"member access on non-struct type {base}", expr.loc
             )
         return base.field(expr.name).type
+
+    def _take_address(self, expr: Optional[nodes.Expr]) -> None:
+        """Record the variable ``expr`` names, if any, as address-taken.
+
+        A variable's storage is observable through a pointer when its
+        address is taken (``&x``, ``&x.f``, ``&a[i]``), when it is a
+        struct accessed by value (``v.f``), and when it is an array.
+        Such a variable must live in memory, so every access goes
+        through its memory object -- otherwise stores through the
+        pointer and direct reads of the variable would never meet in the
+        flow-insensitive analysis.  This applies to locals, params, AND
+        globals (a global pool passed as ``&global_pool`` is the
+        canonical APR idiom).
+        """
+        if not isinstance(expr, nodes.Ident):
+            return
+        symbol: Symbol = expr.symbol  # type: ignore[attr-defined]
+        if symbol.kind == "global":
+            self.global_address_taken.add(symbol.name)
+        elif symbol.kind != "func":
+            self._address_taken.add(symbol.ir_name)
 
     def _check_lvalue(self, expr: nodes.Expr) -> None:
         if isinstance(expr, (nodes.Ident, nodes.Member, nodes.Index)):

@@ -73,6 +73,7 @@ from repro.pointer import (
 from repro.util import faults
 from repro.util.budget import BudgetMeter, ResourceBudget
 from repro.util.errors import BudgetExceeded
+from repro.util.gcpause import gc_paused
 
 __all__ = [
     "Warning_",
@@ -90,7 +91,7 @@ __all__ = [
 #: cache key (:mod:`repro.tool.cache`): bump it whenever a change can
 #: alter a report for unchanged input, so stale cached outcomes can
 #: never be served.
-ANALYSIS_VERSION = 1
+ANALYSIS_VERSION = 2
 
 #: The graceful degradation ladder, most precise first.  Each rung keeps
 #: the previous rung's weakening (cumulative), so precision decreases
@@ -504,6 +505,11 @@ def run_regionwiz(
     location -- the report's warnings are restricted to that seed.  That
     Datalog solve's :class:`~repro.datalog.SolverStats` land in
     ``report.times.solver`` and the ``datalog.*`` metrics.
+
+    The cyclic garbage collector is paused for the whole ladder
+    (:func:`~repro.util.gcpause.gc_paused`); every caller -- the serial
+    batch loop, the pool worker, the bisection child, the single-file
+    CLI -- reaches a unit through here.
     """
     if interface is None:
         interface = apr_pools_interface()
@@ -523,42 +529,43 @@ def run_regionwiz(
     if not degrade:
         candidates = candidates[:1]
 
-    failed_rungs: List[str] = []
-    last_error: Optional[BudgetExceeded] = None
-    for rung, rung_options in candidates:
-        meter = budget.start() if budget is not None else None
-        try:
-            with trace_span("ladder.attempt", precision=rung, unit=name):
-                report = _run_pipeline(
-                    source,
-                    filename,
-                    interface,
-                    entry,
-                    rung_options,
-                    registry,
-                    name,
-                    refine,
-                    meter,
-                    query=query,
+    with gc_paused():
+        failed_rungs: List[str] = []
+        last_error: Optional[BudgetExceeded] = None
+        for rung, rung_options in candidates:
+            meter = budget.start() if budget is not None else None
+            try:
+                with trace_span("ladder.attempt", precision=rung, unit=name):
+                    report = _run_pipeline(
+                        source,
+                        filename,
+                        interface,
+                        entry,
+                        rung_options,
+                        registry,
+                        name,
+                        refine,
+                        meter,
+                        query=query,
+                    )
+            except BudgetExceeded as error:
+                emit_event(
+                    "ladder.degrade",
+                    unit=name,
+                    precision=rung,
+                    resource=error.resource,
+                    limit=error.limit,
+                    used=error.used,
+                    phase=error.phase,
                 )
-        except BudgetExceeded as error:
-            emit_event(
-                "ladder.degrade",
-                unit=name,
-                precision=rung,
-                resource=error.resource,
-                limit=error.limit,
-                used=error.used,
-                phase=error.phase,
-            )
-            failed_rungs.append(rung)
-            last_error = error
-            continue
-        report.precision = rung
-        report.degradation_path = tuple(failed_rungs)
-        report.budget = budget
-        report.budget_usage = meter.usage() if meter is not None else None
-        report.metrics = _collect_metrics(report)
-        return report
-    assert last_error is not None
-    raise last_error
+                failed_rungs.append(rung)
+                last_error = error
+                continue
+            report.precision = rung
+            report.degradation_path = tuple(failed_rungs)
+            report.budget = budget
+            report.budget_usage = meter.usage() if meter is not None else None
+            report.metrics = _collect_metrics(report)
+            return report
+        assert last_error is not None
+        raise last_error

@@ -1,8 +1,10 @@
 """Tests for the C-subset lexer."""
 
+import pickle
+
 import pytest
 
-from repro.lang.errors import LexError
+from repro.lang.errors import LexError, SourceLocation
 from repro.lang.lexer import Token, TokenKind, tokenize
 
 
@@ -210,6 +212,67 @@ class TestLocationsAndEdges:
         with pytest.raises(LexError, match="unexpected character '#'"):
             tokenize("x # y")
 
+
+class TestInvalidOctal:
+    @pytest.mark.parametrize("literal", ["08", "09", "078"])
+    def test_digit_outside_octal_is_a_lex_error(self, literal):
+        with pytest.raises(LexError, match="invalid octal literal") as err:
+            tokenize(f"int x = {literal};", filename="bad.c")
+        assert err.value.loc == SourceLocation("bad.c", 1, 9)
+
+    def test_octal_digits_still_lex(self):
+        assert values("07 00 0 0u") == ["7", "0", "0", "0"]
+
+
+class TestTokenStream:
+    def test_iteration_stops_at_the_first_eof(self):
+        tokens = tokenize("a;")
+        assert [t.kind for t in tokens] == [
+            TokenKind.IDENT, TokenKind.PUNCT, TokenKind.EOF,
+        ]
+        assert len(tokens) == 3
+        with pytest.raises(IndexError):
+            tokens[3]
+
+    def test_flat_lists_end_in_eof_sentinels(self):
+        tokens = tokenize("a;")
+        assert len(tokens.kinds) > len(tokens)
+        assert set(tokens.kinds[len(tokens) - 1:]) == {TokenKind.EOF}
+        assert tokens.loc(len(tokens.kinds) - 1) == tokens[-1].loc
+
+
+class TestValueObjects:
+    """Token and SourceLocation are slotted classes now; they keep the
+    equality, hashing, repr and pickling of the frozen dataclasses they
+    replaced."""
+
+    def test_source_location(self):
+        loc = SourceLocation("a.c", 3, 7)
+        same = SourceLocation("a.c", 3, 7)
+        assert loc == same and loc is not same
+        assert loc != SourceLocation("a.c", 3, 8)
+        assert loc != ("a.c", 3, 7)
+        assert hash(loc) == hash(same) == hash(("a.c", 3, 7, None))
+        assert repr(loc) == (
+            "SourceLocation(filename='a.c', line=3, column=7, UNKNOWN=None)"
+        )
+        assert str(loc) == "a.c:3:7"
+        assert pickle.loads(pickle.dumps(loc)) == loc
+        assert SourceLocation.UNKNOWN == SourceLocation("<unknown>", 0, 0)
+
+    def test_token(self):
+        token = tokenize("\n  foo", filename="t.c")[0]
+        assert token == Token(TokenKind.IDENT, "foo", SourceLocation("t.c", 2, 3))
+        assert token != Token(TokenKind.IDENT, "foo", SourceLocation("t.c", 2, 4))
+        assert hash(token) == hash(
+            (TokenKind.IDENT, "foo", SourceLocation("t.c", 2, 3))
+        )
+        assert repr(token) == (
+            "Token(kind='ident', value='foo', loc=SourceLocation("
+            "filename='t.c', line=2, column=3, UNKNOWN=None))"
+        )
+        assert str(token) == "ident('foo')"
+        assert pickle.loads(pickle.dumps(token)) == token
 
 def _golden_corpus():
     """The 13 figure programs, the example .rc files, and the paper-scale

@@ -313,3 +313,39 @@ class TestParseErrors:
             assert "t.c:2" in str(error)
         else:
             raise AssertionError("expected ParseError")
+
+
+class TestTokenStreamReading:
+    """The parser reads the lexer's flat token lists; these pin what a
+    change to that reading could silently alter."""
+
+    def test_string_literal_is_not_punctuation(self):
+        body = func_body('int main(void) { "{"; f("(", ")"); return 0; }')
+        first, call = body.stmts[0].expr, body.stmts[1].expr
+        assert isinstance(first, nodes.StrLit) and first.value == "{"
+        assert [arg.value for arg in call.args] == ["(", ")"]
+
+    def test_string_after_an_operand_does_not_start_a_call(self):
+        with pytest.raises(ParseError, match="expected ';', found '\\('"):
+            parse('int main(void) { x "("; }')
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("int main(void) {", "t.c:1:17: unexpected token ''"),
+            ("int main(void) { return", "t.c:1:24: unexpected token ''"),
+            ("int main(void) { if (x) ", "t.c:1:25: unexpected token ''"),
+            ("int main(void) { f(1,", "t.c:1:22: unexpected token ''"),
+            ("int main(void) { a->", "t.c:1:21: expected identifier, found ''"),
+            ("int x =", "t.c:1:8: unexpected token ''"),
+            ("int a[", "t.c:1:7: expected ']', found ''"),
+            ("int f(", "t.c:1:7: expected a type"),
+            ("struct s {", "t.c:1:11: expected a type"),
+            ("enum e { A =", "t.c:1:13: enumerator initializers must be integer literals"),
+            ("typedef int", "t.c:1:1: typedef requires a name"),
+        ],
+    )
+    def test_errors_at_end_of_input(self, source, message):
+        with pytest.raises(ParseError) as err:
+            parse(source, "t.c")
+        assert str(err.value) == message

@@ -105,3 +105,36 @@ class TestGlobalPoolIdiom:
     def test_consistent_global_program_stays_clean(self):
         result = run_pointer_analysis(GLOBAL_POOL, with_apr_header=True)
         assert check_consistency(result).is_consistent
+
+
+class TestAddressTakenInGlobalInitializer:
+    """``int **gp = &g;`` at file scope takes ``g``'s address just as
+    ``gp = &g;`` in a function does: ``g`` must be demoted either way, or
+    a store through ``*gp`` never reaches a direct read of ``g``."""
+
+    AT_FILE_SCOPE = """
+    int *g;
+    int **gp = &g;
+    int other;
+    int main(void) { int *x; *gp = &other; x = g; return 0; }
+    """
+    IN_MAIN = """
+    int *g;
+    int **gp;
+    int other;
+    int main(void) { int *x; gp = &g; *gp = &other; x = g; return 0; }
+    """
+
+    @staticmethod
+    def _x_points_to(source):
+        result = run_pointer_analysis(source)
+        return {
+            str(obj)
+            for (function, _, variable), locations in result.var_pts.items()
+            if function == "main" and variable.startswith("x.")
+            for obj, _ in locations
+        }
+
+    def test_both_spellings_give_the_same_points_to_set(self):
+        assert self._x_points_to(self.AT_FILE_SCOPE) == {"&other"}
+        assert self._x_points_to(self.IN_MAIN) == {"&other"}

@@ -68,6 +68,15 @@ class TestExitCodes:
         assert "bad.c:2" in err
         assert "good.c" not in err
 
+    def test_invalid_octal_literal_is_a_diagnostic(self, tmp_path, capsys):
+        bad = tmp_path / "bad.c"
+        bad.write_text("int x = 09;\n")
+        assert main([str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.c:1:9: invalid octal literal '09'" in err
+        assert "internal error" not in err
+        assert "Traceback" not in err
+
     def test_internal_error_exit_three_with_traceback(self, tmp_path, capsys):
         path = write_source(tmp_path, figure("fig1"))
         with faults.injected("correlation", message="injected crash"):

@@ -1,0 +1,192 @@
+"""The cyclic collector is paused around each unit; these hold that safe.
+
+``run_regionwiz`` runs every unit with the collector paused
+(:func:`repro.util.gcpause.gc_paused`).  That is only free if a unit
+leaves next to no cyclic garbage behind: everything else is freed by
+reference counting as it goes.  The one cycle a unit may leave is its
+recursive struct types (``StructType -> StructField -> PointerType ->
+StructType``).  A cycle anywhere else -- an AST node, an IR instruction,
+a pointer-analysis or report object, e.g. a bound method cached on the
+object that owns it -- would pile up for the whole unit and shows here.
+"""
+
+import gc
+import itertools
+from pathlib import Path
+
+import pytest
+
+from repro.lang.types import CType, StructField
+from repro.tool.batch import BatchUnit
+from repro.tool.regionwiz import run_regionwiz
+from repro.util import faults
+from repro.util.budget import ResourceBudget
+from repro.util.errors import BudgetExceeded
+from repro.util.faults import InjectedFault
+from repro.util.gcpause import gc_paused
+from repro.workloads import (
+    WorkloadSpec,
+    figure,
+    figure_units,
+    generate_workload,
+    paper_scale_units,
+)
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+#: Modules whose objects may make up a struct-type cycle.
+TYPE_GRAPH_MODULES = {"builtins", "repro.lang.types", "repro.lang.errors"}
+
+
+def _deep_contexts_cycle():
+    """One cycle of the deep-contexts shape grid: depth 4-5, fanout 2-3,
+    2-3 utilities, 1-2 helpers, 1-2 call sites (60-1,800 contexts)."""
+    grid = itertools.product((4, 5), (2, 3), (2, 3), (1, 2), (1, 2))
+    units = []
+    for index, (stages, fanout, utilities, helpers, sites) in enumerate(grid):
+        spec = WorkloadSpec(
+            name=f"deep{index:02d}",
+            interface=("apr", "rc")[index % 2],
+            stages=stages,
+            fanout=fanout,
+            helpers_per_stage=helpers,
+            utility_functions=utilities,
+            utility_call_sites=sites,
+            bugs={"cross_sibling": 1} if index % 3 == 0 else {},
+        )
+        units.append(
+            BatchUnit(spec.name, generate_workload(spec).source,
+                      interface=spec.interface)
+        )
+    return units
+
+
+def _corpus():
+    units = list(figure_units())
+    units += [
+        BatchUnit(path.name, path.read_text(), filename=path.name)
+        for path in sorted(EXAMPLES.glob("*.rc"))
+    ]
+    units += paper_scale_units(scale=0.05)
+    units += _deep_contexts_cycle()
+    return units
+
+
+def _garbage_of(unit):
+    """The objects the collector finds unreachable after ``unit`` ran."""
+    gc.collect()
+    debug = gc.get_debug()
+    gc.set_debug(debug | gc.DEBUG_SAVEALL)
+    try:
+        run_regionwiz(
+            unit.source,
+            filename=unit.filename,
+            interface=unit.region_interface(),
+            entry=unit.entry,
+            name=unit.name,
+        )
+        gc.collect()
+        garbage = list(gc.garbage)
+        gc.garbage.clear()
+    finally:
+        gc.set_debug(debug)
+    return garbage
+
+
+def _outside_type_graph(garbage):
+    """Garbage that is not a type-graph object, or is not reachable
+    within the garbage from one."""
+    in_garbage = {id(obj) for obj in garbage}
+    reached = set()
+    stack = [obj for obj in garbage if isinstance(obj, (CType, StructField))]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in reached:
+            continue
+        reached.add(id(obj))
+        stack.extend(
+            ref for ref in gc.get_referents(obj) if id(ref) in in_garbage
+        )
+    return [
+        obj
+        for obj in garbage
+        if id(obj) not in reached
+        or type(obj).__module__ not in TYPE_GRAPH_MODULES
+    ]
+
+
+def test_units_leave_only_struct_type_cycles():
+    units = _corpus()
+    assert len(units) == 13 + 3 + 22 + 32
+    leaks = {}
+    for unit in units:
+        stray = _outside_type_graph(_garbage_of(unit))
+        if stray:
+            leaks[unit.name] = sorted({type(obj).__qualname__ for obj in stray})
+    assert leaks == {}
+
+
+def test_a_leaked_cycle_is_caught():
+    class Node:
+        pass
+
+    node = Node()
+    node.self = node
+    garbage = [node, node.__dict__]
+    assert _outside_type_graph(garbage) == garbage
+
+
+# ---------------------------------------------------------------------------
+# The caller's collector state comes back
+# ---------------------------------------------------------------------------
+
+SOURCE = figure("fig1").full_source
+
+
+@pytest.fixture
+def collector_on():
+    faults.clear()
+    enabled = gc.isenabled()
+    gc.enable()
+    yield
+    faults.clear()
+    if not enabled:
+        gc.disable()
+
+
+def test_paused_during_the_unit_and_restored_after(collector_on, monkeypatch):
+    import repro.tool.regionwiz as regionwiz
+
+    seen = []
+    real_lower = regionwiz.lower
+
+    def lower(sema):
+        seen.append(gc.isenabled())
+        return real_lower(sema)
+
+    monkeypatch.setattr(regionwiz, "lower", lower)
+    run_regionwiz(SOURCE, name="fig1")
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_restored_after_budget_exceeded(collector_on):
+    with pytest.raises(BudgetExceeded):
+        run_regionwiz(SOURCE, budget=ResourceBudget(max_derived_tuples=1))
+    assert gc.isenabled()
+
+
+def test_restored_after_an_injected_fault(collector_on):
+    with faults.injected("correlation", message="injected crash"):
+        with pytest.raises(InjectedFault):
+            run_regionwiz(SOURCE)
+    assert gc.isenabled()
+
+
+def test_a_disabled_collector_stays_disabled(collector_on):
+    gc.disable()
+    run_regionwiz(SOURCE)
+    assert not gc.isenabled()
+    with gc_paused():
+        assert not gc.isenabled()
+    assert not gc.isenabled()

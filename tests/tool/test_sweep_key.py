@@ -54,29 +54,29 @@ GOLDEN_SETTINGS = {
 #: ``ANALYSIS_VERSION`` or ``CACHE_SCHEMA_VERSION`` bump to go with it.
 GOLDEN_KEYS = {
     "defaults": (
-        "9fb5ed0ddac732fc934360af067410aa9b81cc0357ba58e8a0609c2fe87a5a4c",
-        "df399c4a0c56145965c3258fa4304ec1e8b2bd1c68cad4ae6d41c1f4344d9388",
+        "e2b53085226f1b4ce3ad43933c6e8373a36a393bf22f46f3405d797be4b9512d",
+        "d57279af8272b89558148ef634454e2745fa40092f0c7f9543769c7db22c2131",
     ),
     "refine": (
-        "89c7cf0df122c35725951192305037f09e30dbc81b8a4385653d0f0d94241279",
-        "243acbcb9d505a0fd8a82814befc913bad6fec1daec46b0c049f3d00793467f2",
+        "3be3b62b9a28b84a6caef3413f4e6315a95fc09fa9f2914a874886b9f2ace929",
+        "ba751a6643705bb14f10d14fda2e320857fb575fd62e48be7afbecc0f141f4ef",
     ),
     "budget": (
-        "abd541095ac5ef98aadee9af551c1d9a1a97b6f035ad537ba8d0138bd3d95416",
-        "07156813331217187447ed83a0207d1c489def9c04c0b8f4e8bad96af3f14436",
+        "0aae5ef5fd1dd6b0d0024b62021198e1dcfb5e823c7cda086aec6dabb877e454",
+        "4f9be80e7e9768c048197e02e87112fba5ab07f3070a6bef0bee7b1388adea45",
     ),
     "validate": (
-        "4bc54533cfa6ebb1cbbafb06b921b33e9468d2076c973bf6d2bc82f896e8a3d5",
-        "a8f08aae8709d1eb295c434993617d4a61376444137b23b5947f610d695d4cdf",
+        "e2ccad68172732b17682e34274aed1cd55884509b22162edb2ea057985c29251",
+        "b8e139ea35f7ec8aafb4a27e8f395f6e078d9ee1c5ce1f451fae9a8a38c2f251",
     ),
     "options": (
-        "073ea059c611e43e1b7a649b2bac302ee34024b10fec774f981ddff73aafa717",
-        "9ee9521a25f1e2241bcb15acfec6481bf52d55e93350d9ae0a5d30620e9f2bd7",
+        "c8579c943dc5c2409743983e0b501a7fea0a8474fb9c564b177776ab0d6e242f",
+        "90c05abec353c8bd726e08916584a29ef52cb8be407bb86dd3cc851be7ae868a",
     ),
     # The default registry is not key material: same digests as above.
     "default_registry": (
-        "9fb5ed0ddac732fc934360af067410aa9b81cc0357ba58e8a0609c2fe87a5a4c",
-        "df399c4a0c56145965c3258fa4304ec1e8b2bd1c68cad4ae6d41c1f4344d9388",
+        "e2b53085226f1b4ce3ad43933c6e8373a36a393bf22f46f3405d797be4b9512d",
+        "d57279af8272b89558148ef634454e2745fa40092f0c7f9543769c7db22c2131",
     ),
 }
 
