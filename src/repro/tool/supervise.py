@@ -136,6 +136,7 @@ from repro.tool.batch import (
 from repro.tool.cache import AnalysisCache
 from repro.util import faults
 from repro.util.errors import HardTimeout, WorkerCrash
+from repro.util.gcpause import gc_paused
 
 __all__ = [
     "RunJournal",
@@ -446,8 +447,11 @@ def _worker_analyze_chunk(
     try:
         for index, unit, key in chunk:
             _worker_journal_append(_journal_record(index, unit))
-            outcome = _analyze_unit(unit, config.sweep)
-            outcome.report = None  # the full report does not cross the pool
+            # The collector stays paused until the report is dropped, so
+            # no young collection traverses a report about to be freed.
+            with gc_paused():
+                outcome = _analyze_unit(unit, config.sweep)
+                outcome.report = None  # the full report does not cross the pool
             outcome.worker_pid = os.getpid()
             results.append((index, outcome))
             _worker_journal_append(_journal_record(index, unit, key, outcome))

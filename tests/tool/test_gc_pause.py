@@ -190,3 +190,85 @@ def test_a_disabled_collector_stays_disabled(collector_on):
     with gc_paused():
         assert not gc.isenabled()
     assert not gc.isenabled()
+
+
+# ---------------------------------------------------------------------------
+# A pool worker drops each report before the collector comes back
+# ---------------------------------------------------------------------------
+
+
+class _DropProbe:
+    """Stands in for a unit's report; records the collector's state at
+    the moment the worker drops it."""
+
+    def __init__(self, report, seen):
+        self.report = report
+        self.seen = seen
+
+    def __del__(self):
+        self.seen.append(gc.isenabled())
+
+
+@pytest.fixture
+def worker(tmp_path, monkeypatch, collector_on):
+    """Run ``_worker_analyze_chunk`` in this process, as a pool worker
+    would after its initializer; each unit's report is a _DropProbe."""
+    import repro.tool.supervise as supervise
+    from repro.obs.hub import HubWiring
+    from repro.tool.batch import SweepConfig
+
+    config = supervise._WorkerConfig(
+        sweep=SweepConfig(keep_going=False),
+        fault_specs=[],
+        journal_path=str(tmp_path / "journal.jsonl"),
+        hub=HubWiring(),
+    )
+    monkeypatch.setattr(supervise, "_WORKER_CONFIG", config)
+    dropped = []
+    real_analyze = supervise._analyze_unit
+
+    def analyze(unit, sweep):
+        outcome = real_analyze(unit, sweep)
+        outcome.report = _DropProbe(outcome.report, dropped)
+        return outcome
+
+    monkeypatch.setattr(supervise, "_analyze_unit", analyze)
+
+    def run(units):
+        chunk = [(index, unit, None) for index, unit in enumerate(units)]
+        results, _, _ = supervise._worker_analyze_chunk(chunk)
+        return [outcome for _, outcome in results]
+
+    yield run, dropped
+    if supervise._WORKER_JOURNAL is not None:
+        supervise._WORKER_JOURNAL.close()
+
+
+def test_a_worker_drops_each_report_with_the_collector_paused(worker):
+    run, dropped = worker
+    units = [BatchUnit("fig1", SOURCE), BatchUnit("fig1b", SOURCE)]
+    outcomes = run(units)
+    assert [outcome.report for outcome in outcomes] == [None, None]
+    assert dropped == [False, False]
+    assert gc.isenabled()
+
+
+def test_a_worker_restores_the_collector_after_a_hard_failure(worker):
+    run, dropped = worker
+    units = [
+        BatchUnit("broken", "int main( {"),
+        BatchUnit("fig1", SOURCE),
+    ]
+    outcomes = run(units)
+    # keep_going=False abandons the chunk at the hard failure.
+    assert [outcome.status for outcome in outcomes] == ["input-error"]
+    assert dropped == [False]
+    assert gc.isenabled()
+
+
+def test_a_worker_keeps_a_disabled_collector_disabled(worker):
+    run, dropped = worker
+    gc.disable()
+    run([BatchUnit("fig1", SOURCE)])
+    assert dropped == [False]
+    assert not gc.isenabled()
