@@ -347,7 +347,8 @@ def run_abstract(stmt: Stmt) -> AbstractResult:
         elif isinstance(node, LoadField):
             bucket = env.setdefault(node.x, set())
             add(bucket, {ABS_NULL})  # unset fields read as null
-            for loc in env.get(node.y, set()):
+            # A snapshot: ``x = x.f`` grows the set it walks.
+            for loc in list(env.get(node.y, set())):
                 if loc in object_sites:
                     add(bucket, heap.get((loc, node.f), set()))
         elif isinstance(node, StoreField):

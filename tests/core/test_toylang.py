@@ -167,6 +167,19 @@ class TestConcreteSemantics:
 
 
 class TestAbstractSemantics:
+    def test_load_into_its_own_base(self):
+        """``o = o.f`` grows the set the load walks; the fixpoint still
+        reaches the stored object."""
+        program = seq(
+            New("r", None, site=1),
+            Alloc("o", "r", site=2),
+            Alloc("p", "r", site=3),
+            StoreField("o", "f", "p", site=4),
+            LoadField("o", "o", "f", site=5),
+        )
+        result = run_abstract(program)
+        assert {2, 3} <= set(result.env["o"])
+
     def test_example_43(self):
         """Example 4.3's abstract effects for Figure 3."""
         program = seq(
