@@ -159,15 +159,17 @@ def build_hierarchy(
     # joins can use ancestry established by earlier resolutions.  Cycles
     # among ambiguous regions fall back to the root.
     joined: Set = set()
-    unresolved = {r for r in region_set if r != root}
-    for region in sorted(unresolved, key=str):
+    # One deterministic visiting order for all three passes: rendering
+    # every region name is the costly part of the sort.
+    order = sorted({r for r in region_set if r != root}, key=str)
+    for region in order:
         candidates = raw.get(region, set()) - {region}
         if not candidates:
             hierarchy.parent[region] = root
         elif len(candidates) == 1:
             hierarchy.parent[region] = next(iter(candidates))
     # Break any accidental cycles among uniquely-parented regions.
-    for region in sorted(unresolved, key=str):
+    for region in order:
         if hierarchy.parent.get(region) is None:
             continue
         seen = {region}
@@ -179,7 +181,7 @@ def build_hierarchy(
             seen.add(current)
             current = hierarchy.parent.get(current)
     hierarchy._ancestors.clear()
-    for region in sorted(unresolved, key=str):
+    for region in order:
         if hierarchy.parent.get(region) is not None:
             continue
         candidates = raw.get(region, set()) - {region}

@@ -89,6 +89,24 @@ class AbstractObject:
     ctx: int
     name: str
 
+    # The consistency check hashes objects in its inner loops (owner
+    # sets, ancestor chains), so the hash is computed once, here, rather
+    # than per call.  ``_hash`` is not a field.  It is the value the
+    # generated dataclass hash gave, so set and dict orders stay the
+    # same.
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.kind, self.site, self.ctx, self.name))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes, so the cached hash is
+        # not pickled: the receiver rebuilds the object and rehashes.
+        return (AbstractObject, (self.kind, self.site, self.ctx, self.name))
+
     def __str__(self) -> str:
         suffix = f"#{self.ctx}" if self.ctx else ""
         return f"{self.name}{suffix}"

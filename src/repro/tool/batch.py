@@ -90,7 +90,7 @@ from repro.obs.metrics import MetricsRegistry, aggregate_metrics, format_metrics
 from repro.obs.validate import LABELS as _VALIDATION_LABELS
 from repro.obs.validate import VALIDATION_SCHEMA_VERSION, ValidationResult
 from repro.pointer import AnalysisOptions
-from repro.tool.cache import AnalysisCache
+from repro.tool.cache import AnalysisCache, KeyTemplate
 from repro.tool.regionwiz import RegionWizReport, run_regionwiz
 from repro.tool.validate import (
     DEFAULT_VALIDATE_STEPS,
@@ -632,22 +632,13 @@ class SweepConfig:
     #: killed, not what a finished unit reports.
     hard_timeout: Optional[float] = None
 
-    def key(
-        self, unit: BatchUnit, cache: Optional[AnalysisCache] = None
-    ) -> str:
-        """The unit's content key under this configuration.
+    def key_template(self) -> KeyTemplate:
+        """The settings part of every unit's key, rendered once.
 
-        Goes through ``cache.key`` when a cache is given, so a cache
-        subclass that instruments its key (a timing wrapper) sees every
-        computation; :meth:`AnalysisCache.key` is static, so resuming a
-        journal needs no cache directory.
+        :func:`run_batch` renders it once per sweep and hands it to
+        every :meth:`key` call, so a key only renders its unit's fields.
         """
-        keyer = cache.key if cache is not None else AnalysisCache.key
-        return keyer(
-            source=unit.source,
-            filename=unit.filename,
-            interface=unit.effective_interface,
-            entry=unit.entry,
+        return KeyTemplate(
             options=self.options,
             budget=self.budget,
             degrade=self.degrade,
@@ -661,6 +652,30 @@ class SweepConfig:
                 else None
             ),
             registry=self.registry,
+        )
+
+    def key(
+        self,
+        unit: BatchUnit,
+        cache: Optional[AnalysisCache] = None,
+        template: Optional[KeyTemplate] = None,
+    ) -> str:
+        """The unit's content key under this configuration.
+
+        ``template`` is this configuration's :meth:`key_template`
+        (rendered here when not given).  Goes through ``cache.key`` when
+        a cache is given, so a cache subclass that instruments its key
+        (a timing wrapper) sees every computation;
+        :meth:`AnalysisCache.key` is static, so resuming a journal needs
+        no cache directory.
+        """
+        keyer = cache.key if cache is not None else AnalysisCache.key
+        return keyer(
+            source=unit.source,
+            filename=unit.filename,
+            interface=unit.effective_interface,
+            entry=unit.entry,
+            template=template or self.key_template(),
         )
 
 
@@ -950,11 +965,10 @@ def run_batch(
     if isinstance(cache, str):
         cache = AnalysisCache(cache)
     pending = list(units)
-    keys: List[Optional[str]] = (
-        [config.key(unit, cache) for unit in pending]
-        if cache is not None or journal is not None
-        else [None] * len(pending)
-    )
+    keys: List[Optional[str]] = [None] * len(pending)
+    if cache is not None or journal is not None:
+        template = config.key_template()
+        keys = [config.key(unit, cache, template) for unit in pending]
     run_journal = (
         RunJournal(journal, resume=resume, run_id=config.run_id)
         if journal is not None

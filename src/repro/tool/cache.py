@@ -20,6 +20,11 @@ successful outcome afterwards.  Entries are keyed by a SHA-256 over
   (:data:`repro.tool.regionwiz.ANALYSIS_VERSION`), and the cache schema
   version.
 
+Everything but the four unit fields is the same for all units of a
+sweep, so a sweep renders it once into a :class:`KeyTemplate` and each
+key only escapes and hashes its unit's fields; the digests are the
+same as a one-shot dump of the whole material.
+
 Only *successful* outcomes (``clean``/``warnings``) are cached: input
 errors are cheap to rediscover and internal errors may be transient, so
 re-serving either from a cache would mask fixes and retries.
@@ -43,18 +48,112 @@ import hashlib
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, Optional
 
 from repro.callgraph import ImplicitCallRegistry, default_registry
 from repro.pointer import AnalysisOptions
 from repro.util.budget import ResourceBudget
 
-__all__ = ["AnalysisCache", "CACHE_SCHEMA_VERSION"]
+__all__ = ["AnalysisCache", "CACHE_SCHEMA_VERSION", "KeyTemplate"]
 
 #: Bump when the on-disk entry layout changes (old entries become misses).
 #: 2: outcome payloads carry warning ``fingerprints`` (baseline diffing
 #: must work from cached outcomes, so pre-fingerprint entries are stale).
 CACHE_SCHEMA_VERSION = 2
+
+
+#: Bytes per ``os.read`` of an entry; entries are about 1 KB.
+_READ_SIZE = 1 << 16
+
+#: The per-unit slots of the key material, in ``sort_keys`` order.
+_UNIT_SLOTS = ("entry", "filename", "interface", "source")
+
+#: A string as :func:`json.dumps` renders it (its default escaping).
+_render = encode_basestring_ascii
+
+
+class KeyTemplate:
+    """The settings part of the cache key, rendered once per sweep.
+
+    The key is the SHA-256 of ``json.dumps(material, sort_keys=True)``
+    over one flat dict; every entry except the four unit slots
+    (``entry``, ``filename``, ``interface``, ``source``) is the same for
+    every unit of a sweep.  The template dumps the material once, with a
+    marker in each unit slot, and keeps the text between the markers;
+    :meth:`digest` fills the slots with the string escaping
+    ``json.dumps`` itself uses and hashes the result from a copy of the
+    SHA-256 state primed with the text before the first slot.  So the
+    hashed bytes are exactly those of the one-shot dump, and every
+    digest equals the one a full render gives.
+    """
+
+    __slots__ = ("_prefix", "_gaps")
+
+    def __init__(
+        self,
+        options: Optional[AnalysisOptions] = None,
+        budget: Optional[ResourceBudget] = None,
+        degrade: bool = True,
+        refine: bool = False,
+        validate: Optional[Dict[str, Any]] = None,
+        registry: Optional[ImplicitCallRegistry] = None,
+    ) -> None:
+        # Function-local: the package root imports this module.
+        from repro import __version__
+        from repro.tool.regionwiz import ANALYSIS_VERSION
+
+        markers = {slot: f"\0unit-slot:{slot}\0" for slot in _UNIT_SLOTS}
+        material = {
+            "schema": CACHE_SCHEMA_VERSION,
+            "tool_version": __version__,
+            "analysis_version": ANALYSIS_VERSION,
+            **markers,
+            "options": dataclasses.asdict(options or AnalysisOptions()),
+            "budget": budget.to_dict() if budget is not None else None,
+            "degrade": bool(degrade),
+            "refine": bool(refine),
+            # Retired option: constant, so existing entries and journals hit.
+            "solver_stats": False,
+        }
+        if validate is not None:
+            material["validate"] = validate
+        if registry is not None and registry != default_registry():
+            material["registry"] = dataclasses.asdict(registry)
+        text = json.dumps(material, sort_keys=True)
+        pieces = []
+        for slot in _UNIT_SLOTS:
+            head, found, text = text.partition(
+                f"{_render(slot)}: {_render(markers[slot])}"
+            )
+            if not found:
+                raise RuntimeError(f"key slot {slot!r} was not rendered")
+            pieces.append(f"{head}{_render(slot)}: ")
+        pieces.append(text)
+        self._prefix = hashlib.sha256(pieces[0].encode("ascii"))
+        self._gaps = tuple(pieces[1:])
+
+    def digest(
+        self, source: str, filename: str, interface: str, entry: str
+    ) -> str:
+        """The hex key of one unit under these settings."""
+        gaps = self._gaps
+        state = self._prefix.copy()
+        state.update(
+            "".join(
+                (
+                    _render(entry),
+                    gaps[0],
+                    _render(filename),
+                    gaps[1],
+                    _render(interface),
+                    gaps[2],
+                    _render(source),
+                    gaps[3],
+                )
+            ).encode("ascii")
+        )
+        return state.hexdigest()
 
 
 class AnalysisCache:
@@ -74,12 +173,13 @@ class AnalysisCache:
         filename: str,
         interface: str,
         entry: str,
-        options: Optional[AnalysisOptions],
-        budget: Optional[ResourceBudget],
-        degrade: bool,
-        refine: bool,
+        options: Optional[AnalysisOptions] = None,
+        budget: Optional[ResourceBudget] = None,
+        degrade: bool = True,
+        refine: bool = False,
         validate: Optional[Dict[str, Any]] = None,
         registry: Optional[ImplicitCallRegistry] = None,
+        template: Optional[KeyTemplate] = None,
     ) -> str:
         """The content hash addressing one unit's outcome.
 
@@ -88,31 +188,17 @@ class AnalysisCache:
         the key material only when set, so caches built before the
         validation feature keep their hashes.  ``registry`` enters it
         only when it is not the default registry, for the same reason.
-        """
-        from repro import __version__
-        from repro.tool.regionwiz import ANALYSIS_VERSION
 
-        material = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "tool_version": __version__,
-            "analysis_version": ANALYSIS_VERSION,
-            "source": source,
-            "filename": filename,
-            "interface": interface,
-            "entry": entry,
-            "options": dataclasses.asdict(options or AnalysisOptions()),
-            "budget": budget.to_dict() if budget is not None else None,
-            "degrade": bool(degrade),
-            "refine": bool(refine),
-            # Retired option: constant, so existing entries and journals hit.
-            "solver_stats": False,
-        }
-        if validate is not None:
-            material["validate"] = validate
-        if registry is not None and registry != default_registry():
-            material["registry"] = dataclasses.asdict(registry)
-        blob = json.dumps(material, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        ``template`` is a :class:`KeyTemplate` already rendered from the
+        settings; a sweep passes its own so that only the four unit
+        fields are rendered here, and the settings arguments are then
+        ignored.  Without one, a template is rendered from them.
+        """
+        if template is None:
+            template = KeyTemplate(
+                options, budget, degrade, refine, validate, registry
+            )
+        return template.digest(source, filename, interface, entry)
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, f"{key}.json")
@@ -136,10 +222,26 @@ class AnalysisCache:
             pass  # unremovable (permissions, ...): stale entry stays
 
     def _read_payload(self, path: str) -> Optional[Dict[str, Any]]:
-        """Load one JSON payload; corruption evicts and returns None."""
+        """Load one JSON payload; corruption evicts and returns None.
+
+        The entry is read as bytes straight from its descriptor and
+        parsed by :func:`json.loads`, which decodes it itself: a file
+        object would add a buffer and, in text mode, an incremental
+        decoder per hit.  Invalid UTF-8 raises ``UnicodeDecodeError``, a
+        ``ValueError``, so it is corruption like bad JSON.
+        """
         try:
-            with open(path) as handle:
-                payload = json.load(handle)
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                chunks = []
+                while True:
+                    chunk = os.read(fd, _READ_SIZE)
+                    if not chunk:
+                        break
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
+            payload = json.loads(b"".join(chunks))
             if not isinstance(payload, dict):
                 raise ValueError("bad cache entry shape")
         except FileNotFoundError:

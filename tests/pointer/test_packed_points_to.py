@@ -170,3 +170,57 @@ def test_the_packed_payload_does_not_depend_on_the_hash_seed():
         )
         digests.add(completed.stdout.strip())
     assert len(digests) == 1
+
+
+ROUND_TRIP_SCRIPT = """
+import pickle, sys
+from repro.core import check_consistency
+from repro.interfaces import apr_pools_interface
+from repro.pointer import analyze_pointers
+from repro.workloads import FIGURES
+from tests.conftest import compile_graph
+program = next(p for p in FIGURES if p.interface == "apr")
+result = analyze_pointers(
+    compile_graph(program.full_source, entry=program.entry),
+    apr_pools_interface(),
+)
+path = sys.argv[1]
+if sys.argv[2] == "write":
+    with open(path, "wb") as handle:
+        pickle.dump(result, handle)
+else:
+    with open(path, "rb") as handle:
+        clone = pickle.load(handle)
+    for name in ("regions", "objects", "subregion", "ownership", "accesses"):
+        assert getattr(clone, name) == getattr(result, name), name
+    for obj in result.objects:
+        assert obj in clone.objects and obj in set(clone.objects), obj
+    local = check_consistency(result)
+    remote = check_consistency(clone)
+    assert remote.object_pairs == local.object_pairs
+    assert remote.region_pair_count == local.region_pair_count
+    print("ok")
+"""
+
+
+def test_objects_pickled_under_one_hash_seed_work_under_another(tmp_path):
+    """Objects cache their hash; a hash made under one string-hash seed
+    must not cross to a process with another, where it would miss every
+    set and dict lookup."""
+    path = str(tmp_path / "result.pickle")
+    outputs = []
+    for seed, mode in (("1", "write"), ("2", "read")):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")]
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", ROUND_TRIP_SCRIPT, path, mode],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert completed.returncode == 0, completed.stderr
+        outputs.append(completed.stdout.strip())
+    assert outputs == ["", "ok"]

@@ -193,6 +193,50 @@ class TestCorruption:
         assert not outcome.cached
         assert rerun.cache_counters == {"hits": 0, "misses": 1}
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda blob: blob[:1] + b'"\xff\xfe": 0, ' + blob[1:],
+            lambda blob: b"",
+            lambda blob: blob[: len(blob) // 2],
+            lambda blob: b"[1, 2, 3]",
+            lambda blob: json.dumps(
+                dict(json.loads(blob), schema=1)
+            ).encode("ascii"),
+        ],
+        ids=[
+            "invalid-utf8",
+            "empty",
+            "truncated",
+            "json-array",
+            "wrong-schema",
+        ],
+    )
+    def test_a_bad_entry_is_evicted_missed_and_reanalyzed(
+        self, tmp_path, damage
+    ):
+        units = figure_units(["fig1"])
+        run_batch(units, cache=AnalysisCache(str(tmp_path)))
+        [name] = entry_files(tmp_path)
+        path = tmp_path / name
+        good = path.read_bytes()
+        path.write_bytes(damage(good))
+
+        key = name[: -len(".json")]
+        probe = AnalysisCache(str(tmp_path))
+        assert probe.lookup(key) is None
+        assert probe.counters() == {"hits": 0, "misses": 1}
+        assert not path.exists()
+
+        path.write_bytes(damage(good))
+        rerun = run_batch(units, cache=AnalysisCache(str(tmp_path)))
+        outcome = rerun.outcome("fig1")
+        assert outcome.status == "clean"
+        assert not outcome.cached
+        assert rerun.cache_counters == {"hits": 0, "misses": 1}
+        # The re-analysis stored a good entry in the bad one's place.
+        assert AnalysisCache(str(tmp_path)).lookup(key) is not None
+
     def test_wrong_unit_name_in_entry_is_a_miss(self, tmp_path):
         cache = AnalysisCache(str(tmp_path))
         units = figure_units(["fig1"])

@@ -7,15 +7,23 @@ do not change the analysis (warm caches and journals must keep hitting),
 and be computed once per unit.
 """
 
-import pytest
+import dataclasses
+import hashlib
+import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import __version__
 from repro.callgraph import ImplicitCallRegistry, default_registry
 from repro.callgraph.implicit import ImplicitCallSpec
 from repro.interfaces import APR_HEADER
+from repro.obs.validate import VALIDATION_SCHEMA_VERSION
 from repro.pointer import AnalysisOptions
 import repro.tool.supervise as supervise
 from repro.tool.batch import BatchUnit, SweepConfig, run_batch
-from repro.tool.cache import AnalysisCache
+from repro.tool.cache import CACHE_SCHEMA_VERSION, AnalysisCache
+from repro.tool.regionwiz import ANALYSIS_VERSION
 from repro.util.budget import ResourceBudget
 from repro.workloads import PACKAGES, figure_units, package_units
 
@@ -157,6 +165,112 @@ def test_a_custom_registry_does_not_resume_a_default_registry_journal(
     outcome = resumed.outcome("spawn")
     assert not outcome.resumed
     assert outcome.warning_lines == uncached.outcome("spawn").warning_lines
+
+
+# ---------------------------------------------------------------------------
+# The templated key equals the one-shot dump of the whole material
+# ---------------------------------------------------------------------------
+
+#: Every key setting: the golden ones plus the two that no golden digest
+#: covers.
+KEY_SETTINGS = sorted(GOLDEN_SETTINGS) + ["no_degrade", "custom_registry"]
+
+
+def sweep_settings(setting):
+    if setting == "no_degrade":
+        return dict(degrade=False)
+    if setting == "custom_registry":
+        return dict(registry=spawn_registry())
+    return GOLDEN_SETTINGS[setting]
+
+
+def reference_key(config, unit):
+    """The key as one ``json.dumps`` over the whole material."""
+    material = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "tool_version": __version__,
+        "analysis_version": ANALYSIS_VERSION,
+        "source": unit.source,
+        "filename": unit.filename,
+        "interface": unit.effective_interface,
+        "entry": unit.entry,
+        "options": dataclasses.asdict(config.options or AnalysisOptions()),
+        "budget": (
+            config.budget.to_dict() if config.budget is not None else None
+        ),
+        "degrade": config.degrade,
+        "refine": config.refine,
+        "solver_stats": False,
+    }
+    if config.validate:
+        material["validate"] = {
+            "schema": VALIDATION_SCHEMA_VERSION,
+            "steps": config.validate_steps,
+        }
+    if config.registry is not None and config.registry != default_registry():
+        material["registry"] = dataclasses.asdict(config.registry)
+    blob = json.dumps(material, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+#: Text that ``json.dumps`` escapes: quotes, backslashes, NUL and the
+#: other control characters, DEL, the JS line separators, non-ASCII
+#: letters, astral characters (escaped as surrogate pairs) and lone
+#: surrogates.
+TRICKY = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(
+            '"\\\x00\x01\x1f\x7f\n\r\t\b\f/\u2028\u2029'
+            "\u00e9\u4e2d\U0001f600\ud800\udfff"
+        ),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("setting", KEY_SETTINGS)
+@settings(max_examples=40, deadline=None)
+@given(
+    source=TRICKY,
+    filename=TRICKY,
+    interface=st.one_of(st.sampled_from(["apr", "rc"]), TRICKY),
+    entry=TRICKY,
+)
+def test_the_templated_key_equals_the_reference_dump(
+    setting, source, filename, interface, entry
+):
+    config = SweepConfig(**sweep_settings(setting))
+    unit = BatchUnit(
+        name="u",
+        source=source,
+        filename=filename,
+        interface=interface,
+        entry=entry,
+    )
+    expected = reference_key(config, unit)
+    assert config.key(unit) == expected
+    assert config.key(unit, template=config.key_template()) == expected
+
+
+@pytest.mark.parametrize("setting", KEY_SETTINGS)
+def test_a_warm_sweep_hits_entries_stored_under_reference_keys(
+    setting, tmp_path
+):
+    options = sweep_settings(setting)
+    config = SweepConfig(**options)
+    units = figure_units(["fig1", "fig2c"]) + [SPAWN_UNIT]
+    cold = run_batch(units, keep_going=True, **options)
+    cache = AnalysisCache(str(tmp_path))
+    for unit, outcome in zip(units, cold.outcomes):
+        assert outcome.ok
+        cache.store(reference_key(config, unit), outcome.to_cache_payload())
+    warm = run_batch(units, keep_going=True, cache=cache, **options)
+    assert all(o.cached for o in warm.outcomes)
+    assert warm.cache_counters == {"hits": len(units), "misses": 0}
+    assert [o.warning_lines for o in warm.outcomes] == [
+        o.warning_lines for o in cold.outcomes
+    ]
 
 
 # ---------------------------------------------------------------------------
