@@ -102,9 +102,14 @@ def test_offsets_round_trip_through_the_packed_codes(limit):
         variable: {expected(limit)}
         for variable, expected in EXPECTED_OFFSETS.items()
     }
-    # Every decoded location re-encodes to the packed int it came from.
+    # Every decoded location re-encodes to the packed int it came from:
+    # the local slot list (None marks a slot never written) and the
+    # global slots.
     packed = result.packed
-    for locs in packed.var.values():
+    cells = [locs for locs in packed.var if locs is not None]
+    cells += packed.global_var.values()
+    assert cells
+    for locs in cells:
         for loc in locs:
             obj, offset = packed.location(loc)
             code = 2 * packed.bias + 1 if offset is None else offset + packed.bias
@@ -195,6 +200,8 @@ else:
         assert getattr(clone, name) == getattr(result, name), name
     for obj in result.objects:
         assert obj in clone.objects and obj in set(clone.objects), obj
+    assert clone.var_pts == result.var_pts
+    assert clone.heap_pts == result.heap_pts
     local = check_consistency(result)
     remote = check_consistency(clone)
     assert remote.object_pairs == local.object_pairs
@@ -206,7 +213,8 @@ else:
 def test_objects_pickled_under_one_hash_seed_work_under_another(tmp_path):
     """Objects cache their hash; a hash made under one string-hash seed
     must not cross to a process with another, where it would miss every
-    set and dict lookup."""
+    set and dict lookup.  The packed points-to cells decode to the same
+    maps on the other side."""
     path = str(tmp_path / "result.pickle")
     outputs = []
     for seed, mode in (("1", "write"), ("2", "read")):
