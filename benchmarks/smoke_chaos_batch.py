@@ -14,6 +14,9 @@ crash-proofing contract end to end:
    ``crashed`` outcome carrying pid/signal detail, every innocent unit
    completed, and the batch folded to exit 3.
 
+After every sweep no worker process may be left: this process must
+have no child, running or unreaped.
+
 The fault-free cost of supervision is guarded elsewhere: every parallel
 sweep is supervised, so ``bench_batch_parallel.py``'s speedup gate
 measures it.
@@ -26,6 +29,7 @@ Usage: ``PYTHONPATH=src python benchmarks/smoke_chaos_batch.py``
 
 from __future__ import annotations
 
+import os
 import signal
 import sys
 import time
@@ -49,6 +53,16 @@ def check_no_lost_units(result: BatchResult, units, failures, label: str):
         )
 
 
+def check_reaped(failures, label: str):
+    """Fail ``label`` if any child process of this one is left over."""
+    try:
+        pid, _status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all: every worker was reaped
+    state = "still running" if pid == 0 else f"unreaped (pid {pid})"
+    failures.append(f"{label}: a worker process was left behind, {state}")
+
+
 def main() -> int:
     units = [unit for model in PACKAGES for unit in package_units(model)]
     names = [u.name for u in units]
@@ -64,6 +78,7 @@ def main() -> int:
     reference = run_batch(units, keep_going=True, jobs=JOBS)
     t_sup = time.perf_counter() - t0
     check_no_lost_units(reference, units, failures, "fault-free")
+    check_reaped(failures, "fault-free")
     print(f"fault-free: {t_sup:.2f}s, exit {reference.exit_code()}")
 
     # Size the hard deadline off the observed fault-free unit times so a
@@ -82,6 +97,7 @@ def main() -> int:
         "batch-unit", unit=kill_victim, action="kill", times=1
     ):
         killed = run_batch(units, keep_going=True, jobs=JOBS)
+    check_reaped(failures, "kill-chaos")
     with faults.injected(
         "batch-unit",
         unit=hang_victim,
@@ -95,6 +111,7 @@ def main() -> int:
             jobs=JOBS,
             hard_timeout=hard_timeout,
         )
+    check_reaped(failures, "hang-chaos")
     t_chaos = time.perf_counter() - t0
     respawns = (killed.supervision or {}).get("respawns", 0)
     watchdog_kills = (hung.supervision or {}).get("watchdog_kills", 0)
@@ -121,6 +138,7 @@ def main() -> int:
     # Phase 2: a poison pill is quarantined, innocents complete.
     with faults.injected("batch-unit", unit=poison, action="kill"):
         pilled = run_batch(units, keep_going=True, jobs=JOBS)
+    check_reaped(failures, "quarantine")
     check_no_lost_units(pilled, units, failures, "quarantine")
     crashed = pilled.outcome(poison)
     if crashed.status != "crashed":

@@ -14,7 +14,8 @@ event:
 * ``warning`` -- one warning emitted (fingerprint, rank, unit);
 * supervisor events (see :mod:`repro.tool.supervise`):
   ``supervisor.worker-lost`` (a pool worker died with the unit in
-  flight), ``supervisor.respawn`` (fresh pool after backoff),
+  flight), ``supervisor.respawn`` (a dead worker replaced after
+  backoff),
   ``supervisor.watchdog-kill`` (unit SIGKILLed past the hard
   deadline), ``supervisor.bisect`` / ``supervisor.quarantine``
   (poison-pill isolation), ``supervisor.journal-recovered`` (outcome

@@ -170,7 +170,7 @@ def current_hub() -> Hub:
 def install(hub: Hub) -> Hub:
     """Install ``hub`` for the rest of the process; returns the previous one.
 
-    For a process-lifetime install (a pool worker's initializer); scoped
+    For a process-lifetime install (a worker's start-up); scoped
     code uses :func:`installed`.
     """
     global _HUB

@@ -797,13 +797,15 @@ class _Engine:
         line = instr.loc.line
         steps: List[Tuple[Callable[..., None], tuple]] = []
         for target in targets:
+            # The create/alloc steps carry a memo: heap context -> the
+            # object number of (site, context, name), which they fix.
             if target in interface.creates:
                 steps.append((_Engine._interface_create, (
-                    interface.creates[target], f"{target}@{line}"
+                    interface.creates[target], f"{target}@{line}", {}
                 )))
             elif target in interface.allocs:
                 steps.append((_Engine._interface_alloc, (
-                    interface.allocs[target], f"{target}@{line}"
+                    interface.allocs[target], f"{target}@{line}", {}
                 )))
             elif target in interface.cleanups:
                 steps.append((_Engine._interface_cleanup, (
@@ -1072,11 +1074,14 @@ class _Engine:
 
     def _interface_create(self, call: tuple, target_step: tuple) -> None:
         dst, args, uid = call[0], call[1], call[2]
-        spec, name = target_step
-        region = self._object_id("region", uid, self._heap_ctx(), name)
-        if region not in self._regions:
-            self._regions.add(region)
-            self._changed = True
+        spec, name, memo = target_step
+        ctx = self._heap_ctx()
+        region = memo.get(ctx)
+        if region is None:
+            region = memo[ctx] = self._object_id("region", uid, ctx, name)
+            if region not in self._regions:
+                self._regions.add(region)
+                self._changed = True
         parents: Set[int] = set()
         if spec.parent_arg is None:
             parents.add(_ROOT_ID)
@@ -1103,11 +1108,14 @@ class _Engine:
 
     def _interface_alloc(self, call: tuple, target_step: tuple) -> None:
         dst, args, uid = call[0], call[1], call[2]
-        spec, name = target_step
-        obj = self._object_id("heap", uid, self._heap_ctx(), name)
-        if obj not in self._objects:
-            self._objects.add(obj)
-            self._changed = True
+        spec, name, memo = target_step
+        ctx = self._heap_ctx()
+        obj = memo.get(ctx)
+        if obj is None:
+            obj = memo[ctx] = self._object_id("heap", uid, ctx, name)
+            if obj not in self._objects:
+                self._objects.add(obj)
+                self._changed = True
         owners: Set[int] = set()
         if spec.region_arg < len(args):
             found, may_be_null = self._region_args(args[spec.region_arg])

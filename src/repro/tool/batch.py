@@ -27,12 +27,13 @@ keying on exit codes.
 Parallel sweeps (``jobs > 1``)
 ------------------------------
 
-With ``jobs > 1`` the units are sharded over a warm process pool run by
-a crash-proofing supervisor; :mod:`repro.tool.supervise` holds that
-code and the full design (chunked dispatch, worker-loss recovery, the
-hung-unit watchdog, the run journal and resume, the interrupt drain).
-The parallel report is byte-identical to the serial one modulo
-timing/pid fields.
+With ``jobs > 1`` the units are sharded over warm worker processes that
+a crash-proofing supervisor forks and drives itself;
+:mod:`repro.tool.supervise` holds that code and the full design
+(chunked dispatch over one task and one result pipe per worker,
+recovery per worker, the hung-unit watchdog, the run journal and
+resume, the interrupt drain).  The parallel report is byte-identical to
+the serial one modulo timing/pid fields.
 
 Persistent caching
 ------------------
@@ -44,10 +45,14 @@ the run journal, computed once per unit per sweep;
 a warm re-run of an unchanged corpus skips analysis entirely, marking
 each replayed outcome ``cached``.  Hit/miss counters land in the batch
 JSON and :meth:`BatchResult.batch_metrics`.  The parallel scheduler
-probes the cache for every unit up front; when a ``keep_going=False``
-sweep stops early it retracts the probes past the failure point
-(:meth:`AnalysisCache.uncount`), so reported counters match the serial
-sweep's exactly.
+does not decode every entry before dispatch: a stat-only presence probe
+(:meth:`AnalysisCache.present`) finds the missing entries, workers are
+forked for them, and the parent decodes the present entries while they
+run; an entry that does not decode is a late miss, analyzed by the same
+workers.  Every unit still gets exactly one lookup.  When a
+``keep_going=False`` sweep stops early the scheduler retracts the
+lookups past the failure point (:meth:`AnalysisCache.uncount`), so
+reported counters match the serial sweep's exactly.
 
 Cache writes follow serial semantics under early stops: with
 ``keep_going=False``, results that in-flight workers deliver after the
@@ -55,8 +60,9 @@ earliest hard failure are relabelled ``skipped`` in the report, and
 their outcomes are **not** persisted -- a serial run would never have
 analyzed them, so caching them would let a warm re-run resurrect
 results the batch report never produced.  Parallel stores are therefore
-deferred until the sweep drains and flushed only for units *before* the
-earliest hard failure (all of them when no hard failure occurred).
+deferred until the workers are reaped and flushed only for units
+*before* the earliest hard failure (all of them when no hard failure
+occurred).
 """
 
 from __future__ import annotations
@@ -1013,8 +1019,8 @@ def run_batch(
                         resumed_slots,
                     )
             except KeyboardInterrupt:
-                # Interrupted outside the supervised pool loop (cache
-                # probe, store): nothing in flight, keep the replays.
+                # Interrupted outside the supervised loop (the presence
+                # probe, a store): nothing in flight, keep the replays.
                 interrupted = True
                 slots = [resumed_slots.get(i) for i in range(len(pending))]
             first_failure = (
@@ -1027,10 +1033,10 @@ def run_batch(
                     first_failure is not None and index > first_failure
                 ):
                     result.outcomes.append(_skipped(unit.name))
-                    # The scheduler probed the cache for this unit up
-                    # front, but a serial run stopping at first_failure
-                    # never would have: uncount that lookup so the
-                    # reported counters match the serial sweep's exactly.
+                    # The scheduler looked this unit up in the cache,
+                    # but a serial run stopping at first_failure never
+                    # would have: uncount that lookup so the reported
+                    # counters match the serial sweep's exactly.
                     if not interrupted and cache is not None:
                         cache.uncount(
                             hit=outcome is not None and outcome.cached

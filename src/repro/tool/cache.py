@@ -271,6 +271,20 @@ class AnalysisCache:
         self.hits += 1
         return payload["outcome"]
 
+    def present(self, key: str) -> bool:
+        """Whether an entry file exists under ``key``: one ``stat``, no
+        read, and not counted.
+
+        The parallel sweep forks workers for the absent entries before
+        it looks up the present ones; an entry that is present but does
+        not decode is still a miss, counted by its :meth:`lookup`.
+        """
+        try:
+            os.stat(self._path(key))
+        except OSError:
+            return False
+        return True
+
     def store(self, key: str, outcome: Dict[str, Any]) -> None:
         """Atomically persist one outcome payload under ``key``."""
         payload = {"schema": CACHE_SCHEMA_VERSION, "outcome": outcome}
@@ -294,11 +308,11 @@ class AnalysisCache:
     def uncount(self, hit: bool) -> None:
         """Retract one counted lookup (a hit or a miss).
 
-        The parallel batch scheduler probes the cache for every unit up
-        front; when a ``keep_going=False`` sweep stops early, the probes
-        past the failure point correspond to lookups a serial run never
-        performs, and the scheduler retracts them so reported counters
-        are mode-independent.
+        The parallel batch scheduler looks up every unit while its
+        workers run; when a ``keep_going=False`` sweep stops early, the
+        lookups past the failure point correspond to lookups a serial
+        run never performs, and the scheduler retracts them so reported
+        counters are mode-independent.
         """
         if hit:
             self.hits = max(0, self.hits - 1)

@@ -1,94 +1,89 @@
-"""The parallel batch executor: a warm process pool under a supervisor.
+"""The parallel batch executor: forked workers under a supervisor.
 
 :func:`repro.tool.batch.run_batch` with ``jobs > 1`` hands its units to
-:func:`_run_batch_parallel`, which fans them out to a
-:class:`~concurrent.futures.ProcessPoolExecutor` run by a
-:class:`BatchSupervisor`.
+:func:`_run_batch_parallel`, whose :class:`BatchSupervisor` forks the
+worker processes and drives them itself.
 
-**Sharding.**  Units are independent by construction -- that is what
-per-unit fault isolation guarantees -- so the dispatch is built to make
-parallelism pay on paper-scale corpora:
+**Probe order.**  Decoding a cache hit does not depend on analyzing a
+miss, so on a warm re-sweep the two overlap: (1) a stat-only presence
+probe (:meth:`AnalysisCache.present`) finds the units with no entry;
+(2) workers are forked for them and handed their chunks, longest unit
+first (LPT) under ``keep_going``; (3) while they analyze, the parent
+reads and decodes the present entries -- one
+:meth:`AnalysisCache.lookup` per unit, as in a serial sweep, so counters
+and ``cache.*`` events are the same; (4) an entry that turns out
+corrupt, has a stale schema or names another unit is a *late miss*,
+queued to the live workers.  With no miss in the probe nothing is forked
+before the decoding, so a sweep whose entries all decode forks nothing.
 
-* the per-batch invariant state (the sweep's
-  :class:`~repro.tool.batch.SweepConfig`, the fault-spec snapshot and
-  the parent hub's wiring) crosses the pool boundary **once per
-  worker** through the pool ``initializer``; a task pickles only
-  ``(index, unit, key)`` triples;
-* units are dispatched in **contiguous chunks** so small units amortize
-  the submit/result round trip, and the same **warm workers** serve
-  every chunk of the sweep;
-* outcomes are reassembled in **submission order** regardless of
-  completion order;
-* armed fault-injection specs are re-installed per dispatched chunk
-  from the worker-local snapshot, so injection scopes correctly inside
-  workers;
-* worker trace spans are shipped back and adopted into the parent's
-  Chrome trace (one lane per worker ``pid``);
-* ``keep_going=False`` cancels not-yet-started chunks once a hard
-  failure lands (a worker also abandons the rest of its own chunk),
-  and the caller then **normalizes to serial semantics**: every unit
-  after the earliest hard failure in submission order is reported
-  ``skipped``.  Because units are deterministic and independent, the
-  parallel report is byte-identical to the serial one modulo
-  timing/pid fields.
+**The worker protocol.**  Workers use the ``fork`` start method, so
+they inherit the units and keys, and a task names a chunk by its
+submission indices.  Each worker has a task pipe and a result pipe.  A
+task is ``(indices, fault specs)``: the armed specs ride on every task,
+so a destructive fault consumed in one worker is consumed in all.  The
+reply is ``(outcomes, span roots, pid)``, or the exception the chunk
+function raised, which becomes an ``internal-error`` outcome for each
+unit of that chunk.  The parent waits on the result pipes with
+:data:`_POLL_INTERVAL`, which also paces the heartbeat reads and the
+watchdog.  One more (small) chunk may queue behind the one a worker
+runs, so it does not idle between chunks; it queues behind the worker
+with the least work left (unfinished source size), which keeps LPT
+balanced, and the last chunks go to whichever worker frees first.
+Closing a task pipe makes its worker exit.  The parent runs no thread
+of its own.  Outcomes are reassembled in submission order;
+worker spans are adopted into the parent's Chrome trace (a lane per
+``pid``).  With ``keep_going=False`` nothing is dispatched past the
+earliest hard failure, and the caller reports every later unit
+``skipped``, as a serial sweep would.
 
-In-process isolation cannot catch three failure classes: a **worker
-process dies** (segfault, the OOM killer, an injected ``kill`` fault),
-which breaks the whole pool; a **unit hangs between budget
-checkpoints** (cooperative :class:`~repro.util.budget.BudgetMeter`
-polling only runs at fixpoint round boundaries); and the **parent
-itself is killed** mid-sweep.  The supervisor is the external harness
-that competition-grade analyzers (2LS, PredatorHP) rely on, built into
-the executor:
+In-process isolation cannot catch a **worker dying** (segfault, the OOM
+killer, an injected ``kill``), a **unit hanging between budget
+checkpoints**, or the **parent being killed**; the supervisor is the
+external harness that analyzers such as 2LS and PredatorHP rely on.
 
-**Worker-loss recovery.**  Each pool generation runs under a
-:class:`RunJournal` -- an O_APPEND JSONL file that workers heartbeat
-``unit.start`` records into and append completed ``unit.done`` outcome
-payloads to (single short writes, so parent and worker lines interleave
-at line granularity exactly like the event log).  When the pool breaks,
-the journal tells the parent which units *completed but never shipped*
-(adopted straight from their journaled payloads, no re-analysis), which
-were *in flight* (retried on a fresh pool after bounded exponential
-backoff), and which never started (simply rescheduled).  A unit that is
-in flight across more than :data:`_CRASH_RETRIES` pool losses is
-**bisected** one-unit-per-fresh-process: if the solo process also dies,
-the unit is the poison pill and is quarantined with a ``crashed``
-outcome (exit 3, :class:`~repro.util.errors.WorkerCrash` detail
-carrying the dead pid and signal); if it survives solo, it was an
-innocent casualty of a shared pool and its outcome is adopted.
+**Recovery per worker.**  Workers heartbeat ``unit.start`` and append
+completed ``unit.done`` payloads to a :class:`RunJournal` (O_APPEND
+JSONL; one short write per record, so lines interleave cleanly).  A dead
+worker shows as EOF on its result pipe, and reaping it gives the signal.
+Only its own chunks are settled: units that completed but never shipped
+are adopted from the journal; units that journaled ``unit.start`` there
+are charged a crash and retried; units that never started are retried
+with no charge.  Retries wait out a bounded exponential backoff, after
+which the dead worker is replaced (``respawns``, within a respawn
+budget).  A unit charged more than :data:`_CRASH_RETRIES` crashes is
+**bisected**: it runs alone in a freshly forked worker.  If that one
+dies too, the unit is quarantined with a ``crashed`` outcome (exit 3,
+:class:`~repro.util.errors.WorkerCrash` carrying pid and signal);
+otherwise it was an innocent casualty and its outcome is kept.
 
-**Hung-unit watchdog.**  The parent polls the journal's heartbeats and
-enforces a hard per-unit wall-clock deadline -- the sweep's
-``hard_timeout`` (``--hard-timeout``), or the budget's wall clock times
-a grace factor (:meth:`~repro.util.budget.ResourceBudget.hard_deadline`).
-A unit past its deadline gets its worker SIGKILLed; the resulting pool
-break flows through the same recovery path.  Timeouts are retried like
-crashes (a hang may be transient); a unit that *repeatedly* blows the
-deadline is recorded as a ``timeout`` outcome (exit 4) carrying a
-:class:`~repro.util.errors.HardTimeout` -- a ``BudgetExceeded``
-subclass, so hard enforcement folds into the existing budget contract.
+**Hung-unit watchdog.**  Against the heartbeats the parent enforces a
+hard per-unit deadline: ``hard_timeout``, or the budget's wall clock
+times a grace factor (:meth:`~repro.util.budget.ResourceBudget.
+hard_deadline`).  A unit past it gets its worker SIGKILLed, which flows
+through the same recovery without a crash charge.  A unit that blows the
+deadline more than :data:`_TIMEOUT_RETRIES` times, or once in a
+bisection worker, gets a ``timeout`` outcome (exit 4) carrying a
+:class:`~repro.util.errors.HardTimeout`, a ``BudgetExceeded`` subclass.
 
-**Fault accounting.**  ``kill``/``hang`` faults consume their armed
-``times=`` count inside a process that never reports back.  Workers
-journal each destructive firing *before* it executes (via
-:func:`repro.util.faults.set_fire_hook`); the parent replays those
-records against its master spec list and ships the decremented snapshot
-to respawned pools, so a ``times=1`` kill is transient sweep-wide and
-the retried unit converges to its fault-free outcome -- the property
-the serial≡parallel hypothesis tests pin down.
+**Fault accounting.**  A ``kill``/``hang`` fault consumes its ``times=``
+count in a process that never reports back, so workers journal each
+destructive firing before it executes
+(:func:`repro.util.faults.set_fire_hook`) and the parent replays it
+against its master specs; a ``times=1`` kill is transient sweep-wide and
+the retried unit converges to its fault-free outcome.
 
 **Resumable sweeps.**  ``unit.done`` records reuse the cache-payload
-schema and carry the unit's content key (the cache key,
-:meth:`repro.tool.batch.SweepConfig.key`), so a *new parent* given
-``resume=True`` replays completed outcomes and re-analyzes only
-incomplete units -- surviving even ``kill -9`` of the parent.
-:func:`interruptible` converts SIGTERM to ``KeyboardInterrupt`` so both
-signals drain in-flight results, write partial batch JSON, and exit 130
-without orphaning children.
+schema under the unit's content key
+(:meth:`repro.tool.batch.SweepConfig.key`), so a new parent given
+``resume=True`` replays completed outcomes -- even after ``kill -9`` of
+the old one.  :func:`interruptible` turns SIGTERM into
+``KeyboardInterrupt``; on either, the workers are terminated (killed
+after 1 s) and reaped, journaled outcomes are kept, and the caller
+writes partial batch JSON and exits 130.
 
 A fault-free parallel sweep produces the serial sweep's batch JSON byte
-for byte, and transient kills/hangs converge to the fault-free report
-(modulo ``attempts`` and the ``supervision`` telemetry block).
+for byte; transient kills and hangs converge to it modulo ``attempts``
+and the ``supervision`` block.
 """
 
 from __future__ import annotations
@@ -98,27 +93,18 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import tempfile
 import time
-from collections import defaultdict
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from multiprocessing.connection import wait
+from typing import Any, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.obs.hub import (
-    HubWiring,
-    bus_event,
-    current_hub,
-    emit_event,
-    install,
+    HubWiring, bus_event, current_hub, emit_event, install,
 )
 from repro.obs.trace import SpanRecord, Tracer, _peak_rss_kb
 from repro.tool.batch import (
@@ -139,10 +125,7 @@ from repro.util.errors import HardTimeout, WorkerCrash
 from repro.util.gcpause import gc_paused
 
 __all__ = [
-    "RunJournal",
-    "BatchSupervisor",
-    "interruptible",
-    "JOURNAL_SCHEMA_VERSION",
+    "RunJournal", "BatchSupervisor", "interruptible", "JOURNAL_SCHEMA_VERSION",
 ]
 
 #: Bump when the journal record shape changes; a resumed journal with a
@@ -150,18 +133,28 @@ __all__ = [
 #: misread.
 JOURNAL_SCHEMA_VERSION = 1
 
-#: How many times a unit may be in flight during a pool loss before it
-#: is bisected solo to find the poison pill.
+#: How many crashes a unit may be charged before it is bisected solo to
+#: find the poison pill.
 _CRASH_RETRIES = 1
 #: How many watchdog kills a unit may absorb before its outcome is
 #: recorded as ``timeout`` instead of being retried.
 _TIMEOUT_RETRIES = 1
-#: Exponential backoff before respawning the pool:
+#: Exponential backoff before replacing a dead worker:
 #: ``min(_BACKOFF_CAP, _BACKOFF_BASE * 2**(respawn - 1))`` seconds.
 _BACKOFF_BASE = 0.05
 _BACKOFF_CAP = 2.0
 #: How often the parent wakes to read heartbeats and check deadlines.
 _POLL_INTERVAL = 0.05
+#: How often the parent, while decoding cache hits, stops to serve the
+#: workers (results, heartbeats, the watchdog, queued chunks).
+_DECODE_SLICE = _POLL_INTERVAL / 5
+#: The largest task (pickled) queued behind a busy worker; with two in
+#: a pipe's buffer at most, the parent's write cannot block.
+_QUEUED_TASK_BYTES = 4096
+
+#: Workers are forked whatever the platform default: they inherit the
+#: sweep's units instead of receiving them pickled.
+_FORK = multiprocessing.get_context("fork")
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +309,13 @@ def interruptible() -> Iterator[None]:
 
 @dataclass(frozen=True)
 class _WorkerConfig:
-    """What a pool worker needs besides its units: the sweep's settings
-    plus the process wiring.  Shipped to each worker exactly once,
-    through the pool ``initializer``, so a task pickles only its units.
+    """What a worker needs besides its units: the sweep's settings plus
+    the process wiring.  Reaches each worker once, through the fork.
     """
 
     sweep: SweepConfig
+    #: The fault specs armed for each chunk; every task brings the
+    #: parent's current snapshot, which replaces this one.
     fault_specs: List[faults.FaultSpec]
     #: The supervisor's run journal: workers heartbeat ``unit.start``,
     #: append completed ``unit.done`` payloads, and record destructive
@@ -363,36 +357,23 @@ def _worker_fault_hook(
     """
     if spec.action not in ("kill", "hang"):
         return
-    _worker_journal_append(
-        {
-            "kind": "fault.fired",
-            "point": spec.point,
-            "action": spec.action,
-            "unit": unit,
-            "pid": os.getpid(),
-            "t": time.time(),
-        }
-    )
+    _worker_journal_append({
+        "kind": "fault.fired", "point": spec.point, "action": spec.action,
+        "unit": unit, "pid": os.getpid(), "t": time.time(),
+    })
 
 
 def _worker_init(config: _WorkerConfig) -> None:
-    """Pool initializer: receive the batch config once, warm the worker.
+    """Receive the batch config once and warm the worker (after fork).
 
-    Runs once per worker process at spawn.  Freezes the inherited heap
-    out of the cyclic GC: a forked worker inherits everything the
-    parent retained (on a fork start-method, possibly whole prior batch
-    reports), and the first full collection in the child would walk all
-    of it -- touching every object's header, copy-on-write-faulting the
-    shared pages, and billing seconds of CPU to whatever unit happened
-    to run first.  None of that inherited state is garbage the worker
-    could free, so ``gc.freeze`` moves it to the permanent generation.
-
-    Also installs the worker's hub, replacing whatever hub ``fork``
-    inherited: the parent's event log reopened for appending on the
-    parent's timeline (each record is one short write, so parent and
-    worker lines interleave cleanly), the ``--mem-profile`` switch, and
-    no tracer (each chunk installs its own) and no bus (telemetry rides
-    the journal).
+    Freezes the inherited heap out of the cyclic GC: it is the parent's
+    (possibly whole prior batch reports), none of it is garbage the
+    worker could free, and a full collection would walk it all,
+    copy-on-write-faulting the shared pages at the first unit's expense.
+    Installs the hub the parent's wiring describes in place of the one
+    ``fork`` inherited: the parent's event log reopened for appending on
+    its timeline, the ``--mem-profile`` switch, no tracer (each chunk
+    installs its own) and no bus (telemetry rides the journal).
     """
     global _WORKER_CONFIG
     _WORKER_CONFIG = config
@@ -400,9 +381,8 @@ def _worker_init(config: _WorkerConfig) -> None:
     try:
         # The parent runs sweeps under interruptible() (SIGTERM ->
         # KeyboardInterrupt) and workers fork while it is installed; a
-        # worker must just die on SIGTERM (pool teardown terminates
-        # idle workers), not raise a phantom interrupt into the
-        # executor plumbing.
+        # worker must just die on SIGTERM (the drain terminates
+        # workers), not raise a phantom interrupt.
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):
         pass
@@ -410,34 +390,27 @@ def _worker_init(config: _WorkerConfig) -> None:
     faults.set_fire_hook(_worker_fault_hook)
 
 
-#: One dispatched task: a contiguous run of ``(index, unit, key)``
-#: triples -- ``key`` is the unit's content key (None when neither a
-#: cache nor a journal is configured).
+#: One chunk of ``(index, unit, key)`` triples; ``key`` is the unit's
+#: content key (None when neither a cache nor a journal is configured).
 _WorkerChunk = List[Tuple[int, BatchUnit, Optional[str]]]
 
 
 def _worker_analyze_chunk(
     chunk: _WorkerChunk,
 ) -> Tuple[List[Tuple[int, UnitOutcome]], List[SpanRecord], int]:
-    """Analyze one chunk of units inside a warm pool worker.
+    """Analyze one chunk of units inside a worker.
 
-    Re-arms the fault-spec snapshot from the worker-local config (one
-    dispatch = one chunk, preserving the documented per-dispatch scope
-    of bare ``times=`` specs) and, when the parent is tracing, records
-    the chunk under a fresh tracer pinned to the parent's epoch.  Ships
-    back the slimmed outcomes, the recorded span roots, and this
-    worker's pid.  Under ``keep_going=False`` the rest of the chunk is
-    abandoned after a hard failure -- the parent would relabel those
-    units ``skipped`` anyway, exactly as a serial run never reaches
-    them.
-
-    Each unit is bracketed by journal heartbeats: a ``unit.start``
-    before analysis (the parent's watchdog clock and, if this process
-    dies, the crash attribution) and a ``unit.done`` carrying the full
-    outcome payload after (so results that completed before a later
-    unit killed the worker are adopted, not re-run).
+    Re-arms the config's fault specs (one dispatch = one chunk, the
+    documented scope of bare ``times=`` specs) and, when the parent is
+    tracing, records the chunk under a tracer on the parent's epoch.
+    Returns the slimmed outcomes, the span roots, and this worker's pid.
+    Under ``keep_going=False`` the rest of the chunk is abandoned after a
+    hard failure, which a serial run would never pass.  Each unit is
+    bracketed by journal records: ``unit.start`` (the watchdog's clock
+    and the crash attribution) and ``unit.done`` with the outcome's
+    payload (adopted if the worker dies before replying).
     """
-    assert _WORKER_CONFIG is not None, "worker used without initializer"
+    assert _WORKER_CONFIG is not None, "worker used before _worker_init"
     config = _WORKER_CONFIG
     faults.install(config.fault_specs)
     epoch = config.hub.trace_epoch
@@ -451,7 +424,7 @@ def _worker_analyze_chunk(
             # no young collection traverses a report about to be freed.
             with gc_paused():
                 outcome = _analyze_unit(unit, config.sweep)
-                outcome.report = None  # the full report does not cross the pool
+                outcome.report = None  # the full report stays in the worker
             outcome.worker_pid = os.getpid()
             results.append((index, outcome))
             _worker_journal_append(_journal_record(index, unit, key, outcome))
@@ -484,45 +457,51 @@ def _worker_analyze_chunk(
     return results, roots, os.getpid()
 
 
-def _solo_entry(
+def _worker_main(
     config: _WorkerConfig,
-    index: int,
-    unit: BatchUnit,
-    key: Optional[str],
-    conn,
+    units: List[BatchUnit],
+    keys: List[Optional[str]],
+    tasks,
+    results,
+    inherited: List[Any],
 ) -> None:
-    """Bisection child: one unit, one fresh process, result via pipe.
+    """A forked worker's life: answer tasks until the task pipe closes.
 
-    Reuses the full chunk path (journal heartbeats, fault snapshot,
-    event log) so a solo run is observably identical to a pool run of a
-    single-unit chunk.  If the unit kills this process too, the parent
-    reads the exitcode/signal off the dead child and quarantines the
-    unit; trace spans are not shipped (the pool path's tracer adoption
-    needs the executor plumbing, and a bisection rerun's spans are not
-    worth a second IPC channel).
+    ``inherited`` (the parent's ends of every worker's pipes) is closed
+    first: a copy held here would keep a task pipe from reading EOF.
+    Ctrl-C is the parent's to handle (it terminates the workers), so a
+    worker ignores SIGINT.
     """
+    global _WORKER_CONFIG
+    for conn in inherited:
+        conn.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker_init(config)
-    results, _roots, _pid = _worker_analyze_chunk([(index, unit, key)])
-    _, outcome = results[0]
-    conn.send(outcome.to_cache_payload())
-    conn.close()
+    while True:
+        try:
+            indices, specs = pickle.loads(tasks.recv_bytes())
+        except EOFError:
+            return
+        _WORKER_CONFIG = replace(config, fault_specs=specs)
+        chunk = [(index, units[index], keys[index]) for index in indices]
+        try:
+            reply: Any = _worker_analyze_chunk(chunk)
+        except Exception as error:
+            reply = error
+        try:
+            results.send(reply)
+        except OSError:
+            return  # the parent is gone
+        except Exception as error:  # the reply does not pickle
+            results.send(RuntimeError(f"{type(error).__name__}: {error}"))
 
 
 def _chunked(
     indices: List[int], workers: int, chunk_size: Optional[int]
 ) -> List[List[int]]:
-    """Contiguous chunks of submission indices, FIFO order.
-
-    Contiguity + FIFO dispatch is what makes early-stop normalization
-    sound: whenever a chunk is cancelled before starting, every unit in
-    it has a higher submission index than every unit already completed
-    or in flight, so the "earliest hard failure" scan never misses a
-    unit a serial run would have reached first.
-
-    The default size targets ~4 chunks per worker: large enough that
-    small units amortize the submit/result round trip, small enough
-    that the tail of the sweep still load-balances.
-    """
+    """Runs of consecutive ``indices``, in order.  The default size
+    targets ~4 chunks per worker: small units amortize the round trip,
+    and the tail of the sweep still load-balances."""
     if chunk_size is None:
         chunk_size = max(1, min(8, math.ceil(len(indices) / (workers * 4))))
     return [
@@ -536,17 +515,31 @@ def _chunked(
 # ---------------------------------------------------------------------------
 
 
-class BatchSupervisor:
-    """Run one sweep's pool generations; recover, watch, and retry.
+class _Worker:
+    """One forked worker: its process, its two pipes, its chunks."""
 
-    A state machine over pool generations: ``DISPATCH -> (drain |
-    BROKEN)``; on ``BROKEN``: adopt journaled outcomes, attribute
-    in-flight units, bisect repeat offenders, backoff, respawn; on
-    watchdog expiry: SIGKILL the worker and fold into ``BROKEN``.  The
-    ``journal`` is the heartbeat and outcome channel every one of those
-    steps reads.  Outcomes land in ``slots`` (one per unit, ``None``
-    until the unit has one), which may arrive pre-filled with cache
-    hits and resumed outcomes.
+    def __init__(self, proc, tasks, results, solo: bool) -> None:
+        self.proc = proc
+        self.tasks, self.results = tasks, results  # the parent's ends
+        #: Chunks sent and not yet answered, oldest (running) first.
+        self.chunks: Deque[List[int]] = deque()
+        #: Units that journaled ``unit.start`` in this worker.
+        self.started: Set[int] = set()
+        #: Units the watchdog killed this worker for.
+        self.killed: Set[int] = set()
+        #: A bisection worker: one suspect unit, then it exits.
+        self.solo = solo
+
+
+class BatchSupervisor:
+    """Run one sweep's workers; recover, watch, and retry.
+
+    :meth:`submit` queues units and forks workers; :meth:`service`
+    collects replies, reads heartbeats, runs the watchdog and dispatches;
+    :meth:`run` serves until every runnable unit has an outcome in
+    ``slots`` (shared with the caller, who adds cache hits and resumed
+    outcomes); :meth:`close` reaps every worker.  Heartbeats go to
+    ``journal``, or to a throwaway one opened at the first fork.
     """
 
     def __init__(
@@ -554,20 +547,21 @@ class BatchSupervisor:
         *,
         units: List[BatchUnit],
         slots: List[Optional[UnitOutcome]],
-        to_run: List[int],
         config: SweepConfig,
         jobs: int,
         chunk_size: Optional[int],
-        journal: RunJournal,
+        journal: Optional[RunJournal],
         keys: List[Optional[str]],
     ) -> None:
         self.units = units
         self.slots = slots
-        self.to_run = list(to_run)
+        #: Every unit handed to :meth:`submit`, in submission order.
+        self.to_run: List[int] = []
         self.config = config
         self.jobs = jobs
         self.chunk_size = chunk_size
         self.journal = journal
+        self._ephemeral: Optional[str] = None
         self.keys = keys
         #: Hard per-unit wall-clock deadline; ``None`` disarms the
         #: watchdog.
@@ -580,6 +574,20 @@ class BatchSupervisor:
 
         self.interrupted = False
         self.stats: Dict[str, int] = defaultdict(int)
+        self.workers: List[_Worker] = []
+        #: Every process forked and not yet known to be reaped.
+        self._procs: List[Any] = []
+        self._by_pid: Dict[int, _Worker] = {}
+        #: Chunks waiting for a worker, in dispatch order.
+        self._queue: Deque[List[int]] = deque()
+        #: Chunks of lost workers, held until the backoff is over.
+        self._retry: Deque[List[int]] = deque()
+        #: Units to bisect, each in a worker of its own.
+        self._suspects: Deque[int] = deque()
+        #: Dead workers not yet replaced, and when the next may fork.
+        self._vacancies = 0
+        self._backoff = 0.0
+        self._fork_at = 0.0
         self._fault_specs = faults.snapshot()
         self._crash_count: Dict[int, int] = defaultdict(int)
         self._timeout_count: Dict[int, int] = defaultdict(int)
@@ -587,179 +595,327 @@ class BatchSupervisor:
         self._running: Dict[int, Tuple[Optional[int], float]] = {}
         #: index -> last pid observed analyzing it (crash attribution).
         self._last_pid: Dict[int, Optional[int]] = {}
-        #: index -> journaled ``unit.done`` outcome payload.
+        #: index -> journaled ``unit.done`` record.
         self._journal_done: Dict[int, Dict[str, Any]] = {}
-        #: pid -> exitcode of the last generation's workers (best effort).
-        self._exitcodes: Dict[int, Optional[int]] = {}
-        self._watchdog_killed: set = set()
-        self._gen_started: set = set()
 
     # -- public entry ------------------------------------------------------
 
-    def run(self) -> None:
-        """Supervise until every runnable unit has an outcome."""
-        # Pool respawns before giving up on the sweep, scaled to the
-        # corpus: every unit may cost a crash retry and a bisection.
-        max_respawns = 2 * len(self.to_run) + 4
-        generation = 0
-        while not self.interrupted:
-            runnable = self._runnable()
-            if not runnable:
-                break
-            if generation > 0:
-                self.stats["respawns"] += 1
-                delay = min(
-                    _BACKOFF_CAP, _BACKOFF_BASE * (2 ** (generation - 1))
-                )
-                time.sleep(delay)
-                emit_event(
-                    "supervisor.respawn",
-                    generation=generation,
-                    units=len(runnable),
-                    backoff_s=round(delay, 3),
-                )
-            broken = self._generation(runnable)
-            if self.interrupted:
-                break
-            if not broken:
-                break  # clean drain (or early stop): nothing to recover
-            self._recover(runnable)
-            generation += 1
-            if generation > max_respawns:
-                self._give_up()
-                break
-
-    # -- scheduling helpers ------------------------------------------------
-
-    def _runnable(self) -> List[int]:
-        pending = [i for i in self.to_run if self.slots[i] is None]
-        if not self.config.keep_going:
-            first = _first_hard_failure(self.slots)
-            if first is not None:
-                # Serial semantics: everything after the earliest hard
-                # failure stays unrun (reported skipped by the caller),
-                # but units *before* it must still complete.
-                pending = [i for i in pending if i < first]
-        return pending
-
-    def _worker_config(self) -> _WorkerConfig:
-        return _WorkerConfig(
-            sweep=self.config,
-            fault_specs=[replace(spec) for spec in self._fault_specs],
-            journal_path=self.journal.path,
-            hub=self.wiring,
-        )
-
-    # -- one pool generation ----------------------------------------------
-
-    def _generation(self, runnable: List[int]) -> bool:
-        order = list(runnable)
+    def submit(self, indices: List[int]) -> None:
+        """Queue units for analysis, longest first under ``keep_going``,
+        and fork workers for them."""
+        if not indices:
+            return
+        self.to_run.extend(indices)
+        order = list(indices)
         if self.config.keep_going:
             # LPT dispatch: safe because every unit runs regardless of
             # order.
             order.sort(key=lambda i: -len(self.units[i].source))
         workers = min(self.jobs, len(order))
-        chunks = _chunked(order, workers, self.chunk_size)
-        # No more workers than chunks: an idle worker still pays its
-        # fork and gc.freeze.
-        workers = max(1, min(workers, len(chunks)))
-        self._gen_started = set()
-        self._watchdog_killed = set()
-        self._running.clear()
-        broken = False
-        stopping = False
-        executor = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(self._worker_config(),),
-        )
-        futures: Dict[Any, List[int]] = {}
-        try:
-            try:
-                for indices in chunks:
-                    task = [
-                        (index, self.units[index], self.keys[index])
-                        for index in indices
-                    ]
-                    futures[executor.submit(_worker_analyze_chunk, task)] = (
-                        indices
-                    )
-            except BrokenProcessPool:
-                broken = True  # died during submission: recover below
-            not_done = set(futures)
-            while not_done:
-                done, not_done = wait(
-                    not_done,
-                    timeout=_POLL_INTERVAL,
-                    return_when=FIRST_COMPLETED,
-                )
-                self._consume_journal()
-                bus_event("tick", stats=self.stats)
-                for future in done:
-                    indices = futures[future]
-                    try:
-                        results, roots, pid = future.result()
-                    except CancelledError:
-                        continue
-                    except BrokenProcessPool:
-                        broken = True
-                        continue
-                    except Exception as error:
-                        # A structural dispatch failure (pickling, ...):
-                        # deterministic, so retrying cannot help.
-                        for index in indices:
-                            if self.slots[index] is None:
-                                self._record(
-                                    index,
-                                    _failure(
-                                        self.units[index].name,
-                                        "internal-error",
-                                        error,
-                                        message=(
-                                            f"worker process failed: {error}"
-                                        ),
-                                    ),
-                                    adjust=False,
-                                )
-                        continue
-                    if self.tracer is not None and roots:
-                        self.tracer.adopt(roots, pid=pid)
-                    for index, outcome in results:
-                        self._record(index, outcome)
-                if (
-                    not self.config.keep_going
-                    and not stopping
-                    and _first_hard_failure(self.slots) is not None
-                ):
-                    stopping = True
-                    for future in not_done:
-                        future.cancel()
-                if not broken and not stopping:
-                    self._watchdog()
-        except KeyboardInterrupt:
-            self.interrupted = True
-            self.stats["interrupted"] = 1
-            self._drain_interrupt(executor)
-            return False
-        finally:
-            procs = []
-            try:  # private API, best effort: crash/signal attribution
-                procs = list(executor._processes.values())
-            except Exception:
-                procs = []
-            executor.shutdown(wait=not self.interrupted)
-            self._exitcodes = {}
-            for proc in procs:
-                try:
-                    self._exitcodes[proc.pid] = proc.exitcode
-                except Exception:
-                    continue
+        self._queue.extend(_chunked(order, workers, self.chunk_size))
+        self._dispatch()
+
+    def run(self) -> None:
+        """Serve the workers until every runnable unit has an outcome."""
+        while self._runnable():
+            # Wake for a pending fork, or poll.
+            wake = self._fork_at - time.monotonic()
+            self.service(wake if 0 < wake < _POLL_INTERVAL else _POLL_INTERVAL)
+
+    def service(self, timeout: float) -> None:
+        """One pass: wait up to ``timeout`` for replies, then collect
+        them, read heartbeats, run the watchdog and dispatch."""
+        conns = [worker.results for worker in self.workers]
+        if conns:
+            ready = wait(conns, timeout)
+        else:
+            ready = []
+            time.sleep(timeout)
         self._consume_journal()
-        return broken
+        for conn in ready:
+            worker = next(w for w in self.workers if w.results is conn)
+            try:
+                reply = conn.recv()
+            except (EOFError, OSError):
+                self._lost(worker)
+                continue
+            self._answered(worker, reply)
+        bus_event("tick", stats=self.stats)
+        self._watchdog()
+        self._dispatch()
+
+    def interrupt(self) -> None:
+        """Ctrl-C/SIGTERM: terminate the workers rather than await them,
+        and keep what finished, journaled outcomes included."""
+        self.interrupted = True
+        self.stats["interrupted"] = 1
+        emit_event("supervisor.interrupted")
+        self._shutdown(terminate=True)
+        self._consume_journal()
+        for index in list(self._journal_done):
+            if self.slots[index] is None:
+                self._adopt(index)
+
+    def close(self) -> None:
+        """Stop and reap every worker; remove a throwaway journal.  A
+        worker still busy holds only units the report does not need (past
+        an early stop, or settled), so it is terminated."""
+        self._shutdown(terminate=False)
+        if self._ephemeral is not None:
+            self.journal.close()
+            try:
+                os.unlink(self._ephemeral)
+            except OSError:
+                pass
+
+    # -- scheduling --------------------------------------------------------
+
+    def _limit(self) -> Optional[int]:
+        """The earliest hard failure under ``keep_going=False``: nothing
+        at or past it is dispatched."""
+        if self.config.keep_going:
+            return None
+        return _first_hard_failure(self.slots)
+
+    def _runnable(self) -> List[int]:
+        pending = [i for i in self.to_run if self.slots[i] is None]
+        first = self._limit()
+        if first is not None:
+            # Serial semantics: everything after the earliest hard
+            # failure stays unrun (reported skipped by the caller),
+            # but units *before* it must still complete.
+            pending = [i for i in pending if i < first]
+        return pending
+
+    def _next_chunk(self) -> Optional[List[int]]:
+        first = self._limit()
+        while self._queue:
+            chunk = [
+                i for i in self._queue.popleft()
+                if self.slots[i] is None and (first is None or i < first)
+            ]
+            if chunk:
+                return chunk
+        return None
+
+    def _dispatch(self) -> None:
+        """Bisect suspects; once a backoff is over, release the retries
+        and replace dead workers; feed idle workers, fork more up to
+        ``jobs``, then queue chunks behind the least-loaded workers."""
+        due = time.monotonic() >= self._fork_at
+        if due and self._retry:
+            self._queue.extendleft(reversed(self._retry))
+            self._retry.clear()
+        while self._suspects:
+            index = self._suspects.popleft()
+            if self.slots[index] is None:
+                emit_event("supervisor.bisect", unit=self.units[index].name)
+                self._post(self._fork(solo=True), [index])
+        regular = [w for w in self.workers if not w.solo]
+        while due and self._vacancies:
+            if len(regular) >= self.jobs or not self._runnable():
+                self._vacancies = 0
+                break
+            if not self._respawn():
+                return
+            regular.append(self._fork(solo=False))
+        for worker in regular:
+            if not worker.chunks:
+                self._post_next(worker)
+        while due and self._queue and len(regular) < self.jobs:
+            chunk = self._next_chunk()
+            if chunk is None:
+                break
+            regular.append(self._fork(solo=False))
+            self._post(regular[-1], chunk)
+        # Greedy LPT over the pipes: the next chunk queues behind the
+        # worker with the least work left, one queued chunk at most.  The
+        # last chunks wait for whichever worker frees first, since the
+        # source-size estimate is too rough to commit them.
+        while regular and len(self._queue) >= len(regular):
+            worker = min(regular, key=self._work_left)
+            if len(worker.chunks) != 1 or not self._post_next(
+                worker, _QUEUED_TASK_BYTES
+            ):
+                break
+
+    def _work_left(self, worker: _Worker) -> int:
+        """Source bytes of the worker's units not yet journaled done."""
+        return sum(
+            len(self.units[i].source)
+            for chunk in worker.chunks
+            for i in chunk
+            if i not in self._journal_done
+        )
+
+    def _respawn(self) -> bool:
+        """Count one replacement; False once the budget is spent."""
+        self._vacancies -= 1
+        self.stats["respawns"] += 1
+        respawns = self.stats["respawns"]
+        if respawns > 2 * len(self.to_run) + 4:
+            # Every unit may cost a crash retry and a bisection.
+            self._give_up()
+            return False
+        emit_event(
+            "supervisor.respawn", generation=respawns,
+            units=len(self._runnable()), backoff_s=round(self._backoff, 3),
+        )
+        return True
+
+    def _fork(self, solo: bool) -> _Worker:
+        """Fork one worker (no task yet)."""
+        if self.journal is None:
+            fd, self._ephemeral = tempfile.mkstemp(
+                prefix="regionwiz-journal-", suffix=".jsonl"
+            )
+            os.close(fd)
+            self.journal = RunJournal(
+                self._ephemeral, run_id=self.config.run_id
+            )
+        task_r, task_w = _FORK.Pipe(duplex=False)
+        result_r, result_w = _FORK.Pipe(duplex=False)
+        inherited = [task_w, result_r]
+        for other in self.workers:
+            inherited += (other.tasks, other.results)
+        config = _WorkerConfig(
+            sweep=self.config,
+            fault_specs=self._fault_specs,
+            journal_path=self.journal.path,
+            hub=self.wiring,
+        )
+        proc = _FORK.Process(
+            target=_worker_main,
+            args=(config, self.units, self.keys, task_r, result_w, inherited),
+            name="regionwiz-worker",
+        )
+        proc.start()
+        self._procs.append(proc)
+        task_r.close()
+        result_w.close()
+        worker = _Worker(proc, task_w, result_r, solo)
+        self.workers.append(worker)
+        self._by_pid[proc.pid] = worker
+        return worker
+
+    def _post_next(self, worker: _Worker, limit: Optional[int] = None) -> bool:
+        """Send the next chunk; False when none is left or it is too big."""
+        chunk = self._next_chunk()
+        if chunk is None:
+            return False
+        if not self._post(worker, chunk, limit):
+            self._queue.appendleft(chunk)
+            return False
+        return True
+
+    def _post(
+        self, worker: _Worker, chunk: List[int], limit: Optional[int] = None
+    ) -> bool:
+        """Send one task; False (nothing sent) when it exceeds ``limit``."""
+        data = pickle.dumps((chunk, self._fault_specs))
+        if limit is not None and len(data) > limit:
+            return False
+        worker.chunks.append(chunk)
+        try:
+            worker.tasks.send_bytes(data)
+        except OSError:
+            pass  # the worker is gone; its EOF requeues the chunk
+        return True
+
+    def _retire(self, worker: _Worker) -> None:
+        """Drop a worker from the books and reap it."""
+        self.workers.remove(worker)
+        self._by_pid.pop(worker.proc.pid, None)
+        worker.tasks.close()
+        worker.proc.join()
+        worker.results.close()
+
+    def _shutdown(self, terminate: bool) -> None:
+        """Close every task pipe, terminate the workers that must not
+        finish, kill what is left after 1 s, and reap them all."""
+        workers, self.workers = self.workers, []
+        self._by_pid.clear()
+        for worker in workers:
+            worker.tasks.close()
+            if terminate or worker.chunks:
+                worker.proc.terminate()
+        deadline = time.monotonic() + 1.0
+        for proc in self._procs:
+            proc.join(max(0.0, deadline - time.monotonic()))
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+        self._procs = []
+        for worker in workers:
+            worker.results.close()
+
+    # -- replies and losses ------------------------------------------------
+
+    def _answered(self, worker: _Worker, reply: Any) -> None:
+        indices = worker.chunks.popleft()
+        if isinstance(reply, BaseException):
+            # The chunk function itself failed, outside per-unit
+            # isolation: deterministic, so retrying cannot help.
+            message = f"worker process failed: {reply}"
+            for index in indices:
+                outcome = _failure(
+                    self.units[index].name, "internal-error", reply,
+                    message=message,
+                )
+                self._record(index, outcome, adjust=False)
+        else:
+            results, roots, pid = reply
+            if self.tracer is not None and roots:
+                self.tracer.adopt(roots, pid=pid)
+            for index, outcome in results:
+                self._record(index, outcome)
+        if worker.solo:
+            self._retire(worker)
+
+    def _lost(self, worker: _Worker) -> None:
+        """A worker died: settle the units of its own chunks."""
+        self._consume_journal()
+        self._retire(worker)
+        pid = worker.proc.pid
+        exitcode = worker.proc.exitcode
+        signum = -exitcode if exitcode is not None and exitcode < 0 else None
+        requeue = []
+        for index in (i for chunk in worker.chunks for i in chunk):
+            self._running.pop(index, None)
+            if self.slots[index] is not None or self._adopt(index):
+                continue
+            if worker.solo:
+                self.stats["quarantined"] += 1
+                emit_event(
+                    "supervisor.quarantine", unit=self.units[index].name,
+                    pid=pid, signal=signum,
+                )
+                self._crashed(index, pid, signum)
+                continue
+            if index in worker.started and index not in worker.killed:
+                self._crash_count[index] += 1
+                emit_event(
+                    "supervisor.worker-lost", unit=self.units[index].name,
+                    pid=pid, signal=signum, crashes=self._crash_count[index],
+                )
+                if self._crash_count[index] > _CRASH_RETRIES:
+                    self._suspects.append(index)
+                    continue
+            requeue.append(index)
+        self._retry.extend(_chunked(requeue, self.jobs, self.chunk_size))
+        if not worker.solo and self._runnable():
+            self._vacancies += 1
+            respawn = self.stats.get("respawns", 0) + self._vacancies
+            self._backoff = min(
+                _BACKOFF_CAP, _BACKOFF_BASE * (2 ** (respawn - 1))
+            )
+            self._fork_at = time.monotonic() + self._backoff
 
     # -- journal consumption ----------------------------------------------
 
     def _consume_journal(self) -> None:
+        if self.journal is None:
+            return
         for record in self.journal.tail():
             kind = record.get("kind")
             if kind == "unit.start":
@@ -769,12 +925,11 @@ class BatchSupervisor:
                 pid = record.get("pid")
                 self._running[index] = (pid, record.get("t", time.time()))
                 self._last_pid[index] = pid
-                self._gen_started.add(index)
+                worker = self._by_pid.get(pid)
+                if worker is not None:
+                    worker.started.add(index)
                 bus_event(
-                    "unit.start",
-                    index=index,
-                    unit=record.get("unit"),
-                    pid=pid,
+                    "unit.start", index=index, unit=record.get("unit"), pid=pid
                 )
             elif kind == "telemetry":
                 # Worker metric/RSS deltas piggybacked on the heartbeat
@@ -792,13 +947,9 @@ class BatchSupervisor:
                 self._consume_fault(record)
 
     def _consume_fault(self, record: Dict[str, Any]) -> None:
-        """Replay one destructive fault firing against the master specs.
-
-        The worker that fired a ``kill``/``hang`` never reports back, so
-        its local ``times`` decrement died with it; this keeps the
-        parent's snapshot -- the one respawned pools are armed from --
-        consistent with what actually fired.
-        """
+        """Replay one destructive fault firing against the master specs
+        (the worker's own decrement died with it), so every later task
+        carries what actually fired."""
         point = record.get("point")
         action = record.get("action")
         unit = record.get("unit")
@@ -821,6 +972,8 @@ class BatchSupervisor:
     def _record(
         self, index: int, outcome: UnitOutcome, adjust: bool = True
     ) -> None:
+        if self.slots[index] is not None:
+            return  # settled already (a timeout, or a racing cache hit)
         if adjust:
             retries = self._crash_count[index] + self._timeout_count[index]
             if retries:
@@ -829,52 +982,49 @@ class BatchSupervisor:
         self._running.pop(index, None)
         bus_event("unit.done", index=index, outcome=outcome)
 
-    def _adopt_journal_done(self) -> None:
-        """Units that completed in a worker but never shipped a result."""
-        for index, record in self._journal_done.items():
-            if self.slots[index] is not None or index not in self.to_run:
-                continue
-            try:
-                outcome = UnitOutcome.from_payload(record["outcome"])
-            except (KeyError, TypeError, ValueError):
-                continue
-            outcome.worker_pid = record.get("pid")
-            self.stats["journal_recovered"] += 1
-            emit_event(
-                "supervisor.journal-recovered", unit=outcome.unit
-            )
-            self._record(index, outcome)
+    def _adopt(self, index: int) -> bool:
+        """Record a unit that completed in a worker but never shipped."""
+        record = self._journal_done.get(index)
+        if record is None:
+            return False
+        try:
+            outcome = UnitOutcome.from_payload(record["outcome"])
+        except (KeyError, TypeError, ValueError):
+            return False
+        outcome.worker_pid = record.get("pid")
+        self.stats["journal_recovered"] += 1
+        emit_event("supervisor.journal-recovered", unit=outcome.unit)
+        self._record(index, outcome)
+        return True
 
-    def _timed_out(self, index: int, used: float, attempts: int) -> None:
+    def _timed_out(self, index: int, used: float) -> None:
         """Record a unit's ``timeout`` outcome (maps to exit 4)."""
         assert self.deadline is not None
         self.stats["timeouts"] += 1
-        self._record(
-            index,
-            _failure(
-                self.units[index].name,
-                "timeout",
-                HardTimeout(self.deadline, used),
-                attempts=attempts,
-            ),
-            adjust=False,
-        )
+        attempts = self._crash_count[index] + self._timeout_count[index]
+        error = HardTimeout(self.deadline, used)
+        name = self.units[index].name
+        outcome = _failure(name, "timeout", error, attempts=attempts)
+        self._record(index, outcome, adjust=False)
 
     def _crashed(
         self, index: int, pid: Optional[int], signum: Optional[int]
     ) -> None:
         """Record a quarantined unit's ``crashed`` outcome (exit 3)."""
         name = self.units[index].name
-        self._record(
-            index,
-            _failure(
-                name,
-                "crashed",
-                WorkerCrash(name, pid=pid, signum=signum),
-                attempts=self._crash_count[index] + 1,
-            ),
-            adjust=False,
-        )
+        error = WorkerCrash(name, pid=pid, signum=signum)
+        attempts = self._crash_count[index] + 1
+        outcome = _failure(name, "crashed", error, attempts=attempts)
+        self._record(index, outcome, adjust=False)
+
+    def _give_up(self) -> None:
+        """Respawn budget exhausted: fail what's left, structurally."""
+        for index in self._runnable():
+            emit_event("supervisor.gave-up", unit=self.units[index].name)
+            self._crashed(index, self._last_pid.get(index), None)
+        self._queue.clear()
+        self._retry.clear()
+        self._suspects.clear()
 
     # -- the watchdog ------------------------------------------------------
 
@@ -889,178 +1039,24 @@ class BatchSupervisor:
             if used <= self.deadline:
                 continue
             self._running.pop(index, None)
-            self._watchdog_killed.add(index)
+            worker = self._by_pid.get(pid)
+            if worker is not None:
+                worker.killed.add(index)
             self._timeout_count[index] += 1
             self.stats["watchdog_kills"] += 1
             emit_event(
-                "supervisor.watchdog-kill",
-                unit=self.units[index].name,
-                pid=pid,
-                used_s=round(used, 3),
-                limit_s=self.deadline,
+                "supervisor.watchdog-kill", unit=self.units[index].name,
+                pid=pid, used_s=round(used, 3), limit_s=self.deadline,
             )
-            if self._timeout_count[index] > _TIMEOUT_RETRIES:
-                self._timed_out(index, used, self._timeout_count[index])
+            if (worker is not None and worker.solo) or (
+                self._timeout_count[index] > _TIMEOUT_RETRIES
+            ):
+                self._timed_out(index, used)
             if pid:
                 try:
                     os.kill(pid, signal.SIGKILL)
                 except (ProcessLookupError, PermissionError):
                     pass
-
-    # -- recovery after a broken pool --------------------------------------
-
-    def _signal_for(self, pid: Optional[int]) -> Optional[int]:
-        if pid is None:
-            return None
-        exitcode = self._exitcodes.get(pid)
-        if exitcode is not None and exitcode < 0:
-            return -exitcode
-        return None
-
-    def _recover(self, runnable: List[int]) -> None:
-        self._consume_journal()
-        self._adopt_journal_done()
-        suspects = []
-        for index in runnable:
-            if self.slots[index] is not None:
-                continue
-            if (
-                index in self._gen_started
-                and index not in self._watchdog_killed
-            ):
-                self._crash_count[index] += 1
-                pid = self._last_pid.get(index)
-                emit_event(
-                    "supervisor.worker-lost",
-                    unit=self.units[index].name,
-                    pid=pid,
-                    signal=self._signal_for(pid),
-                    crashes=self._crash_count[index],
-                )
-                if self._crash_count[index] > _CRASH_RETRIES:
-                    suspects.append(index)
-        self._running.clear()
-        for index in suspects:
-            self._bisect(index)
-
-    def _bisect(self, index: int) -> None:
-        """One unit, one fresh process: find (and quarantine) poison pills."""
-        unit = self.units[index]
-        emit_event("supervisor.bisect", unit=unit.name)
-        ctx = multiprocessing.get_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_solo_entry,
-            args=(
-                self._worker_config(),
-                index,
-                unit,
-                self.keys[index],
-                child_conn,
-            ),
-        )
-        proc.start()
-        child_conn.close()
-        proc.join(self.deadline)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-            parent_conn.close()
-            self._consume_journal()
-            self._timeout_count[index] += 1
-            self.stats["watchdog_kills"] += 1
-            assert self.deadline is not None
-            self._timed_out(
-                index,
-                self.deadline,
-                self._crash_count[index] + self._timeout_count[index],
-            )
-            return
-        payload = None
-        try:
-            if parent_conn.poll(0):
-                payload = parent_conn.recv()
-        except (EOFError, OSError):
-            payload = None
-        finally:
-            parent_conn.close()
-        self._consume_journal()
-        if isinstance(payload, dict):
-            try:
-                outcome = UnitOutcome.from_payload(payload)
-            except (KeyError, TypeError, ValueError):
-                outcome = None
-            if outcome is not None:
-                outcome.worker_pid = proc.pid
-                outcome.attempts += (
-                    self._crash_count[index] + self._timeout_count[index]
-                )
-                self._record(index, outcome, adjust=False)
-                return
-        exitcode = proc.exitcode
-        signum = -exitcode if exitcode is not None and exitcode < 0 else None
-        self.stats["quarantined"] += 1
-        emit_event(
-            "supervisor.quarantine",
-            unit=unit.name,
-            pid=proc.pid,
-            signal=signum,
-        )
-        self._crashed(index, proc.pid, signum)
-
-    def _give_up(self) -> None:
-        """Respawn budget exhausted: fail what's left, structurally."""
-        for index in self._runnable():
-            emit_event("supervisor.gave-up", unit=self.units[index].name)
-            self._crashed(index, self._last_pid.get(index), None)
-
-    # -- interrupt drain ---------------------------------------------------
-
-    def _drain_interrupt(self, executor) -> None:
-        """Ctrl-C/SIGTERM: keep what finished, kill children, come home.
-
-        Completed futures were already harvested; journaled ``unit.done``
-        payloads cover results that finished inside workers but never
-        shipped.  In-flight analyses are killed rather than awaited --
-        the whole point of the drain is to exit promptly without
-        orphaning children.
-
-        Pending futures are deliberately NOT cancelled: killing the
-        workers breaks the pool, and the executor's management thread
-        then settles every pending future with ``BrokenProcessPool``
-        itself.  Cancelling first makes that ``set_exception`` call
-        raise ``InvalidStateError`` inside the management thread, which
-        splats a phantom traceback on stderr mid-drain.
-        """
-        emit_event("supervisor.interrupted")
-        procs = []
-        try:  # private API, best effort
-            procs = list(executor._processes.values())
-        except Exception:
-            procs = []
-        for proc in procs:
-            try:
-                proc.terminate()
-            except Exception:
-                continue
-        deadline = time.time() + 1.0
-        for proc in procs:
-            try:
-                proc.join(max(0.0, deadline - time.time()))
-            except Exception:
-                continue
-        for proc in procs:
-            try:
-                if proc.is_alive():
-                    proc.kill()
-            except Exception:
-                continue
-        try:
-            executor.shutdown(wait=False)
-        except Exception:
-            pass
-        self._consume_journal()
-        self._adopt_journal_done()
 
 
 # ---------------------------------------------------------------------------
@@ -1078,73 +1074,69 @@ def _run_batch_parallel(
     journal: Optional[RunJournal],
     resumed_slots: Dict[int, UnitOutcome],
 ) -> Tuple[List[Optional[UnitOutcome]], Dict[str, int], bool]:
-    """Fan unit chunks out to a supervised warm process pool.
+    """Analyze the misses in supervised workers, in the module's probe
+    order, while the parent decodes the cache hits.
 
     Returns ``(slots, supervision_stats, interrupted)``.  A ``None``
-    slot means the unit never ran (cancelled after an early stop, or
-    still in flight when the sweep was interrupted); the caller turns
-    those -- and, without ``keep_going``, every slot after the earliest
-    hard failure -- into ``skipped`` outcomes.
+    slot means the unit never ran (not dispatched after an early stop,
+    or in flight when the sweep was interrupted); the caller turns those
+    -- and, without ``keep_going``, every slot after the earliest hard
+    failure -- into ``skipped`` outcomes.
 
-    The supervisor's heartbeat channel is the caller's ``journal``, or a
-    throwaway one opened here when the caller has none and some unit is
-    left to analyze.
-
-    Without ``keep_going``, cache stores are deferred until the pool
-    drains and flushed only for units *before* the earliest hard
-    failure: an in-flight worker may deliver a result after the stop,
-    and persisting it would let a warm re-run resurrect an outcome the
-    batch report relabelled ``skipped`` (diverging from the serial
-    cache state).  The same deferral covers interrupted sweeps -- only
-    outcomes the partial report actually carries are persisted.
+    Cache stores wait until the workers are reaped and, without
+    ``keep_going``, cover only units *before* the earliest hard failure:
+    a result delivered after the stop is relabelled ``skipped``, and
+    persisting it would let a warm re-run resurrect it (diverging from
+    the serial cache state).  An interrupted sweep likewise persists
+    only what its partial report carries.
     """
     slots: List[Optional[UnitOutcome]] = [None] * len(units)
-    to_run: List[int] = []
-    for index, unit in enumerate(units):
+    lookups: List[int] = []
+    misses: List[int] = []
+    present: Set[int] = set()
+    for index in range(len(units)):
         if index in resumed_slots:
             slots[index] = resumed_slots[index]
             bus_event("unit.done", index=index, outcome=slots[index])
             continue
-        hit = _cache_lookup(cache, keys[index], unit)
-        if hit is not None:
-            slots[index] = hit
-            bus_event("unit.done", index=index, outcome=hit)
-        else:
-            to_run.append(index)
-    if not to_run:
-        return slots, {}, False
+        if cache is not None and keys[index] is not None:
+            lookups.append(index)
+            if cache.present(keys[index]):
+                present.add(index)
+                continue
+        misses.append(index)
 
-    ephemeral: Optional[str] = None
-    if journal is None:
-        fd, ephemeral = tempfile.mkstemp(
-            prefix="regionwiz-journal-", suffix=".jsonl"
-        )
-        os.close(fd)
-        journal = RunJournal(ephemeral, run_id=config.run_id)
     supervisor = BatchSupervisor(
-        units=units,
-        slots=slots,
-        to_run=to_run,
-        config=config,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        journal=journal,
-        keys=keys,
+        units=units, slots=slots, config=config, jobs=jobs,
+        chunk_size=chunk_size, journal=journal, keys=keys,
     )
     try:
-        supervisor.run()
+        try:
+            supervisor.submit(misses)
+            late: List[int] = []
+            next_service = time.monotonic() + _DECODE_SLICE
+            for index in lookups:
+                hit = _cache_lookup(cache, keys[index], units[index])
+                if hit is not None:
+                    if slots[index] is None:
+                        slots[index] = hit
+                        bus_event("unit.done", index=index, outcome=hit)
+                elif index in present:
+                    late.append(index)
+                if supervisor.workers and time.monotonic() >= next_service:
+                    supervisor.service(0)
+                    next_service = time.monotonic() + _DECODE_SLICE
+            supervisor.submit(late)
+            supervisor.run()
+        except KeyboardInterrupt:
+            supervisor.interrupt()
     finally:
-        if ephemeral is not None:
-            journal.close()
-            try:
-                os.unlink(ephemeral)
-            except OSError:
-                pass
+        supervisor.close()
 
     first_failure = (
         None if config.keep_going else _first_hard_failure(slots)
     )
-    for index in to_run:
+    for index in supervisor.to_run:
         outcome = slots[index]
         if outcome is None:
             continue

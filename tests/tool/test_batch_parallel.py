@@ -9,13 +9,16 @@ under injected faults firing *inside* worker processes.
 
 import json
 import os
+import shutil
 import tempfile
+from collections import Counter
 
 import pytest
 
 from repro.obs.hub import Hub, installed
 from repro.obs.trace import Tracer
 from repro.tool.batch import BatchUnit, run_batch
+from repro.tool.cache import CACHE_SCHEMA_VERSION, AnalysisCache
 from repro.util import faults
 from repro.workloads import figure_units
 
@@ -195,6 +198,87 @@ class TestEarlyStopCacheState:
             os.listdir(parallel_dir)
         )
         assert len(os.listdir(parallel_dir)) == 2  # poison is never cached
+
+
+class CountingCache(AnalysisCache):
+    """An :class:`AnalysisCache` that counts its lookups per key."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.lookups = Counter()
+
+    def lookup(self, key):
+        self.lookups[key] += 1
+        return super().lookup(key)
+
+
+class TestLateMisses:
+    """Entries the presence probe finds but that do not decode.
+
+    The parallel sweep forks workers for the absent entries and decodes
+    the present ones while they run; a present entry that is corrupt,
+    has a stale schema, or names another unit turns out a miss only
+    then, and is queued to the workers as a late miss.
+    """
+
+    NAMES = ["fig1", "fig2a", "fig2c", "fig3", "fig5"]
+
+    def primed(self, tmp_path):
+        """A primed cache whose fig2a entry is corrupt bytes, whose
+        fig2c entry has a wrong schema, and whose fig3 entry holds
+        fig1's outcome; fig5 has no entry at all."""
+        units = figure_units(self.NAMES)
+        root = str(tmp_path / "primed")
+        run_batch(units, keep_going=True, cache=root)
+        cache = AnalysisCache(root)
+        keys = {u.name: cache.key(u.source, u.filename,
+                                  u.effective_interface, u.entry)
+                for u in units}
+        path = {name: os.path.join(root, f"{key}.json")
+                for name, key in keys.items()}
+        with open(path["fig2a"], "wb") as handle:
+            handle.write(b"\xff\x00 not json")
+        entry = json.loads(open(path["fig2c"]).read())
+        entry["schema"] = CACHE_SCHEMA_VERSION + 99
+        with open(path["fig2c"], "w") as handle:
+            json.dump(entry, handle)
+        shutil.copyfile(path["fig1"], path["fig3"])
+        os.unlink(path["fig5"])
+        return units, root, path
+
+    @pytest.mark.parametrize("keep_going", [True, False])
+    def test_late_misses_are_analyzed_and_stored_again(
+        self, tmp_path, keep_going
+    ):
+        units, root, path = self.primed(tmp_path)
+        units.append(poison_unit("bad"))  # an early stop, after the rest
+        results = {}
+        for jobs in (1, 2):
+            copy = str(tmp_path / f"jobs{jobs}")
+            shutil.copytree(root, copy)
+            cache = CountingCache(copy)
+            results[jobs] = run_batch(
+                units, keep_going=keep_going, jobs=jobs, cache=cache
+            )
+            # One lookup per unit, whichever way the sweep ran.
+            assert len(cache.lookups) == len(units)
+            assert set(cache.lookups.values()) == {1}
+            for name in ("fig2a", "fig2c", "fig3", "fig5"):
+                outcome = results[jobs].outcome(name)
+                assert outcome.ok and not outcome.cached
+                stored = os.path.join(copy, os.path.basename(path[name]))
+                entry = json.loads(open(stored).read())
+                assert entry["schema"] == CACHE_SCHEMA_VERSION
+                assert entry["outcome"]["unit"] == name
+            assert results[jobs].outcome("fig1").cached
+            assert sorted(os.listdir(copy)) == sorted(
+                os.path.basename(p) for p in path.values()
+            )
+        serial, parallel = results[1], results[2]
+        assert_equivalent(serial, parallel)
+        assert serial.cache_counters == parallel.cache_counters == {
+            "hits": 1, "misses": 5
+        }
 
 
 class TestWorkerObservability:

@@ -9,12 +9,13 @@ transient faults converge to the fault-free serial report (modulo
 with structured ``crashed``/``timeout`` outcomes.
 """
 
+import glob
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 
@@ -73,6 +74,17 @@ def chaos_normalized(result):
     for entry in payload["results"]:
         entry.pop("attempts", None)
     return payload
+
+
+def _journal_files():
+    pattern = os.path.join(tempfile.gettempdir(), "regionwiz-journal-*")
+    return set(glob.glob(pattern))
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +265,26 @@ class TestWorkerLossRecovery:
         assert all(o.ok for o in result.outcomes)
         assert result.supervision.get("journal_recovered", 0) >= 1
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patch reaches pool workers only through fork",
-    )
+    def test_a_crash_is_charged_only_to_its_own_worker(self):
+        # chunk_size=1 over two equal units: "killer" dies in one worker
+        # while "slow" runs in the other.  Only the killer is retried;
+        # the slow unit's worker is untouched.
+        units = [clone_unit("slow"), clone_unit("killer")]
+        faults.inject(
+            "batch-unit", action="delay", unit="slow", delay_seconds=1.0
+        )
+        serial = run_batch(units, keep_going=True)
+        faults.inject("batch-unit", action="kill", unit="killer", times=1)
+        parallel = run_batch(units, keep_going=True, jobs=2, chunk_size=1)
+        assert chaos_normalized(serial) == chaos_normalized(parallel)
+        assert parallel.outcome("slow").attempts == 1
+        assert parallel.outcome("killer").attempts == 2
+        assert parallel.supervision["respawns"] >= 1
+        assert (
+            parallel.outcome("slow").worker_pid
+            != parallel.outcome("killer").worker_pid
+        )
+
     def test_chunk_function_failure_fails_its_chunk(self, monkeypatch):
         # The chunk function itself raises, outside per-unit isolation:
         # every unit of that chunk gets a structured internal-error
@@ -437,7 +465,7 @@ class TestInterruptDrain:
         out = str(tmp_path / f"out-{jobs}.json")
         child = textwrap.dedent(
             """
-            import json, sys
+            import json, os, sys
             from repro.tool.batch import run_batch
             from repro.util import faults
             from repro.workloads import figure_units
@@ -451,6 +479,13 @@ class TestInterruptDrain:
             result = run_batch(units, keep_going=True, jobs=jobs)
             with open(out, "w") as handle:
                 handle.write(result.to_json())
+            try:
+                os.waitpid(-1, os.WNOHANG)
+                leftover = "a child process is left"
+            except ChildProcessError:
+                leftover = ""
+            with open(out + ".leftover", "w") as handle:
+                handle.write(leftover)
             sys.exit(130 if result.interrupted else 0)
             """
         )
@@ -474,8 +509,12 @@ class TestInterruptDrain:
     def test_parallel_interrupt_writes_partial_results_and_exits_130(
         self, tmp_path
     ):
+        journals = _journal_files()
         returncode, out = self._interrupt_sweep(2, tmp_path)
         assert returncode == 130
+        # The drain reaped every worker and removed its throwaway journal.
+        assert open(out + ".leftover").read() == ""
+        assert _journal_files() <= journals
         payload = json.loads(open(out).read())
         assert payload["interrupted"] is True
         # The hanging unit never finished; completed units are present,
@@ -496,6 +535,45 @@ class TestInterruptDrain:
         assert by_unit["fig1"]["status"] == "clean"
         assert by_unit["fig2a"]["status"] == "clean"
         assert by_unit["fig2c"]["status"] == "skipped"
+
+
+# ---------------------------------------------------------------------------
+# No process or journal is left behind
+# ---------------------------------------------------------------------------
+
+
+class TestNoLeftovers:
+    """After a parallel sweep the caller has no child process and no
+    throwaway journal left (the interrupt drain is checked in
+    :class:`TestInterruptDrain`)."""
+
+    @pytest.mark.parametrize(
+        "fault, settings",
+        [
+            (None, {}),
+            ({"action": "kill", "unit": "fig2a", "times": 1}, {}),
+            ({"action": "kill", "unit": "fig2a"}, {}),
+            (
+                {"action": "hang", "unit": "fig2c", "delay_seconds": 30.0},
+                {"hard_timeout": 0.8},
+            ),
+        ],
+        ids=["clean", "transient-kill", "poison-pill", "watchdog-kill"],
+    )
+    def test_every_worker_is_reaped(self, fault, settings):
+        assert_no_children()
+        before = _journal_files()
+        if fault is not None:
+            faults.inject("batch-unit", **fault)
+        result = run_batch(
+            figure_units(["fig1", "fig2a", "fig2c"]),
+            keep_going=True,
+            jobs=2,
+            **settings,
+        )
+        assert len(result.outcomes) == 3
+        assert_no_children()
+        assert _journal_files() <= before
 
 
 # ---------------------------------------------------------------------------
