@@ -13,7 +13,11 @@ from repro.core.correlation import (
 )
 from repro.core.abstract_flow import run_abstract_flow
 from repro.core.datalog_check import datalog_object_pairs, solve_object_pairs
-from repro.core.hierarchy import RegionHierarchy, build_hierarchy
+from repro.core.hierarchy import (
+    RegionHierarchy,
+    build_hierarchy,
+    region_hierarchy,
+)
 from repro.core.lockcorr import LockAccess, find_races, lockset_correlation
 from repro.core.ranking import IPair, RankedWarnings, rank_warnings
 from repro.core.refine import (
@@ -44,6 +48,7 @@ __all__ = [
     "lockset_correlation",
     "parse_toy",
     "rank_warnings",
+    "region_hierarchy",
     "region_lifetime_correlation",
     "run_abstract_flow",
     "solve_object_pairs",

@@ -10,18 +10,19 @@ an object of ``phi=(y)`` (equation 4.13).
 Rather than materializing the (potentially billions-large, see Figure 11)
 region-pair set, the checker iterates the access effect sigma and tests
 each access's owner-region combinations against the partial order -- the
-same result, linear in |sigma|.
+same result, linear in |sigma|.  It works on the pointer engine's object
+numbers: owner sets are sets of region numbers, the verdict is memoised
+per pair of owner sets, and only the violating accesses and their owners
+are decoded to :class:`~repro.pointer.AbstractObject` form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Set,
@@ -29,8 +30,13 @@ from typing import (
 )
 
 from repro.core.correlation import ConditionalCorrelation
-from repro.core.hierarchy import RegionHierarchy, build_hierarchy
-from repro.pointer import AbstractObject, PointerAnalysisResult, ROOT_REGION
+from repro.core.hierarchy import (
+    RegionHierarchy,
+    build_hierarchy,
+    region_hierarchy,
+)
+from repro.pointer import AbstractObject, PointerAnalysisResult
+from repro.pointer.analysis import Access, AccessKey
 
 __all__ = [
     "ObjectPairWarning",
@@ -93,69 +99,65 @@ class ConsistencyResult:
         return len(self.object_pairs)
 
 
-Access = Tuple[AbstractObject, Optional[int], AbstractObject]
+def _owner_sets(analysis: PointerAnalysisResult) -> List[FrozenSet[int]]:
+    """phi= inverted, per object number: a region covers itself (the
+    reflexive extension f=), a normal object is covered by the regions
+    that own it.
 
-
-def _owners(
-    obj: AbstractObject,
-    owned_by: Dict[AbstractObject, Set[AbstractObject]],
-) -> FrozenSet[AbstractObject]:
-    """phi= inverted: the regions whose extended ownership covers obj.
-
-    A region covers itself (the reflexive extension f=); a normal object
-    is covered by the regions that own it.
+    Equal sets are one object, so a memo keyed by owner sets compares
+    them by identity.
     """
-    if obj.is_region:
-        return frozenset({obj})
-    return frozenset(owned_by.get(obj, set()))
+    singletons = {
+        region: frozenset((region,)) for region in analysis.region_ids
+    }
+    interned: Dict[FrozenSet[int], FrozenSet[int]] = {}
+    owners: List[FrozenSet[int]] = [frozenset()] * len(analysis.packed.table)
+    for region, obj in analysis.ownership_ids:
+        found = owners[obj]
+        if found:
+            found = found | singletons[region]
+            owners[obj] = interned.setdefault(found, found)
+        else:
+            owners[obj] = singletons[region]
+    for region, found in singletons.items():
+        owners[region] = found
+    return owners
 
 
 def _build_result(
     analysis: PointerAnalysisResult,
     hierarchy: RegionHierarchy,
-    candidates: Iterable[Access],
-    violates: Callable[
-        [Access, FrozenSet[AbstractObject], FrozenSet[AbstractObject]], bool
-    ],
+    owners: List[FrozenSet[int]],
+    violating: Iterable[AccessKey],
 ) -> ConsistencyResult:
     """The one warning builder behind both public entry points.
 
-    Builds an :class:`ObjectPairWarning` (owners, store sites, the
-    Section 5.4 never-safe rank) for every access of ``candidates`` that
-    ``violates`` selects, given the access and its source and target
-    owner sets, in the accesses' sorted order.  Only the selected
-    accesses are sorted: the sort key renders each access, and few
-    accesses violate.
+    ``hierarchy`` is over the analysis's region numbers and ``owners``
+    is :func:`_owner_sets`'.  Builds an :class:`ObjectPairWarning`
+    (owners, store sites, the Section 5.4 never-safe rank) for every
+    ``violating`` access, in the decoded accesses' sorted order.  Only
+    these accesses and their owners are decoded: few accesses violate.
     """
-    owned_by: Dict[AbstractObject, Set[AbstractObject]] = {}
-    for region, obj in analysis.ownership:
-        owned_by.setdefault(obj, set()).add(region)
-
-    # Owner sets per object, keyed by identity: the accesses share the
-    # analysis's object instances, which stay alive for the whole loop,
-    # and an AbstractObject hashes in Python.
-    owners: Dict[int, FrozenSet[AbstractObject]] = {}
-
-    def owners_of(obj: AbstractObject) -> FrozenSet[AbstractObject]:
-        found = owners.get(id(obj))
-        if found is None:
-            found = owners[id(obj)] = _owners(obj, owned_by)
-        return found
-
+    table = analysis.packed.table
+    shift = analysis.packed.offset_bits
     selected = []
-    for access in candidates:
-        source_owners = owners_of(access[0])
-        target_owners = owners_of(access[2])
-        if violates(access, source_owners, target_owners):
-            selected.append(
-                (str(access), access, source_owners, target_owners)
-            )
-    # A stable sort on the key alone: ties keep the candidates' order.
+    for key in violating:
+        access = analysis.packed.access(key)
+        selected.append((str(access), access, key))
     selected.sort(key=lambda item: item[0])
 
+    decoded: Dict[FrozenSet[int], FrozenSet[AbstractObject]] = {}
+
+    def decode(numbers: FrozenSet[int]) -> FrozenSet[AbstractObject]:
+        found = decoded.get(numbers)
+        if found is None:
+            found = decoded[numbers] = frozenset(map(table.object, numbers))
+        return found
+
     warnings: List[ObjectPairWarning] = []
-    for _, access, source_owners, target_owners in selected:
-        source, offset, target = access
+    for _, (source, offset, target), key in selected:
+        source_owners = owners[key[0] >> shift]
+        target_owners = owners[key[1]]
         never_safe = all(
             not hierarchy.may_leq(x, y)
             for x in source_owners
@@ -165,9 +167,9 @@ def _build_result(
             source=source,
             offset=offset,
             target=target,
-            source_owners=source_owners,
-            target_owners=target_owners,
-            store_uids=analysis.access_sites.get(access, frozenset()),
+            source_owners=decode(source_owners),
+            target_owners=decode(target_owners),
+            store_uids=frozenset(analysis.access_site_ids.get(key, ())),
         )
         object.__setattr__(warning, "_never_safe", never_safe)
         warnings.append(warning)
@@ -175,11 +177,11 @@ def _build_result(
     return ConsistencyResult(
         hierarchy=hierarchy,
         object_pairs=warnings,
-        num_regions=len(analysis.regions),
-        num_objects=len(analysis.objects),
-        subregion_size=len(analysis.subregion),
-        ownership_size=len(analysis.ownership),
-        heap_size=len(analysis.accesses),
+        num_regions=analysis.num_regions,
+        num_objects=analysis.num_objects,
+        subregion_size=len(analysis.subregion_ids),
+        ownership_size=len(analysis.ownership_ids),
+        heap_size=len(analysis.access_site_ids),
         region_pair_count=hierarchy.count_no_partial_order_pairs(),
     )
 
@@ -189,28 +191,36 @@ def check_consistency(
     hierarchy: Optional[RegionHierarchy] = None,
 ) -> ConsistencyResult:
     """Verify the non-access property over region pairs without partial
-    order; returns every violating object pair."""
+    order; returns every violating object pair.  ``hierarchy``, when
+    given, is :func:`~repro.core.hierarchy.region_hierarchy`'s."""
     if hierarchy is None:
-        hierarchy = build_hierarchy(analysis.regions, analysis.subregion)
-
-    def violates(
-        access: Access,
-        source_owners: FrozenSet[AbstractObject],
-        target_owners: FrozenSet[AbstractObject],
-    ) -> bool:
-        if not source_owners or not target_owners:
+        hierarchy = region_hierarchy(analysis)
+    owners = _owner_sets(analysis)
+    shift = analysis.packed.offset_bits
+    # The verdict depends on the two owner sets alone; objects share them.
+    verdicts: Dict[Tuple[FrozenSet[int], FrozenSet[int]], bool] = {}
+    violating: List[AccessKey] = []
+    for key in analysis.access_site_ids:
+        pair = (owners[key[0] >> shift], owners[key[1]])
+        verdict = verdicts.get(pair)
+        if verdict is None:
+            source_owners, target_owners = pair
             # Objects outside the region discipline constrain nothing.
-            return False
-        # Proposition 2.2: safe iff *every* owner combination is ordered
-        # x <= y; a single unordered combination is a potential dangling
-        # pointer.
-        return not all(
-            hierarchy.leq(x, y)
-            for x in source_owners
-            for y in target_owners
-        )
-
-    return _build_result(analysis, hierarchy, analysis.accesses, violates)
+            # Otherwise, Proposition 2.2: safe iff *every* owner
+            # combination is ordered x <= y; a single unordered
+            # combination is a potential dangling pointer.
+            verdict = verdicts[pair] = (
+                bool(source_owners)
+                and bool(target_owners)
+                and not all(
+                    hierarchy.leq(x, y)
+                    for x in source_owners
+                    for y in target_owners
+                )
+            )
+        if verdict:
+            violating.append(key)
+    return _build_result(analysis, hierarchy, owners, violating)
 
 
 def consistency_from_pairs(
@@ -225,16 +235,24 @@ def consistency_from_pairs(
     *which* accesses violate; this decoder rebuilds the same
     :class:`ObjectPairWarning` objects — owners, store sites, the
     Section 5.4 never-safe rank — that :func:`check_consistency` would
-    have built for them, iterating the same sorted order so downstream
-    ranking and fingerprints are byte-identical.  ``accesses`` restricts
-    the iteration (the demand path passes its query seed); by default
-    every access is considered.
+    have built for them, in the same sorted order, so downstream ranking
+    and fingerprints are byte-identical.  ``hierarchy`` is over the
+    analysis's region numbers.  ``accesses`` restricts the iteration (the
+    demand path passes its query seed); by default every access is
+    considered.
     """
+    key_of = analysis.packed.access_key
+    in_pairs = {key_of(pair) for pair in pairs}
+    candidates = (
+        analysis.access_site_ids
+        if accesses is None
+        else map(key_of, accesses)
+    )
     return _build_result(
         analysis,
         hierarchy,
-        analysis.accesses if accesses is None else accesses,
-        lambda access, _source_owners, _target_owners: access in pairs,
+        _owner_sets(analysis),
+        [key for key in candidates if key in in_pairs],
     )
 
 
@@ -249,7 +267,8 @@ def region_lifetime_correlation(
     verification); ``phi`` maps a region to its extended-ownership object
     set; ``g`` is the non-access relation between object sets.  Checking
     consistency of this correlation over all regions is equivalent to
-    :func:`check_consistency` (a test asserts that).
+    :func:`check_consistency` (a test asserts that).  It reads the
+    decoded relations, so ``hierarchy`` is over the decoded regions.
     """
     if hierarchy is None:
         hierarchy = build_hierarchy(analysis.regions, analysis.subregion)

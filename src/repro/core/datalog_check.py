@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.hierarchy import RegionHierarchy, build_hierarchy
+from repro.core.hierarchy import RegionHierarchy, region_hierarchy
 from repro.datalog import Program, SolverStats
 from repro.pointer import AbstractObject, PointerAnalysisResult
 from repro.util.budget import BudgetMeter
@@ -177,16 +177,22 @@ def extract_consistency_facts(
 ) -> ConsistencyFacts:
     """Encode the analysis effects as eq. 4.12 input-fact tuples.
 
-    The entity/offset orderings are deterministic (sorted), so two
+    ``hierarchy`` is over the analysis's region numbers (by default
+    :func:`~repro.core.hierarchy.region_hierarchy`'s); its tree is
+    decoded, and the effects are read from the decoded relations, not
+    from the int forms the native checker reads.  The
+    entity/offset orderings are deterministic (sorted), so two
     extractions of the same analysis produce identical encodings.
     """
     if hierarchy is None:
-        hierarchy = build_hierarchy(analysis.regions, analysis.subregion)
+        hierarchy = region_hierarchy(analysis)
+    decode = analysis.packed.table.object
+    regions = {number: decode(number) for number in hierarchy.regions}
 
     # Dense index for regions+objects (one shared object domain keeps the
     # ownEq/access joins single-domain) and for offsets.
     entities: List[AbstractObject] = sorted(
-        set(hierarchy.regions) | set(analysis.objects), key=str
+        set(regions.values()) | set(analysis.objects), key=str
     )
     entity_index: Dict[AbstractObject, int] = {
         obj: i for i, obj in enumerate(entities)
@@ -200,12 +206,12 @@ def extract_consistency_facts(
     facts: Dict[str, Set[Tuple[int, ...]]] = {
         name: set() for name, _ in INPUT_RELATIONS
     }
-    for region in hierarchy.regions:
+    for number, region in regions.items():
         facts["region"].add((entity_index[region],))
-        parent = hierarchy.parent.get(region)
+        parent = hierarchy.parent.get(number)
         if parent is not None:
             facts["parent"].add(
-                (entity_index[region], entity_index[parent])
+                (entity_index[region], entity_index[regions[parent]])
             )
     for region, obj in analysis.ownership:
         if region in entity_index and obj in entity_index:

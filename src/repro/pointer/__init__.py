@@ -6,6 +6,7 @@ from repro.pointer.analysis import (
     NULL_OBJECT,
     PointerAnalysisResult,
     ROOT_REGION,
+    ROOT_REGION_ID,
     analyze_pointers,
 )
 from repro.pointer.contexts import ContextNumbering, number_contexts
@@ -20,6 +21,7 @@ __all__ = [
     "run_datalog_pta",
     "PointerAnalysisResult",
     "ROOT_REGION",
+    "ROOT_REGION_ID",
     "analyze_pointers",
     "number_contexts",
 ]

@@ -97,7 +97,7 @@ from repro.obs.validate import LABELS as _VALIDATION_LABELS
 from repro.obs.validate import VALIDATION_SCHEMA_VERSION, ValidationResult
 from repro.pointer import AnalysisOptions
 from repro.tool.cache import AnalysisCache, KeyTemplate
-from repro.tool.regionwiz import RegionWizReport, run_regionwiz
+from repro.tool.regionwiz import run_regionwiz
 from repro.tool.validate import (
     DEFAULT_VALIDATE_STEPS,
     trace_out_path,
@@ -106,6 +106,7 @@ from repro.tool.validate import (
 from repro.util import faults
 from repro.util.budget import ResourceBudget
 from repro.util.errors import BudgetExceeded, InputError, WorkerCrash
+from repro.util.gcpause import gc_paused
 
 if TYPE_CHECKING:
     from repro.tool.supervise import RunJournal
@@ -180,8 +181,8 @@ class UnitOutcome:
     Everything the JSON summary needs is carried as plain data
     (``metrics`` is the registry's flat dict, not the registry), so an
     outcome crosses the process-pool boundary and the persistent cache
-    without dragging the full :class:`RegionWizReport` along; ``report``
-    is populated only for units analyzed in-process.
+    without dragging the full :class:`RegionWizReport` along.  Serial
+    and parallel sweeps keep the same data: no outcome holds a report.
     """
 
     unit: str
@@ -232,8 +233,6 @@ class UnitOutcome:
     error_type: Optional[str] = None
     error_detail: Optional[Dict[str, Any]] = None
     traceback: Optional[str] = None
-    #: The full report for units analyzed in this process (not serialized).
-    report: Optional[RegionWizReport] = None
 
     @property
     def ok(self) -> bool:
@@ -704,87 +703,98 @@ def _analyze_unit_isolated(
     attempts = 0
     while True:
         attempts += 1
-        try:
-            faults.fire("batch-unit", unit=unit.name)
-            report = run_regionwiz(
-                unit.source,
-                filename=unit.filename,
-                interface=unit.region_interface(),
-                entry=unit.entry,
-                options=config.options,
-                registry=config.registry,
-                name=unit.name,
-                refine=config.refine,
-                budget=config.budget,
-                degrade=config.degrade,
+        # The collector stays paused until the report is dropped, so no
+        # young collection traverses a report about to be freed.
+        with gc_paused():
+            outcome = _analyze_attempt(unit, config, attempts)
+        if outcome is not None:
+            return outcome
+        time.sleep(
+            min(
+                _RETRY_BACKOFF_CAP,
+                _RETRY_BACKOFF_BASE * (2 ** (attempts - 1)),
             )
-        except (CompileError, InputError) as error:
-            # Deterministic input failure: retrying cannot help.
-            return _failure(unit.name, "input-error", error, attempts)
-        except BudgetExceeded as error:
-            # Deterministic resource exhaustion (even after degradation
-            # when enabled): retrying the same budget cannot help.
-            return _failure(unit.name, "budget-exhausted", error, attempts)
-        except Exception as error:  # internal crash: isolate, maybe retry
-            if attempts <= config.max_retries:
-                time.sleep(
-                    min(
-                        _RETRY_BACKOFF_CAP,
-                        _RETRY_BACKOFF_BASE * (2 ** (attempts - 1)),
-                    )
-                )
-                continue
-            return _failure(
-                unit.name,
-                "internal-error",
-                error,
-                attempts,
-                trace=traceback.format_exc(),
-            )
-        high = sum(1 for w in report.warnings if w.high_ranked)
-        validation_payload: Optional[Dict[str, Any]] = None
-        if config.validate:
-            # Dynamic validation runs inside the unit's fault-isolation
-            # scope and *before* metrics are snapshotted, so the
-            # validation.* gauges land in the outcome's metrics payload.
-            # validate_report already degrades interpreter failures to a
-            # status; the extra except keeps a simulator crash from
-            # turning a successful analysis into a failed unit.
-            trace_path = (
-                trace_out_path(config.trace_dir, unit.name)
-                if config.trace_dir is not None
-                else None
-            )
-            try:
-                validation_payload = validate_report(
-                    report,
-                    max_steps=config.validate_steps,
-                    trace_path=trace_path,
-                ).to_payload()
-            except Exception as error:
-                validation_payload = ValidationResult(
-                    status="validate-error",
-                    error=f"{type(error).__name__}: {error}",
-                ).to_payload()
-        outcome = UnitOutcome(
-            unit=unit.name,
-            status="warnings" if report.warnings else "clean",
-            exit_code=1 if report.warnings else 0,
-            attempts=attempts,
-            precision=report.precision,
-            warnings=len(report.warnings),
-            high=high,
-            degraded=report.degraded,
-            degradation_path=tuple(report.degradation_path),
-            metrics=(
-                report.metrics.to_dict() if report.metrics is not None else None
-            ),
-            validation=validation_payload,
-            warning_lines=[str(w) for w in report.warnings],
-            fingerprints=[w.fingerprint for w in report.warnings],
-            report=report,
         )
-        return outcome
+
+
+def _analyze_attempt(
+    unit: BatchUnit, config: SweepConfig, attempts: int
+) -> Optional[UnitOutcome]:
+    """One attempt at ``unit``: its outcome, or None to retry it.  Only
+    the outcome's plain data outlives the call, not the report."""
+    try:
+        faults.fire("batch-unit", unit=unit.name)
+        report = run_regionwiz(
+            unit.source,
+            filename=unit.filename,
+            interface=unit.region_interface(),
+            entry=unit.entry,
+            options=config.options,
+            registry=config.registry,
+            name=unit.name,
+            refine=config.refine,
+            budget=config.budget,
+            degrade=config.degrade,
+        )
+    except (CompileError, InputError) as error:
+        # Deterministic input failure: retrying cannot help.
+        return _failure(unit.name, "input-error", error, attempts)
+    except BudgetExceeded as error:
+        # Deterministic resource exhaustion (even after degradation
+        # when enabled): retrying the same budget cannot help.
+        return _failure(unit.name, "budget-exhausted", error, attempts)
+    except Exception as error:  # internal crash: isolate, maybe retry
+        if attempts <= config.max_retries:
+            return None
+        return _failure(
+            unit.name,
+            "internal-error",
+            error,
+            attempts,
+            trace=traceback.format_exc(),
+        )
+    high = sum(1 for w in report.warnings if w.high_ranked)
+    validation_payload: Optional[Dict[str, Any]] = None
+    if config.validate:
+        # Dynamic validation runs inside the unit's fault-isolation
+        # scope and *before* metrics are snapshotted, so the
+        # validation.* gauges land in the outcome's metrics payload.
+        # validate_report already degrades interpreter failures to a
+        # status; the extra except keeps a simulator crash from
+        # turning a successful analysis into a failed unit.
+        trace_path = (
+            trace_out_path(config.trace_dir, unit.name)
+            if config.trace_dir is not None
+            else None
+        )
+        try:
+            validation_payload = validate_report(
+                report,
+                max_steps=config.validate_steps,
+                trace_path=trace_path,
+            ).to_payload()
+        except Exception as error:
+            validation_payload = ValidationResult(
+                status="validate-error",
+                error=f"{type(error).__name__}: {error}",
+            ).to_payload()
+    return UnitOutcome(
+        unit=unit.name,
+        status="warnings" if report.warnings else "clean",
+        exit_code=1 if report.warnings else 0,
+        attempts=attempts,
+        precision=report.precision,
+        warnings=len(report.warnings),
+        high=high,
+        degraded=report.degraded,
+        degradation_path=tuple(report.degradation_path),
+        metrics=(
+            report.metrics.to_dict() if report.metrics is not None else None
+        ),
+        validation=validation_payload,
+        warning_lines=[str(w) for w in report.warnings],
+        fingerprints=[w.fingerprint for w in report.warnings],
+    )
 
 
 def _journal_record(

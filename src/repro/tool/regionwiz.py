@@ -47,9 +47,9 @@ from repro.core import (
     ConsistencyResult,
     IPair,
     RankedWarnings,
-    build_hierarchy,
     check_consistency,
     rank_warnings,
+    region_hierarchy,
 )
 from repro.core.consistency import consistency_from_pairs
 from repro.core.datalog_check import (
@@ -356,9 +356,7 @@ def _run_pipeline(
             # queried file:line are seeded, so the subregion/ownership
             # closure is explored from them alone -- the full
             # le/regionPair closure is never materialized.
-            hierarchy = build_hierarchy(
-                analysis.regions, analysis.subregion
-            )
+            hierarchy = region_hierarchy(analysis)
             queried = accesses_at_location(
                 analysis, module, query[0], query[1]
             )
@@ -371,8 +369,8 @@ def _run_pipeline(
         else:
             consistency = check_consistency(analysis)
         span.set(
-            regions=len(analysis.regions),
-            objects=len(analysis.objects),
+            regions=analysis.num_regions,
+            objects=analysis.num_objects,
             object_pairs=consistency.o_pair_count,
         )
 
@@ -449,8 +447,8 @@ def _collect_metrics(report: RegionWizReport) -> MetricsRegistry:
     registry.gauge("callgraph.reachable", len(report.graph.reachable))
     registry.gauge("callgraph.edges", report.graph.num_edges)
     registry.gauge("pointer.contexts", report.numbering.total_contexts)
-    registry.gauge("pointer.regions", len(report.analysis.regions))
-    registry.gauge("pointer.objects", len(report.analysis.objects))
+    registry.gauge("pointer.regions", report.analysis.num_regions)
+    registry.gauge("pointer.objects", report.analysis.num_objects)
     registry.gauge("pointer.iterations", report.analysis.iterations)
     registry.gauge("pointer.visits", report.analysis.visits)
     registry.gauge("effects.subregion", report.consistency.subregion_size)

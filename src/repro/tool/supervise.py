@@ -122,7 +122,6 @@ from repro.tool.batch import (
 from repro.tool.cache import AnalysisCache
 from repro.util import faults
 from repro.util.errors import HardTimeout, WorkerCrash
-from repro.util.gcpause import gc_paused
 
 __all__ = [
     "RunJournal", "BatchSupervisor", "interruptible", "JOURNAL_SCHEMA_VERSION",
@@ -420,11 +419,7 @@ def _worker_analyze_chunk(
     try:
         for index, unit, key in chunk:
             _worker_journal_append(_journal_record(index, unit))
-            # The collector stays paused until the report is dropped, so
-            # no young collection traverses a report about to be freed.
-            with gc_paused():
-                outcome = _analyze_unit(unit, config.sweep)
-                outcome.report = None  # the full report stays in the worker
+            outcome = _analyze_unit(unit, config.sweep)
             outcome.worker_pid = os.getpid()
             results.append((index, outcome))
             _worker_journal_append(_journal_record(index, unit, key, outcome))

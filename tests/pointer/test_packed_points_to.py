@@ -113,7 +113,7 @@ def test_offsets_round_trip_through_the_packed_codes(limit):
         for loc in locs:
             obj, offset = packed.location(loc)
             code = 2 * packed.bias + 1 if offset is None else offset + packed.bias
-            assert packed.objects.index(obj) << packed.offset_bits | code == loc
+            assert packed.table.number(obj) << packed.offset_bits | code == loc
 
 
 def test_the_verdict_path_never_decodes(monkeypatch):
@@ -135,6 +135,48 @@ def test_the_verdict_path_never_decodes(monkeypatch):
         )
         assert format_report(report)
         assert report_to_json(report)
+
+
+DECODED_VIEWS = (
+    "regions", "objects", "subregion", "ownership", "accesses", "cleanups"
+)
+
+
+def test_a_run_decodes_only_the_violators_objects():
+    """The answer path works on engine numbers: after a clean run no
+    decoded view is built and no object is decoded; after a run with
+    warnings only the violating accesses' objects and owners are."""
+    clean = flagged = 0
+    for program in FIGURES:
+        report = run_regionwiz(
+            program.full_source,
+            interface=(
+                rc_regions_interface()
+                if program.interface == "rc"
+                else apr_pools_interface()
+            ),
+            entry=program.entry,
+            name=program.name,
+        )
+        analysis = report.analysis
+        for view in DECODED_VIEWS:
+            assert not getattr(analysis, view).is_decoded, (program.name, view)
+        assert analysis._access_sites is None, program.name
+        table = analysis.packed.table
+        expected = {
+            table.number(obj)
+            for pair in report.consistency.object_pairs
+            for obj in (
+                pair.source,
+                pair.target,
+                *pair.source_owners,
+                *pair.target_owners,
+            )
+        }
+        assert table.decoded == expected, program.name
+        clean += not report.warnings
+        flagged += bool(report.warnings)
+    assert clean and flagged
 
 
 PAYLOAD_SCRIPT = """

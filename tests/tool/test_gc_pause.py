@@ -193,16 +193,16 @@ def test_a_disabled_collector_stays_disabled(collector_on):
 
 
 # ---------------------------------------------------------------------------
-# A pool worker drops each report before the collector comes back
+# A sweep, serial or in a pool worker, drops each report before the
+# collector comes back
 # ---------------------------------------------------------------------------
 
 
 class _DropProbe:
-    """Stands in for a unit's report; records the collector's state at
-    the moment the worker drops it."""
+    """Rides on a unit's report; records the collector's state at the
+    moment the report is dropped."""
 
-    def __init__(self, report, seen):
-        self.report = report
+    def __init__(self, seen):
         self.seen = seen
 
     def __del__(self):
@@ -210,9 +210,27 @@ class _DropProbe:
 
 
 @pytest.fixture
-def worker(tmp_path, monkeypatch, collector_on):
+def dropped(monkeypatch, collector_on):
+    """The collector states at which the sweep's reports were dropped:
+    every report batch analysis makes carries a _DropProbe."""
+    import repro.tool.batch as batch
+
+    seen = []
+    real_run = batch.run_regionwiz
+
+    def run_regionwiz(*args, **kwargs):
+        report = real_run(*args, **kwargs)
+        report.probe = _DropProbe(seen)
+        return report
+
+    monkeypatch.setattr(batch, "run_regionwiz", run_regionwiz)
+    return seen
+
+
+@pytest.fixture
+def worker(tmp_path, monkeypatch, dropped):
     """Run ``_worker_analyze_chunk`` in this process, as a pool worker
-    would after its initializer; each unit's report is a _DropProbe."""
+    would after its initializer."""
     import repro.tool.supervise as supervise
     from repro.obs.hub import HubWiring
     from repro.tool.batch import SweepConfig
@@ -224,15 +242,6 @@ def worker(tmp_path, monkeypatch, collector_on):
         hub=HubWiring(),
     )
     monkeypatch.setattr(supervise, "_WORKER_CONFIG", config)
-    dropped = []
-    real_analyze = supervise._analyze_unit
-
-    def analyze(unit, sweep):
-        outcome = real_analyze(unit, sweep)
-        outcome.report = _DropProbe(outcome.report, dropped)
-        return outcome
-
-    monkeypatch.setattr(supervise, "_analyze_unit", analyze)
 
     def run(units):
         chunk = [(index, unit, None) for index, unit in enumerate(units)]
@@ -244,11 +253,21 @@ def worker(tmp_path, monkeypatch, collector_on):
         supervise._WORKER_JOURNAL.close()
 
 
+def test_a_serial_sweep_drops_each_report_with_the_collector_paused(dropped):
+    from repro.tool.batch import run_batch
+
+    units = [BatchUnit("fig1", SOURCE), BatchUnit("fig1b", SOURCE)]
+    result = run_batch(units, jobs=1)
+    assert [outcome.status for outcome in result.outcomes] == ["clean"] * 2
+    assert dropped == [False, False]
+    assert gc.isenabled()
+
+
 def test_a_worker_drops_each_report_with_the_collector_paused(worker):
     run, dropped = worker
     units = [BatchUnit("fig1", SOURCE), BatchUnit("fig1b", SOURCE)]
     outcomes = run(units)
-    assert [outcome.report for outcome in outcomes] == [None, None]
+    assert not any(hasattr(outcome, "report") for outcome in outcomes)
     assert dropped == [False, False]
     assert gc.isenabled()
 
@@ -262,7 +281,7 @@ def test_a_worker_restores_the_collector_after_a_hard_failure(worker):
     outcomes = run(units)
     # keep_going=False abandons the chunk at the hard failure.
     assert [outcome.status for outcome in outcomes] == ["input-error"]
-    assert dropped == [False]
+    assert dropped == []  # the broken unit made no report
     assert gc.isenabled()
 
 
