@@ -75,6 +75,7 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -97,7 +98,7 @@ from repro.obs.validate import LABELS as _VALIDATION_LABELS
 from repro.obs.validate import VALIDATION_SCHEMA_VERSION, ValidationResult
 from repro.pointer import AnalysisOptions
 from repro.tool.cache import AnalysisCache, KeyTemplate
-from repro.tool.regionwiz import run_regionwiz
+from repro.tool.regionwiz import RegionWizReport, run_regionwiz
 from repro.tool.validate import (
     DEFAULT_VALIDATE_STEPS,
     trace_out_path,
@@ -684,6 +685,31 @@ class SweepConfig:
         )
 
 
+#: How one attempt turns a unit into a report under a sweep's settings.
+UnitRunner = Callable[[BatchUnit, SweepConfig], RegionWizReport]
+
+
+def _run_unit(
+    unit: BatchUnit,
+    config: SweepConfig,
+    query: Optional[Tuple[str, int]] = None,
+) -> RegionWizReport:
+    """The full pipeline at the unit's entry (``query``: ``--query``)."""
+    return run_regionwiz(
+        unit.source,
+        filename=unit.filename,
+        interface=unit.region_interface(),
+        entry=unit.entry,
+        options=config.options,
+        registry=config.registry,
+        name=unit.name,
+        refine=config.refine,
+        budget=config.budget,
+        degrade=config.degrade,
+        query=query,
+    )
+
+
 def _analyze_unit(unit: BatchUnit, config: SweepConfig) -> UnitOutcome:
     with trace_span("batch.unit", unit=unit.name) as span:
         started = time.process_time()
@@ -698,15 +724,18 @@ def _analyze_unit(unit: BatchUnit, config: SweepConfig) -> UnitOutcome:
 
 
 def _analyze_unit_isolated(
-    unit: BatchUnit, config: SweepConfig
+    unit: BatchUnit, config: SweepConfig, run: UnitRunner = _run_unit
 ) -> UnitOutcome:
+    """The unit's outcome, retrying internal errors up to
+    ``config.max_retries`` times.  ``run`` makes each attempt's report;
+    the single-file CLI passes one that keeps the report it returns."""
     attempts = 0
     while True:
         attempts += 1
         # The collector stays paused until the report is dropped, so no
         # young collection traverses a report about to be freed.
         with gc_paused():
-            outcome = _analyze_attempt(unit, config, attempts)
+            outcome = _analyze_attempt(unit, config, attempts, run)
         if outcome is not None:
             return outcome
         time.sleep(
@@ -718,24 +747,13 @@ def _analyze_unit_isolated(
 
 
 def _analyze_attempt(
-    unit: BatchUnit, config: SweepConfig, attempts: int
+    unit: BatchUnit, config: SweepConfig, attempts: int, run: UnitRunner
 ) -> Optional[UnitOutcome]:
     """One attempt at ``unit``: its outcome, or None to retry it.  Only
     the outcome's plain data outlives the call, not the report."""
     try:
         faults.fire("batch-unit", unit=unit.name)
-        report = run_regionwiz(
-            unit.source,
-            filename=unit.filename,
-            interface=unit.region_interface(),
-            entry=unit.entry,
-            options=config.options,
-            registry=config.registry,
-            name=unit.name,
-            refine=config.refine,
-            budget=config.budget,
-            degrade=config.degrade,
-        )
+        report = run(unit, config)
     except (CompileError, InputError) as error:
         # Deterministic input failure: retrying cannot help.
         return _failure(unit.name, "input-error", error, attempts)
@@ -919,6 +937,7 @@ def run_batch(
     chunk_size: Optional[int] = None,
     journal: Optional[str] = None,
     resume: bool = False,
+    config: Optional[SweepConfig] = None,
     **settings: Any,
 ) -> BatchResult:
     """Analyze every unit with per-unit fault isolation.
@@ -926,7 +945,8 @@ def run_batch(
     ``settings`` are the sweep's analysis settings, the fields of
     :class:`SweepConfig` (``options``, ``budget``, ``degrade``,
     ``keep_going``, ``max_retries``, ``validate``, ``hard_timeout``,
-    ...), with that class's defaults.
+    ...), with that class's defaults; ``config`` passes them as one
+    :class:`SweepConfig` instead (the CLI parses its flags into one).
 
     No exception escapes: each unit yields a :class:`UnitOutcome`.  With
     ``keep_going`` the sweep always covers every unit; without it, the
@@ -967,7 +987,10 @@ def run_batch(
         interruptible,
     )
 
-    config = SweepConfig(**settings)
+    if config is None:
+        config = SweepConfig(**settings)
+    elif settings:
+        raise TypeError("pass the settings or config=, not both")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if chunk_size is not None and chunk_size < 1:

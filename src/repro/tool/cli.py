@@ -1,34 +1,42 @@
 """Command-line interface: ``regionwiz file.c [options]``.
 
-Exit-code contract (single-file mode; ``--batch`` aggregates the same
-codes over all units, most severe first under 3 > 4 > 2 > 1 > 0):
+Every run is a sweep of units through the batch driver's per-unit
+function (:mod:`repro.tool.batch`), under one
+:class:`~repro.tool.batch.SweepConfig` parsed from the flags.  A
+single-file run (the default) is a one-unit sweep: its files are
+concatenated into one translation unit, each chunk prefixed with a
+``#line 1 "<path>"`` marker so diagnostics and warning locations report
+the original file and line.  ``--batch`` makes each file its own unit.
+
+Exit codes, one table for both modes (``--batch`` exits with the most
+severe unit outcome under 3 > 4 > 2 > 1 > 0):
 
 ====  =========================================================
 code  meaning
 ====  =========================================================
-0     analysis completed, no warnings
-1     analysis completed with warnings
-2     input error (unreadable file, parse/type diagnostics)
-3     internal error (a bug in RegionWiz -- traceback printed)
+0     analysis completed, no warnings reported
+1     analysis completed with warnings reported
+2     input error (invalid arguments, unreadable file, parse/type
+      diagnostics)
+3     internal error (a bug in RegionWiz -- traceback printed), or
+      ``crashed``: a batch worker *process* died repeatedly on the unit
 4     resource budget exhausted, even after degradation if
-      ``--degrade`` was given
+      ``--degrade`` was given, or ``timeout``: the unit blew the
+      ``--hard-timeout`` wall-clock deadline
 130   batch sweep interrupted (SIGINT/SIGTERM): partial results
       were still written; resume with ``--journal``/``--resume``
 ====  =========================================================
-
-In batch mode two supervisor-recorded outcomes fold into the same
-codes: ``crashed`` (the worker *process* died repeatedly on one unit;
-counts as 3) and ``timeout`` (the unit blew the ``--hard-timeout``
-wall-clock deadline; counts as 4).
 
 With ``--fail-on-new`` (requires ``--baseline``), codes 0/1 are instead
 decided by the baseline diff: exit 1 only when *new* warnings appeared,
 so a CI gate stays green across known findings.  Hard failures (2/3/4)
 pass through unchanged.
 
-Multiple source files are concatenated into one translation unit; each
-chunk is prefixed with a ``#line 1 "<path>"`` marker so diagnostics and
-warning locations report the original file and line.
+Flags only a single-file run reads: ``--open``, ``--query``,
+``--explain`` and ``--stats`` (each exits 2 under ``--batch``), and
+``--all``/``-v``, which shape its listing: without ``--all`` it reports,
+validates, baselines and exits on the high-ranked warnings only, while a
+batch summary counts every warning.
 """
 
 from __future__ import annotations
@@ -37,20 +45,15 @@ import argparse
 import os
 import sys
 import time
-import traceback
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import __version__
-from repro.interfaces import apr_pools_interface, rc_regions_interface
-from repro.lang.errors import CompileError
 from repro.obs.events import EventLog
 from repro.obs.export import MetricsServer, write_metrics_file
 from repro.obs.history import (
     WarningDiff,
-    diff_entries,
     diff_outcomes,
     entries_from_outcomes,
-    entries_from_report,
     load_baseline,
     save_baseline,
 )
@@ -60,13 +63,25 @@ from repro.obs.live import LiveView, TelemetryBus, new_run_id
 from repro.obs.metrics import format_metrics
 from repro.obs.registry import RunRecord, RunRegistry
 from repro.obs.trace import Tracer
+from repro.obs.validate import ValidationResult
 from repro.pointer import AnalysisOptions
-from repro.tool.batch import BatchUnit, run_batch
-from repro.tool.regionwiz import RegionWizReport, run_regionwiz
-from repro.tool.report import format_report, format_solver_stats
-from repro.tool.validate import trace_out_path
+from repro.tool.batch import (
+    BatchResult,
+    BatchUnit,
+    SweepConfig,
+    UnitRunner,
+    _analyze_unit_isolated,
+    _run_unit,
+    run_batch,
+)
+from repro.tool.regionwiz import RegionWizReport
+from repro.tool.report import (
+    format_report,
+    format_solver_stats,
+    report_to_json,
+)
 from repro.util.budget import ResourceBudget
-from repro.util.errors import BudgetExceeded, InputError
+from repro.util.errors import InputError
 
 #: Provenance chains embedded in the HTML report are capped: --explain
 #: recomputes the full Datalog derivation per warning, so unbounded
@@ -504,149 +519,97 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_sources(paths: List[str]) -> List[str]:
-    """Read every file, raising :class:`InputError` on the first failure."""
+def _units(args: argparse.Namespace) -> List[BatchUnit]:
+    """The run's units: one per file under ``--batch``; otherwise one
+    unit of all the files, each chunk prefixed with a ``#line`` marker so
+    locations stay per-file, and rc only when every file ends in ``.rc``.
+    Raises :class:`InputError` on the first file that cannot be read."""
     chunks = []
-    for path in paths:
+    for path in args.files:
         try:
             with open(path) as handle:
                 chunks.append(handle.read())
         except OSError as error:
             raise InputError(f"cannot read {path}: {error}") from error
-    return chunks
-
-
-def _concatenate(paths: List[str], chunks: List[str]) -> str:
-    """Join chunks with ``#line`` markers so locations stay per-file."""
+    if args.batch:
+        # interface=None lets each unit detect rc from its own filename.
+        return [
+            BatchUnit(path, chunk, path, args.interface, args.entry)
+            for path, chunk in zip(args.files, chunks)
+        ]
     parts = []
-    for path, chunk in zip(paths, chunks):
+    for path, chunk in zip(args.files, chunks):
         if not chunk.endswith("\n"):
             chunk += "\n"
         parts.append(f'#line 1 "{path}"\n{chunk}')
-    return "".join(parts)
+    rc = all(path.endswith(".rc") for path in args.files)
+    interface = args.interface or ("rc" if rc else "apr")
+    name = args.files[0]
+    return [BatchUnit(name, "".join(parts), name, interface, args.entry)]
 
 
-def _budget_from_args(args: argparse.Namespace) -> Optional[ResourceBudget]:
-    if (
-        args.timeout is None
-        and args.max_derived is None
-        and args.max_objects is None
-        and args.max_total_contexts is None
-    ):
-        return None
-    return ResourceBudget(
-        wall_clock_seconds=args.timeout,
-        max_derived_tuples=args.max_derived,
-        max_contexts=args.max_total_contexts,
-        max_objects=args.max_objects,
+#: Argument checks for both modes, in order: the first that holds exits
+#: 2 with ``regionwiz: <message>`` before any unit runs.
+_ARGUMENT_CHECKS = (
+    (lambda a: a.fail_on_new and not a.baseline,
+     "--fail-on-new requires --baseline"),
+    (lambda a: a.trace_out and not a.validate,
+     "--trace-out requires --validate"),
+    (lambda a: a.query is not None and a.batch,
+     "--query cannot be combined with --batch"),
+    (lambda a: a.query is not None and a.open_program,
+     "--query cannot be combined with --open"),
+    (lambda a: a.stats and a.batch,
+     "--stats applies to single-file runs; use --metrics with --batch"),
+    (lambda a: a.open_program and a.batch,
+     "--open cannot be combined with --batch"),
+    (lambda a: a.explain is not None and a.batch,
+     "--explain cannot be combined with --batch"),
+    (lambda a: a.jobs < 1, "--jobs must be >= 1"),
+    (lambda a: a.chunk_size is not None and a.chunk_size < 1,
+     "--chunk must be >= 1"),
+    (lambda a: a.hard_timeout is not None and a.hard_timeout <= 0,
+     "--hard-timeout must be > 0"),
+    (lambda a: a.resume and not a.journal,
+     "--resume requires --journal FILE"),
+)
+
+
+def _config_from_args(args: argparse.Namespace) -> SweepConfig:
+    """The run's analysis settings, for a single-file run and a sweep."""
+    limits = (
+        args.timeout,
+        args.max_derived,
+        args.max_objects,
+        args.max_total_contexts,
     )
-
-
-def _detect_interface(paths: List[str], explicit: Optional[str]) -> str:
-    """Explicit ``--interface`` wins; otherwise ``.rc`` files mean rc."""
-    if explicit is not None:
-        return explicit
-    if paths and all(path.endswith(".rc") for path in paths):
-        return "rc"
-    return "apr"
-
-
-def _run_batch_mode(args: argparse.Namespace) -> int:
-    for invalid, message in (
-        (args.jobs < 1, "--jobs must be >= 1"),
-        (args.chunk_size is not None and args.chunk_size < 1,
-         "--chunk must be >= 1"),
-        (args.hard_timeout is not None and args.hard_timeout <= 0,
-         "--hard-timeout must be > 0"),
-        (args.resume and not args.journal,
-         "--resume requires --journal FILE"),
-    ):
-        if invalid:
-            print(f"regionwiz: {message}", file=sys.stderr)
-            return 2
-    chunks = _read_sources(args.files)
-    units = [
-        BatchUnit(
-            name=path,
-            source=chunk,
-            filename=path,
-            # None lets BatchUnit auto-detect rc from a .rc filename,
-            # matching the single-run CLI's per-file detection.
-            interface=args.interface,
-            entry=args.entry,
+    budget = None
+    if any(limit is not None for limit in limits):
+        budget = ResourceBudget(
+            wall_clock_seconds=args.timeout,
+            max_derived_tuples=args.max_derived,
+            max_contexts=args.max_total_contexts,
+            max_objects=args.max_objects,
         )
-        for path, chunk in zip(args.files, chunks)
-    ]
-    options = _options_from_args(args)
-    cache = None if args.no_cache else args.cache_dir
-    result = run_batch(
-        units,
-        options=options,
-        budget=_budget_from_args(args),
+    return SweepConfig(
+        options=AnalysisOptions(
+            context_sensitive=not args.context_insensitive,
+            heap_cloning=not args.no_heap_cloning,
+            field_sensitive=not args.field_insensitive,
+            track_unknown_offsets=args.sound_offsets,
+            max_contexts=args.max_contexts,
+        ),
+        budget=budget,
         degrade=args.degrade,
-        keep_going=args.keep_going,
-        max_retries=args.max_retries,
         refine=args.refine,
-        jobs=args.jobs,
-        cache=cache,
-        chunk_size=args.chunk_size,
-        hard_timeout=args.hard_timeout,
-        journal=args.journal,
-        resume=args.resume,
+        max_retries=args.max_retries,
+        keep_going=args.keep_going,
         validate=args.validate,
         validate_steps=args.validate_steps,
         trace_dir=args.trace_out,
-        run_id=getattr(args, "run_id", None),
+        run_id=args.run_id,
+        hard_timeout=args.hard_timeout,
     )
-    fleet = result.fleet_metrics()
-    batch_metrics: Dict[str, Any] = dict(result.batch_metrics().to_dict())
-    for name, stats in sorted(fleet.items()):
-        mean = stats.get("mean")
-        if isinstance(mean, (int, float)):
-            batch_metrics[f"{name}.mean"] = mean
-    args._telemetry_summary = {
-        "mode": "batch",
-        "units": len(result.outcomes),
-        "succeeded": len(result.succeeded),
-        "failed": len(result.failed),
-        "skipped": len(result.skipped),
-        "warnings": sum(o.warnings for o in result.succeeded),
-        "high": sum(o.high for o in result.succeeded),
-        "metrics": batch_metrics,
-    }
-    merged: Optional[WarningDiff] = None
-    if args.baseline:
-        baseline = load_baseline(args.baseline)
-        result.per_unit_diff = diff_outcomes(result.outcomes, baseline)
-        merged = result.merged_diff()
-    if args.save_baseline:
-        save_baseline(
-            args.save_baseline, entries_from_outcomes(result.outcomes)
-        )
-    if args.json_output:
-        print(result.to_json())
-    else:
-        print(result.summary())
-    if args.metrics:
-        print(result.metrics_summary(), file=sys.stderr)
-    if args.html_report:
-        write_html_report(
-            args.html_report,
-            title="RegionWiz batch report",
-            batch=result,
-            diff=merged,
-            per_unit_diff=result.per_unit_diff,
-            profile=_profile_tree(),
-        )
-    if result.interrupted:
-        # Partial results were printed above; the conventional
-        # 128+SIGINT code tells callers the sweep did not finish.
-        return 130
-    code = result.exit_code()
-    if args.fail_on_new and code in (0, 1):
-        assert merged is not None  # --fail-on-new requires --baseline
-        return 1 if merged.has_new else 0
-    return code
 
 
 def _profile_tree() -> Optional[str]:
@@ -672,16 +635,6 @@ def _html_explanations(report: RegionWizReport) -> Optional[Dict[str, str]]:
     return explanations or None
 
 
-def _options_from_args(args: argparse.Namespace) -> AnalysisOptions:
-    return AnalysisOptions(
-        context_sensitive=not args.context_insensitive,
-        heap_cloning=not args.no_heap_cloning,
-        field_sensitive=not args.field_insensitive,
-        track_unknown_offsets=args.sound_offsets,
-        max_contexts=args.max_contexts,
-    )
-
-
 def _corpus_label(paths: List[str]) -> str:
     """Stable short label identifying the input set for the registry."""
     names = sorted({os.path.basename(path) for path in paths})
@@ -690,9 +643,26 @@ def _corpus_label(paths: List[str]) -> str:
     return ",".join(names)
 
 
+def _run_metrics(
+    args: argparse.Namespace, result: BatchResult
+) -> Dict[str, Any]:
+    """The run's metrics for the registry row and ``--metrics-out``: the
+    unit's own for a single-file run, batch counters plus fleet means
+    for a sweep."""
+    if not args.batch:
+        return dict(result.outcomes[0].metrics or {})
+    metrics: Dict[str, Any] = dict(result.batch_metrics().to_dict())
+    for name, stats in sorted(result.fleet_metrics().items()):
+        mean = stats.get("mean")
+        if isinstance(mean, (int, float)):
+            metrics[f"{name}.mean"] = mean
+    return metrics
+
+
 def _finish_telemetry(
     args: argparse.Namespace,
     code: int,
+    result: Optional[BatchResult],
     bus: Optional[TelemetryBus],
     registry_store: Optional[RunRegistry],
     wall_start: float,
@@ -701,28 +671,29 @@ def _finish_telemetry(
     """Record the run in the registry and write the final metrics file.
 
     Runs after ``_run`` with the exit code in hand so the registry row
-    captures the real outcome; a failed ``--metrics-out`` write only
+    captures the real outcome (``result`` is None when the arguments or
+    inputs were rejected before any unit ran); a failed write only
     overrides soft exit codes (0/1), never a harder failure.
     """
-    summary = getattr(args, "_telemetry_summary", None) or {}
     metrics: Dict[str, Any] = {}
     if bus is not None:
         metrics.update(bus.snapshot())
-    metrics.update(summary.get("metrics") or {})
+    if result is not None:
+        metrics.update(_run_metrics(args, result))
+    ran = result or BatchResult()
     if registry_store is not None:
         record = RunRecord(
             run_id=args.run_id,
             timestamp=time.time(),
             version=__version__,
-            mode=summary.get("mode")
-            or ("batch" if args.batch else "single"),
+            mode="batch" if args.batch else "single",
             corpus=_corpus_label(args.files),
-            units=int(summary.get("units", 0)),
-            succeeded=int(summary.get("succeeded", 0)),
-            failed=int(summary.get("failed", 0)),
-            skipped=int(summary.get("skipped", 0)),
-            warnings=int(summary.get("warnings", 0)),
-            high=int(summary.get("high", 0)),
+            units=len(ran.outcomes),
+            succeeded=len(ran.succeeded),
+            failed=len(ran.failed),
+            skipped=len(ran.skipped),
+            warnings=sum(o.warnings for o in ran.succeeded),
+            high=sum(o.high for o in ran.succeeded),
             exit_code=code,
             wall_s=round(time.time() - wall_start, 6),
             cpu_s=round(sum(os.times()[:4]) - cpu_start, 6),
@@ -731,19 +702,12 @@ def _finish_telemetry(
         try:
             registry_store.record(record)
         except InputError as error:
-            print(f"regionwiz: {error}", file=sys.stderr)
-            if code in (0, 1):
-                return 2
+            code = _fail(error, code)
     if args.metrics_out:
         try:
             write_metrics_file(args.metrics_out, metrics)
         except OSError as error:
-            print(
-                f"regionwiz: cannot write {args.metrics_out}: {error}",
-                file=sys.stderr,
-            )
-            if code in (0, 1):
-                return 2
+            code = _fail(f"cannot write {args.metrics_out}: {error}", code)
     return code
 
 
@@ -758,7 +722,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_history_command(list(argv[1:]))
     args = build_parser().parse_args(argv)
     args.run_id = new_run_id()
-    args._telemetry_summary = None
     wall_start = time.time()
     cpu_start = sum(os.times()[:4])
     registry_store: Optional[RunRegistry] = None
@@ -824,9 +787,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             mem_profile=args.mem_profile,
         )
         with installed(hub):
-            code = _run(args)
+            code, result = _run(args)
             return _finish_telemetry(
-                args, code, bus, registry_store, wall_start, cpu_start
+                args, code, result, bus, registry_store, wall_start, cpu_start
             )
     finally:
         if event_log is not None:
@@ -862,119 +825,100 @@ def _parse_query(spec: str) -> "tuple[str, int]":
     return path, line
 
 
-def _run(args: argparse.Namespace) -> int:
-    if args.fail_on_new and not args.baseline:
-        print(
-            "regionwiz: --fail-on-new requires --baseline", file=sys.stderr
-        )
-        return 2
-    if args.trace_out and not args.validate:
-        print(
-            "regionwiz: --trace-out requires --validate", file=sys.stderr
-        )
-        return 2
-    if args.query is not None:
-        conflict = (
-            "--batch"
-            if args.batch
-            else "--open"
-            if args.open_program
-            else None
-        )
-        if conflict is not None:
-            print(
-                f"regionwiz: --query cannot be combined with {conflict}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.stats and args.batch:
-        print(
-            "regionwiz: --stats applies to single-file runs;"
-            " use --metrics with --batch",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        if args.batch:
-            return _run_batch_mode(args)
-        chunks = _read_sources(args.files)
-        source = _concatenate(args.files, chunks)
-        interface = (
-            rc_regions_interface()
-            if _detect_interface(args.files, args.interface) == "rc"
-            else apr_pools_interface()
-        )
-        options = _options_from_args(args)
-        budget = _budget_from_args(args)
+def _single_run(
+    args: argparse.Namespace, reports: List[RegionWizReport]
+) -> UnitRunner:
+    """How a single-file run makes its unit's report.
+
+    ``--open`` analyzes the unit through a synthesized harness and
+    ``--query`` asks the one question; the report keeps its high-ranked
+    warnings unless ``--all`` (the outcome, its exit code and its
+    validation then follow what the run reports) and lands in
+    ``reports`` for the single-file views.
+    """
+
+    def run(unit: BatchUnit, config: SweepConfig) -> RegionWizReport:
         if args.open_program:
             from repro.tool.open_analysis import analyze_open_program
 
             report = analyze_open_program(
-                source,
-                interface,
-                filename=args.files[0],
-                options=options,
-                name=args.files[0],
-                budget=budget,
-                degrade=args.degrade,
+                unit.source,
+                unit.region_interface(),
+                filename=unit.filename,
+                options=config.options,
+                name=unit.name,
+                budget=config.budget,
+                degrade=config.degrade,
             )
         else:
-            query = (
-                _parse_query(args.query) if args.query is not None else None
-            )
-            report = run_regionwiz(
-                source,
-                filename=args.files[0],
-                interface=interface,
-                entry=args.entry,
-                options=options,
-                name=args.files[0],
-                refine=args.refine,
-                budget=budget,
-                degrade=args.degrade,
-                query=query,
-            )
-    except (CompileError, InputError) as error:
-        print(f"regionwiz: {error}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as error:
-        print(f"regionwiz: {error}", file=sys.stderr)
-        return 4
-    except Exception:  # a RegionWiz bug: surface it, don't mask it as 2
-        traceback.print_exc()
-        print("regionwiz: internal error", file=sys.stderr)
-        return 3
-    # Counted before the high-ranked filter so the registry row records
-    # the analysis result, not the display filter.
-    args._telemetry_summary = {
-        "mode": "single",
-        "units": 1,
-        "succeeded": 1,
-        "failed": 0,
-        "skipped": 0,
-        "warnings": len(report.warnings),
-        "high": sum(1 for w in report.warnings if w.high_ranked),
-        "metrics": (
-            report.metrics.to_dict() if report.metrics is not None else {}
-        ),
-    }
-    if not args.all:
-        report.warnings = [w for w in report.warnings if w.high_ranked]
-    validation = None
-    if args.validate:
-        from repro.tool.validate import validate_report
+            query = _parse_query(args.query) if args.query else None
+            report = _run_unit(unit, config, query=query)
+        if not args.all:
+            report.warnings = report.high_warnings
+        reports.append(report)
+        return report
 
-        # Validation runs after the high-ranked filter so labels align
-        # with the warnings the report actually displays.
-        trace_path = (
-            trace_out_path(args.trace_out, report.name)
-            if args.trace_out
-            else None
+    return run
+
+
+def _fail(message: Any, code: int = 0) -> int:
+    """Print ``regionwiz: <message>``; exit 2, or keep ``code`` when the
+    run already failed harder (an output that could not be written)."""
+    print(f"regionwiz: {message}", file=sys.stderr)
+    return 2 if code in (0, 1) else code
+
+
+def _run(args: argparse.Namespace) -> Tuple[int, Optional[BatchResult]]:
+    """Run the units and the shared tail: ``(exit code, result)``."""
+    for invalid, message in _ARGUMENT_CHECKS:
+        if invalid(args):
+            return _fail(message), None
+    config = _config_from_args(args)
+    reports: List[RegionWizReport] = []
+    try:
+        units = _units(args)
+        if args.batch:
+            result = run_batch(
+                units,
+                jobs=args.jobs,
+                cache=None if args.no_cache else args.cache_dir,
+                chunk_size=args.chunk_size,
+                journal=args.journal,
+                resume=args.resume,
+                config=config,
+            )
+        else:
+            outcome = _analyze_unit_isolated(
+                units[0], config, _single_run(args, reports)
+            )
+            result = BatchResult([outcome], run_id=config.run_id)
+    except (InputError, OSError) as error:  # unreadable input, journal, cache
+        return _fail(error), None
+    if not args.batch and not outcome.ok:
+        if outcome.traceback is not None:
+            sys.stderr.write(outcome.traceback)
+        print(
+            "regionwiz: internal error"
+            if outcome.status == "internal-error"
+            else f"regionwiz: {outcome.error}",
+            file=sys.stderr,
         )
-        validation = validate_report(
-            report,
-            max_steps=args.validate_steps,
-            trace_path=trace_path,
+        return result.exit_code(), result
+    return _conclude(args, result, reports[0] if reports else None), result
+
+
+def _conclude(
+    args: argparse.Namespace,
+    result: BatchResult,
+    report: Optional[RegionWizReport],
+) -> int:
+    """The steps after the units ran, once for both modes: the baseline
+    diff and save, ``--metrics``, the report, ``--html-report`` and the
+    exit code.  ``report`` is the single-file run's (None for a sweep)."""
+    validation = None
+    if report is not None and result.outcomes[0].validation is not None:
+        validation = ValidationResult.from_payload(
+            result.outcomes[0].validation
         )
         if validation.status != "ok":
             print(
@@ -982,21 +926,20 @@ def _run(args: argparse.Namespace) -> int:
                 f" {validation.error}",
                 file=sys.stderr,
             )
+    diff: Optional[WarningDiff] = None
     try:
-        diff: Optional[WarningDiff] = None
         if args.baseline:
-            baseline = [
-                entry
-                for entry in load_baseline(args.baseline)
-                if entry.unit == report.name
-            ]
-            diff = diff_entries(entries_from_report(report), baseline)
+            result.per_unit_diff = diff_outcomes(
+                result.outcomes, load_baseline(args.baseline)
+            )
+            diff = result.merged_diff()
         if args.save_baseline:
-            save_baseline(args.save_baseline, entries_from_report(report))
+            save_baseline(
+                args.save_baseline, entries_from_outcomes(result.outcomes)
+            )
     except InputError as error:
-        print(f"regionwiz: {error}", file=sys.stderr)
-        return 2
-    if args.stats and report.metrics is not None:
+        return _fail(error)
+    if args.stats and report is not None and report.metrics is not None:
         print("consistency statistics:", file=sys.stderr)
         consistency = {
             name: value
@@ -1006,64 +949,77 @@ def _run(args: argparse.Namespace) -> int:
         print(format_metrics(consistency), file=sys.stderr)
         if report.times.solver is not None:
             print(format_solver_stats(report.times.solver), file=sys.stderr)
-    if args.metrics and report.metrics is not None:
-        print("metrics:", file=sys.stderr)
-        print(format_metrics(report.metrics.to_dict()), file=sys.stderr)
-    if args.explain is not None:
-        from repro.obs.provenance import explain_warning
-
-        total = len(report.warnings)
-        if args.explain < 1 or args.explain > total:
-            valid = f"valid range: 1..{total}" if total else "no warnings"
-            print(
-                f"regionwiz: --explain {args.explain} is out of range"
-                f" ({valid})",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            explanation = explain_warning(report, args.explain)
-        except (IndexError, ValueError) as error:
-            print(f"regionwiz: {error}", file=sys.stderr)
-            return 2
-        print(explanation.format())
-        return 1 if report.warnings else 0
-    if args.json_output:
-        from repro.tool.report import report_to_json
-
+    if args.metrics:
+        if args.batch:
+            print(result.metrics_summary(), file=sys.stderr)
+        elif result.outcomes[0].metrics is not None:
+            print("metrics:", file=sys.stderr)
+            print(format_metrics(result.outcomes[0].metrics), file=sys.stderr)
+    if report is None:
+        print(result.to_json() if args.json_output else result.summary())
+    elif args.explain is not None:
+        code = _print_explanation(report, args.explain)
+        if code:
+            return code
+    elif args.json_output:
         print(
             report_to_json(
-                report,
-                diff=diff,
-                validation=validation,
-                run_id=getattr(args, "run_id", None),
+                report, diff=diff, validation=validation, run_id=args.run_id
             )
         )
     else:
         print(
             format_report(
-                report,
-                verbose=args.verbose,
-                diff=diff,
-                validation=validation,
+                report, verbose=args.verbose, diff=diff, validation=validation
             )
         )
+    if result.interrupted:
+        # Partial results were printed above; the conventional
+        # 128+SIGINT code tells callers the sweep did not finish.
+        code = 130
+    elif args.fail_on_new and result.exit_code() in (0, 1):
+        assert diff is not None  # --fail-on-new requires --baseline
+        code = 1 if diff.has_new else 0
+    else:
+        code = result.exit_code()
     if args.html_report:
-        write_html_report(
-            args.html_report,
-            title=f"RegionWiz report: {report.name}",
-            report=report,
-            diff=diff,
-            profile=_profile_tree(),
-            explanations=_html_explanations(report),
-            validation=(
-                validation.to_payload() if validation is not None else None
-            ),
-        )
-    if args.fail_on_new:
-        assert diff is not None  # validated above
-        return 1 if diff.has_new else 0
-    return 1 if report.warnings else 0
+        if report is None:
+            page: Dict[str, Any] = dict(
+                title="RegionWiz batch report",
+                batch=result,
+                per_unit_diff=result.per_unit_diff,
+            )
+        else:
+            page = dict(
+                title=f"RegionWiz report: {report.name}",
+                report=report,
+                explanations=_html_explanations(report),
+                validation=result.outcomes[0].validation,
+            )
+        try:
+            write_html_report(
+                args.html_report, diff=diff, profile=_profile_tree(), **page
+            )
+        except OSError as error:
+            code = _fail(f"cannot write {args.html_report}: {error}", code)
+    return code
+
+
+def _print_explanation(report: RegionWizReport, number: int) -> int:
+    """Print warning ``number``'s derivation chain (exit 0), or exit 2
+    when there is no such warning."""
+    from repro.obs.provenance import explain_warning
+
+    total = len(report.warnings)
+    if number < 1 or number > total:
+        valid = f"valid range: 1..{total}" if total else "no warnings"
+        return _fail(f"--explain {number} is out of range ({valid})")
+    try:
+        explanation = explain_warning(report, number)
+    except (IndexError, ValueError) as error:
+        return _fail(error)
+    print(explanation.format())
+    return 0
 
 
 if __name__ == "__main__":

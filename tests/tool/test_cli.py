@@ -1,12 +1,52 @@
 """Tests for the regionwiz command-line interface."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.pointer import AnalysisOptions
+from repro.tool.batch import BatchResult, SweepConfig, UnitOutcome
 from repro.tool.cli import main
+from repro.util.budget import ResourceBudget
 from repro.workloads import figure
+
+#: Each SweepConfig field a flag sets: (the flags, the value they set).
+FLAG_SET_FIELDS = {
+    "options": (
+        ["--context-insensitive", "--no-heap-cloning", "--field-insensitive",
+         "--sound-offsets", "--max-contexts", "7"],
+        AnalysisOptions(
+            context_sensitive=False,
+            heap_cloning=False,
+            field_sensitive=False,
+            track_unknown_offsets=True,
+            max_contexts=7,
+        ),
+    ),
+    "budget": (
+        ["--timeout", "9", "--max-derived", "8", "--max-objects", "6",
+         "--max-total-contexts", "5"],
+        ResourceBudget(
+            wall_clock_seconds=9.0,
+            max_derived_tuples=8,
+            max_objects=6,
+            max_contexts=5,
+        ),
+    ),
+    "degrade": (["--degrade"], True),
+    "refine": (["--refine"], True),
+    "max_retries": (["--max-retries", "2"], 2),
+    "keep_going": (["--keep-going"], True),
+    "validate": (["--validate"], True),
+    "validate_steps": (["--validate-steps", "11"], 11),
+    "trace_dir": (["--trace-out", "traces"], "traces"),
+    "hard_timeout": (["--hard-timeout", "5"], 5.0),
+}
+
+#: SweepConfig fields no flag sets (``run_id`` is minted per run).
+UNFLAGGED_FIELDS = {"registry"}
 
 
 def write_source(tmp_path, program):
@@ -192,24 +232,43 @@ class TestBatchCli:
         assert "cache" not in payload
         assert not (tmp_path / "cache").exists()
 
-    def test_hard_timeout_reaches_the_supervise_policy(
-        self, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize("mode", ["single", "batch"])
+    def test_flag_set_fields_reach_the_config(
+        self, tmp_path, capsys, monkeypatch, mode
     ):
+        """Every SweepConfig field a flag sets reaches the config the run
+        gets, in both modes; the rest stay at their defaults."""
         import repro.tool.cli as cli
-        from repro.tool.batch import BatchResult
 
-        seen = {}
+        names = {f.name for f in dataclasses.fields(SweepConfig)}
+        assert names == set(FLAG_SET_FIELDS) | UNFLAGGED_FIELDS | {"run_id"}
+        seen = []
 
-        def fake_run_batch(units, **kwargs):
-            seen.update(kwargs)
+        def fake_run_batch(units, config=None, **kwargs):
+            seen.append((config, kwargs))
             return BatchResult()
 
+        def fake_analyze(unit, config, run):
+            seen.append((config, {}))
+            return UnitOutcome(unit=unit.name, status="clean", exit_code=0)
+
         monkeypatch.setattr(cli, "run_batch", fake_run_batch)
+        monkeypatch.setattr(cli, "_analyze_unit_isolated", fake_analyze)
         paths = self.write_figures(tmp_path, ["fig1"])
-        argv = ["--batch", "--jobs", "2", "--hard-timeout", "5", *paths]
+        argv = paths + (["--batch", "--jobs", "2"] if mode == "batch" else [])
+        flags = [f for flags, _ in FLAG_SET_FIELDS.values() for f in flags]
         assert main(argv) == 0
-        assert seen["jobs"] == 2
-        assert seen["hard_timeout"] == 5.0
+        assert main(argv + flags) == 0
+        (bare, _), (flagged, kwargs) = seen
+        for name, (_, value) in FLAG_SET_FIELDS.items():
+            assert getattr(flagged, name) == value, name
+            assert getattr(bare, name) != value, name
+        default = SweepConfig()
+        for name in UNFLAGGED_FIELDS:
+            assert getattr(flagged, name) == getattr(default, name), name
+        assert bare.run_id and flagged.run_id and bare.run_id != flagged.run_id
+        if mode == "batch":
+            assert kwargs["jobs"] == 2
 
 
 class TestQueryCli:
@@ -255,13 +314,40 @@ class TestQueryCli:
         assert code == 0
         assert queried == []
 
-    @pytest.mark.parametrize("flag", ["--batch", "--open"])
-    def test_conflicting_modes_exit_2(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(
+                ["--batch", "--query", "Q"],
+                "--query cannot be combined with --batch",
+                id="--batch",
+            ),
+            pytest.param(
+                ["--open", "--query", "Q"],
+                "--query cannot be combined with --open",
+                id="--open",
+            ),
+            # A single-file view under --batch used to be dropped silently.
+            pytest.param(
+                ["--batch", "--open"],
+                "--open cannot be combined with --batch",
+                id="--batch-open",
+            ),
+            pytest.param(
+                ["--batch", "--explain", "1"],
+                "--explain cannot be combined with --batch",
+                id="--batch-explain",
+            ),
+        ],
+    )
+    def test_conflicting_modes_exit_2(self, tmp_path, capsys, flags, message):
         path = self.example(tmp_path)
-        code = main([path, flag, "--query", f"{path}:{self.STORE_LINE}"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"--query cannot be combined with {flag}" in err
+        spec = f"{path}:{self.STORE_LINE}"
+        argv = [path, *(spec if flag == "Q" else flag for flag in flags)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"regionwiz: {message}\n"
 
     @pytest.mark.parametrize(
         "spec", ["no-line-number", ":26", "file.rc:x", "file.rc:0"]

@@ -276,6 +276,23 @@ class TestBatchMode:
         assert captured.out == ""
         assert captured.err == f"regionwiz: {message}\n"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--batch", "--journal"], ["--batch", "--cache"],
+         ["--batch", "--html-report"], ["--html-report"]],
+    )
+    def test_unwritable_path_is_an_input_error(self, tmp_path, capsys, flags):
+        # These used to escape as an internal error (exit 3) or as an
+        # uncaught traceback.
+        good = tmp_path / "fig1.c"
+        good.write_text(figure("fig1").full_source)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([*flags, str(blocker / "x"), str(good)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("regionwiz: ")
+        assert "Traceback" not in err
+
     def test_resume_requires_a_journal(self, tmp_path, capsys):
         good = tmp_path / "fig1.c"
         good.write_text(figure("fig1").full_source)

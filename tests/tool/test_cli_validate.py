@@ -67,6 +67,25 @@ class TestSingleRunValidation:
         assert "Dynamic validation" in html
 
 
+    def test_validation_gauges_reach_metrics_out_and_registry(
+        self, tmp_path, capsys
+    ):
+        # The run summary used to snapshot the metrics before
+        # validation folded its gauges in, so both views missed them.
+        from repro.obs.registry import RunRegistry
+
+        out = tmp_path / "metrics.txt"
+        registry = tmp_path / "runs.sqlite"
+        argv = [BROKEN, "--validate", "--metrics-out", str(out),
+                "--registry", str(registry)]
+        assert main(argv) == 1
+        capsys.readouterr()
+        assert "repro_validation_confirmed 1" in out.read_text()
+        with RunRegistry(str(registry)) as store:
+            [run] = store.runs()
+        assert run.metrics["validation.confirmed"] == 1
+
+
 class TestTraceOut:
     def test_trace_out_requires_validate(self, tmp_path, capsys):
         assert main([BROKEN, "--trace-out", str(tmp_path)]) == 2

@@ -318,3 +318,20 @@ def test_a_fully_cached_parallel_sweep_opens_no_journal(
     monkeypatch.setattr(supervise, "RunJournal", no_journal)
     warm = run_batch(units, keep_going=True, jobs=2, cache=cache)
     assert all(o.cached for o in warm.outcomes)
+
+
+def test_a_config_sweeps_like_its_settings():
+    units = figure_units()[:3]
+    settings = dict(keep_going=True, validate=True, max_retries=1)
+
+    def verdicts(result):
+        return [
+            (o.status, o.warning_lines, o.fingerprints, o.validation)
+            for o in result.outcomes
+        ]
+
+    by_settings = run_batch(units, **settings)
+    by_config = run_batch(units, config=SweepConfig(**settings))
+    assert verdicts(by_config) == verdicts(by_settings)
+    with pytest.raises(TypeError):
+        run_batch(units, config=SweepConfig(), keep_going=True)
