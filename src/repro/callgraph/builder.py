@@ -22,7 +22,7 @@ from ``main``, exactly as the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.callgraph.implicit import ImplicitCallRegistry, default_registry
 from repro.obs.hub import trace_span
@@ -123,7 +123,28 @@ class CallGraph:
         )
 
 
+# A node of the worklist: a variable's VarKey, ``(function,)`` for a
+# function's return value, a call uid for that site's implicit entries,
+# or ``()`` for the functions that escaped into memory.
+_Node = Union[VarKey, Tuple[str], int, Tuple[()]]
+_ESCAPED: _Node = ()
+
+
 class _Builder:
+    """The call graph in one walk over the IR plus a worklist.
+
+    The walk collects every fact the ``vF`` propagation reads: the
+    function-address seeds, the copy edges (assignments and pointer
+    adds), the escaping stores and the load destinations, the call sites
+    and the return operands.  Each is a copy edge between two
+    :data:`_Node` values or a function seeded into one; a copy edge
+    unions its source's function set into its destination.  A call site
+    watches its callee's node: each function that reaches it becomes a
+    target, and the target's parameters, return value and registry
+    entry positions get their copy edges then.  The worklist runs to the
+    least fixpoint of those rules.
+    """
+
     def __init__(
         self,
         module: IRModule,
@@ -135,29 +156,32 @@ class _Builder:
         self.entry = entry
         self.registry = registry
         self.meter = meter
-        self.vf: Dict[VarKey, Set[str]] = {}
-        self.escaped: Set[str] = set()
-        self._load_dsts: Set[VarKey] = set()
         self.edges: Dict[int, Set[str]] = {}
         self.implicit_edges: Dict[int, Set[str]] = {}
+        # Per node: its functions (if any) and the nodes it copies into.
+        self._funcs: Dict[_Node, Set[str]] = {}
+        self._copies: Dict[_Node, List[_Node]] = {}
+        # Callee node -> the call sites it names, as (caller, instr).
+        self._watchers: Dict[_Node, List[Tuple[str, Call]]] = {}
+        self._worklist: List[_Node] = []
 
     # ------------------------------------------------------------------
 
     def run(self) -> CallGraph:
         with trace_span("callgraph.fixpoint") as span:
-            iterations = 0
-            changed = True
-            while changed:
-                if self.meter is not None:
-                    self.meter.checkpoint("call-graph")
-                iterations += 1
-                changed = False
-                changed |= self._propagate_intraprocedural()
-                changed |= self._update_call_edges()
-                changed |= self._propagate_interprocedural()
+            if self.meter is not None:
+                self.meter.checkpoint("call-graph")
+            self._collect()
+            iterations = self._propagate()
+            vf: Dict[VarKey, FrozenSet[str]] = {}
+            for node, funcs in self._funcs.items():
+                if node.__class__ is int:
+                    self.implicit_edges[node] = funcs
+                elif len(node) == 2:
+                    vf[node] = frozenset(funcs)
             reachable = self._compute_reachable()
             span.set(iterations=iterations, reachable=len(reachable))
-        graph = CallGraph(
+        return CallGraph(
             module=self.module,
             entry=self.entry,
             edges={uid: frozenset(t) for uid, t in self.edges.items()},
@@ -165,112 +189,107 @@ class _Builder:
                 uid: frozenset(t) for uid, t in self.implicit_edges.items()
             },
             reachable=frozenset(reachable),
-            vf={key: frozenset(funcs) for key, funcs in self.vf.items()},
+            vf=vf,
             registry=self.registry,
         )
-        return graph
 
-    def _funcs_of(self, func: str, operand: Operand) -> Set[str]:
-        if isinstance(operand, FuncAddr):
-            return {operand.name}
-        key = _operand_key(func, operand)
-        if key is None:
-            return set()
-        return self.vf.get(key, set())
+    # ------------------------------------------------------------------
+    # The walk and the worklist
+    # ------------------------------------------------------------------
 
-    def _add_vf(self, key: VarKey, funcs: Iterable[str]) -> bool:
-        bucket = self.vf.setdefault(key, set())
+    def _add(self, node: _Node, funcs: Iterable[str]) -> None:
+        bucket = self._funcs.get(node)
+        if bucket is None:
+            bucket = self._funcs[node] = set()
         before = len(bucket)
         bucket.update(funcs)
-        return len(bucket) != before
+        if len(bucket) != before:
+            self._worklist.append(node)
 
-    def _propagate_intraprocedural(self) -> bool:
-        changed = False
+    def _flow(self, func: str, operand: Operand, node: _Node) -> None:
+        """Whatever functions ``operand`` denotes flow into ``node``:
+        its function now, or its variable's set from now on."""
+        if isinstance(operand, FuncAddr):
+            self._add(node, (operand.name,))
+            return
+        source = _operand_key(func, operand)
+        if source is not None:
+            self._copies.setdefault(source, []).append(node)
+            if source in self._funcs:
+                self._add(node, self._funcs[source])
+
+    def _collect(self) -> None:
         for fname, instr in self.module.all_instrs():
-            if isinstance(instr, Assign):
-                funcs = self._funcs_of(fname, instr.src)
-                if funcs:
-                    key = _operand_key(fname, instr.dst)
-                    if key is not None:
-                        changed |= self._add_vf(key, funcs)
-            elif isinstance(instr, Add):
+            cls = instr.__class__
+            if cls is Assign or cls is Add:
                 # A pointer-offset copy preserves the function set (covers
                 # &table[i]-style indexing of function-pointer arrays).
-                funcs = self._funcs_of(fname, instr.base)
-                if funcs:
-                    key = _operand_key(fname, instr.dst)
-                    if key is not None:
-                        changed |= self._add_vf(key, funcs)
-            elif isinstance(instr, Store):
-                funcs = self._funcs_of(fname, instr.src)
-                if funcs and not funcs <= self.escaped:
-                    self.escaped.update(funcs)
-                    changed = True
-            elif isinstance(instr, Load):
-                key = _operand_key(fname, instr.dst)
-                if key is not None:
-                    self._load_dsts.add(key)
-        # Escaped functions may be loaded back from anywhere.
-        if self.escaped:
-            for key in self._load_dsts:
-                changed |= self._add_vf(key, self.escaped)
-        return changed
-
-    def _update_call_edges(self) -> bool:
-        changed = False
-        for fname, instr in self.module.all_instrs():
-            if not isinstance(instr, Call):
-                continue
-            targets = self.edges.setdefault(instr.uid, set())
-            before = len(targets)
-            targets.update(self._funcs_of(fname, instr.callee))
-            changed |= len(targets) != before
-            # Implicit edges from the registry.
-            for callee in set(targets):
-                positions = self.registry.positions(callee)
-                for position in positions:
-                    if position < len(instr.args):
-                        entry_funcs = self._funcs_of(fname, instr.args[position])
-                        if entry_funcs:
-                            bucket = self.implicit_edges.setdefault(
-                                instr.uid, set()
-                            )
-                            implicit_before = len(bucket)
-                            bucket.update(entry_funcs)
-                            changed |= len(bucket) != implicit_before
-        return changed
-
-    def _propagate_interprocedural(self) -> bool:
-        changed = False
-        # Pre-index return sources per function.
-        returns: Dict[str, Set[str]] = {}
-        for fname, instr in self.module.all_instrs():
-            if isinstance(instr, Return) and instr.src is not None:
-                funcs = self._funcs_of(fname, instr.src)
-                if funcs:
-                    returns.setdefault(fname, set()).update(funcs)
-        for fname, instr in self.module.all_instrs():
-            if not isinstance(instr, Call):
-                continue
-            for target in self.edges.get(instr.uid, ()):
-                function = self.module.functions.get(target)
-                if function is None:
-                    continue
-                # Arguments flow into parameters.
-                for position, arg in enumerate(instr.args):
-                    if position >= len(function.params):
-                        break
-                    funcs = self._funcs_of(fname, arg)
-                    if funcs:
-                        changed |= self._add_vf(
-                            (target, function.params[position]), funcs
+                dst = _operand_key(fname, instr.dst)
+                if dst is not None:
+                    source = instr.src if cls is Assign else instr.base
+                    self._flow(fname, source, dst)
+            elif cls is Store:
+                # Escaped functions may be loaded back from anywhere.
+                self._flow(fname, instr.src, _ESCAPED)
+            elif cls is Load:
+                dst = _operand_key(fname, instr.dst)
+                if dst is not None:
+                    self._copies.setdefault(_ESCAPED, []).append(dst)
+            elif cls is Return:
+                if instr.src is not None:
+                    self._flow(fname, instr.src, (fname,))
+            elif cls is Call:
+                self.edges[instr.uid] = set()
+                if isinstance(instr.callee, FuncAddr):
+                    self._target(fname, instr, instr.callee.name)
+                else:
+                    callee = _operand_key(fname, instr.callee)
+                    if callee is not None:
+                        self._watchers.setdefault(callee, []).append(
+                            (fname, instr)
                         )
-                # Return values flow into the call destination.
-                if instr.dst is not None and target in returns:
-                    key = _operand_key(fname, instr.dst)
-                    if key is not None:
-                        changed |= self._add_vf(key, returns[target])
-        return changed
+
+    def _propagate(self) -> int:
+        """Run the worklist dry; returns the number of nodes it popped."""
+        funcs, copies, watchers = self._funcs, self._copies, self._watchers
+        worklist = self._worklist
+        popped = 0
+        while worklist:
+            if self.meter is not None and popped % 4096 == 0:
+                self.meter.checkpoint("call-graph")
+            node = worklist.pop()
+            popped += 1
+            bucket = funcs[node]
+            for successor in copies.get(node, ()):
+                self._add(successor, bucket)
+            for fname, instr in watchers.get(node, ()):
+                for target in sorted(bucket - self.edges[instr.uid]):
+                    self._target(fname, instr, target)
+        return popped
+
+    def _target(self, fname: str, instr: Call, target: str) -> None:
+        """``target`` becomes a target of call site ``instr`` in
+        ``fname``: an entry argument at one of its registry positions
+        flows into the site's implicit targets, and, for a defined
+        target, arguments into its parameters and its return value into
+        the call's destination."""
+        self.edges[instr.uid].add(target)
+        args = instr.args
+        for position in self.registry.positions(target):
+            if position < len(args):
+                self._flow(fname, args[position], instr.uid)
+        function = self.module.functions.get(target)
+        if function is None:
+            return
+        for arg, param in zip(args, function.params):
+            self._flow(fname, arg, (target, param))
+        if instr.dst is not None:
+            dst = _operand_key(fname, instr.dst)
+            if dst is not None:
+                returned = (target,)
+                self._copies.setdefault(returned, []).append(dst)
+                if returned in self._funcs:
+                    self._add(dst, self._funcs[returned])
 
     def _compute_reachable(self) -> Set[str]:
         roots = [

@@ -25,7 +25,10 @@ works on dense integers (see :class:`_Engine`): objects are numbered as
 they are allocated, a location packs an object number with an offset
 code, and a variable is a slot in a per-(function, context) layout.  With
 heap cloning almost every slot holds one location, so a points-to set is
-kept inline as a 1-tuple until a second location arrives.  The result
+kept inline as a 1-tuple until a second location arrives.  Before the
+solve, each reachable function's plan is compiled into step functions,
+one per step, specialized on the kinds and slots of the step's operands;
+a visit of a (function, context) pair just calls them in order.  The result
 hands the effect relations over in that numbering too: consistency,
 hierarchy and ranking work on the numbers, and an
 :class:`AbstractObject` is built only for what someone reads -- a
@@ -159,8 +162,12 @@ ROOT_REGION_ID = 1
 # constant's locations (at most one), and a StrConst is a string literal,
 # whose object is allocated when first read.
 _Ref = Union[int, Tuple[int, ...], StrConst]
-# One plan entry: a transfer function and its pre-resolved instruction.
-_Step = Tuple[Callable[..., None], tuple]
+# A local of a function, as the solver keys it: a temp's id, or a
+# variable's name.
+_LocalKey = Union[int, str]
+# A compiled plan step: called with the first variable slot of the
+# (function, context) pair being visited.
+_Step = Callable[[int], None]
 
 
 @dataclass
@@ -481,68 +488,104 @@ class PointerAnalysisResult:
         return len(self.object_ids)
 
 
+class _Locals(dict):
+    """A function's locals, key -> index in order of first use: a temp's
+    key is its id, a variable's its name.  Reading a new key numbers it."""
+
+    def __missing__(self, key: _LocalKey) -> int:
+        index = self[key] = len(self)
+        return index
+
+    def names(self) -> Tuple[str, ...]:
+        """The locals' names by index; a temp is named ``t<id>``."""
+        return tuple(f"t{key}" if key.__class__ is int else key for key in self)
+
+
 class _Function:
     """A reachable defined function's place in the dense layout.
 
     Its (function, context) pairs are ``pair_base + c``; its locals in
     context ``c`` are the variable slots ``var_base + c * size + index``,
-    parameters first.
+    parameters first.  ``plan`` is its compiled steps.
     """
 
     __slots__ = (
         "name",
+        "arity",
         "pair_base",
         "contexts",
         "var_base",
         "size",
         "index",
+        "names",
         "plan",
         "returns",
         "reread",
         "returned",
-        "watch",
     )
 
     def __init__(
         self, name: str, params: List[str], pair_base: int, contexts: int
     ) -> None:
         self.name = name
+        self.arity = len(params)
         self.pair_base = pair_base
         self.contexts = contexts
         self.var_base = 0
-        self.index: Dict[str, int] = {}
-        for param in params:
-            self.local(param)
+        # Filled while the plans are resolved; then only the names stay.
+        self.index: Optional[_Locals] = _Locals(
+            (param, index) for index, param in enumerate(params)
+        )
+        self.names: Tuple[str, ...] = ()
         self.size = len(self.index)
         self.plan: List[_Step] = []
         # The function's return operands.
         self.returns: List[_Ref] = []
-        # Per local index: read before it may grow (reread), named by a
-        # return operand (returned), or either (watch); see _index_reads.
-        self.reread = self.returned = self.watch = bytearray()
+        # Per local index: read before it may grow (reread), or named by
+        # a return operand (returned); see _index_reads.
+        self.reread = self.returned = bytearray()
 
-    def local(self, name: str) -> int:
-        index = self.index.get(name)
-        if index is None:
-            index = self.index[name] = len(self.index)
-        return index
+
+
+class _Visit:
+    """What the compiled steps share with the solve loop.
+
+    ``changed`` records that a step added a fact this round, ``derived``
+    counts the facts added (for the budget meter), and ``pair``/``ctx``
+    name the (function, context) pair being visited.  A step holds this
+    object and the engine's containers, never the engine or a bound
+    method of it, so a plan forms no reference cycle with its engine.
+    """
+
+    __slots__ = ("changed", "derived", "pair", "ctx")
+
+    def __init__(self) -> None:
+        self.changed = False
+        self.derived = 0
+        self.pair = -1
+        self.ctx = -1
 
 
 class _Engine:
     """The semi-naive solver, on dense integers.
 
-    * **Objects** are numbered when first allocated; ``_table`` keeps one
-      :data:`ObjectKey` per number, memoised per key, and ``_flags`` its
-      kind bits.  The result builds an :class:`AbstractObject` only for
-      a number someone reads (:class:`ObjectTable`).
+    * **Objects** are numbered when first allocated (``_number``);
+      ``_table`` keeps one :data:`ObjectKey` per number, memoised per
+      key, and ``_flags`` its kind bits.  The result builds an
+      :class:`AbstractObject` only for a number someone reads
+      (:class:`ObjectTable`).
     * **Locations** are ints: ``object << _shift | offset code`` (see
       :class:`PackedPointsTo`).
     * **Variables** are int slots: ``_pts`` is one list over the local
       slots, sized by :meth:`_build_plans`, and ``_global_pts`` maps the
-      negative global slots.  Plans are built once, with every operand
-      resolved to a local index, a global slot or a constant
-      (:data:`_Ref`), so a visit looks nothing up by name.
-    * **Points-to sets** are :data:`_Cell` values, grown by :meth:`_grow`.
+      negative global slots.
+    * **Plans** are compiled once, by :meth:`_build_plans`: each step is
+      a function specialized on its operands' kinds (local slot, global
+      slot, constant, string literal), so a visit is ``for step in
+      plan: step(vslot)`` and looks nothing up by name or kind.  The
+      steps share the round's state through one :class:`_Visit`; the
+      plans are freed when the solve ends.
+    * **Points-to sets** are :data:`_Cell` values, grown by :func:`_grow`.
     """
 
     def __init__(
@@ -575,8 +618,9 @@ class _Engine:
         self._table: List[ObjectKey] = []
         self._flags = bytearray()
         self._object_ids: Dict[ObjectKey, int] = {}
-        self._object_id("null", 0, 0, "<null>")
-        self._object_id("root", 0, 0, "<root>")
+        self._number = _numbering(self._table, self._flags, self._object_ids)
+        self._number(("null", 0, 0, "<null>"))
+        self._number(("root", 0, 0, "<root>"))
         self._null_value = (_NULL_ID << self._shift | bias,)
         self._strings: Dict[int, Tuple[int]] = {}
         self._pts: List[Optional[_Cell]] = []
@@ -594,16 +638,9 @@ class _Engine:
         self._cleanups: Set[Tuple[int, str, int]] = set()
         self._functions: Dict[str, _Function] = {}
         self._globals: Dict[str, int] = {}
-        self._changed = False
+        self._state = _Visit()
         # Semi-naive bookkeeping (see run): one dirty mark per pair.
         self._dirty = bytearray()
-        # The pair being visited: its function, context, pair slot, first
-        # variable slot and watched locals (see _add_var).
-        self._vfunc: Optional[_Function] = None
-        self._vctx = -1
-        self._vpair = -1
-        self._vslot = 0
-        self._watch = bytearray()
         # Per global slot: the pair ranges of the functions whose operands
         # read it, and the functions that return it.
         self._global_readers: Dict[int, List[Tuple[int, int]]] = {}
@@ -612,41 +649,44 @@ class _Engine:
         self._return_readers: Dict[int, _Cell] = {}
         # Object -> the pairs that loaded from any of its fields.
         self._heap_readers: Dict[int, _Cell] = {}
-        # Derived-fact counter for budget accounting (points-to tuples
-        # plus effect tuples); charged incrementally against the meter.
-        self._derived = 0
+        # Budget accounting: the derived facts (points-to tuples plus
+        # effect tuples, counted in _state) already charged to the meter.
         self._charged = 0
+        # Compiled helpers the steps share: putters per kind of local,
+        # readers per operand, writers per destination (see _putter,
+        # _reader and _writer).
+        self._putters: Dict[Tuple[int, int], Callable[[int, Collection[int]], None]] = {}
+        self._readers: Dict[Any, Callable[[int], _Cell]] = {}
+        self._writers: Dict[Any, Callable[[int, Collection[int]], None]] = {}
+        self._add_heap = self._heap_writer()
+        self._store_into = self._store_writer()
+        self._shift_all = _shifter(self._mask, self._none, self._low, self._high)
+        self._layouts: Optional[Dict[str, tuple]] = None
+        # Call target -> what a call to it does (see _target).
+        self._targets: Dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
-    # Objects and operands
+    # Operands
     # ------------------------------------------------------------------
-
-    def _object_id(self, kind: str, site: int, ctx: int, name: str) -> int:
-        key = (kind, site, ctx, name)
-        number = self._object_ids.get(key)
-        if number is None:
-            number = self._object_ids[key] = len(self._table)
-            self._table.append(key)
-            self._flags.append(_KIND_FLAGS[kind])
-        return number
 
     def _loc(self, obj: int) -> int:
         """``obj`` at offset 0."""
         return obj << self._shift | self._bias
 
     def _resolve(self, function: _Function, operand: Operand) -> _Ref:
-        if isinstance(operand, Temp):
-            return function.local(f"t{operand.id}")
-        if isinstance(operand, VarOp):
+        cls = operand.__class__
+        if cls is Temp:
+            return function.index[operand.id]
+        if cls is VarOp:
             if operand.kind == "global":
                 return self._global(operand.name)
-            return function.local(operand.name)
-        if isinstance(operand, NullConst):
+            return function.index[operand.name]
+        if cls is NullConst:
             return self._null_value
-        if isinstance(operand, StrConst):
+        if cls is StrConst:
             return operand
-        if isinstance(operand, FuncAddr):
-            func = self._object_id("func", 0, 0, f"&{operand.name}")
+        if cls is FuncAddr:
+            func = self._number(("func", 0, 0, f"&{operand.name}"))
             return (self._loc(func),)
         return ()  # integer constants
 
@@ -656,141 +696,9 @@ class _Engine:
             slot = self._globals[name] = ~len(self._globals)
         return slot
 
-    def _value(self, vslot: int, ref: _Ref) -> _Cell:
-        """The locations ``ref`` holds in the pair whose locals start at
-        variable slot ``vslot``.  The caller only reads the cell."""
-        if ref.__class__ is int:
-            if ref >= 0:
-                return self._pts[vslot + ref] or ()
-            return self._global_pts.get(ref, ())
-        if ref.__class__ is tuple:
-            return ref
-        value = self._strings.get(ref.site)
-        if value is None:
-            obj = self._object_id("string", ref.site, 0, f"str{ref.site}")
-            self._objects.add(obj)
-            self._changed = True
-            value = self._strings[ref.site] = (self._loc(obj),)
-        return value
-
-    # ------------------------------------------------------------------
-    # Growing cells and marking their readers
-    # ------------------------------------------------------------------
-
-    def _grow(
-        self,
-        cells: Union[List[Optional[_Cell]], Dict[Any, _Cell]],
-        key: Any,
-        cell: Optional[_Cell],
-        locations: Collection[int],
-    ) -> bool:
-        """Union ``locations`` into ``cell``, the value of ``cells[key]``
-        (None when absent), and store the result; True if it grew.
-
-        ``locations`` is only read: a 1-tuple may be stored as it is, any
-        other collection is copied, so a set never sits in two cells.
-        """
-        if not cell:
-            new = locations
-            if new.__class__ is not tuple or len(new) > 1:
-                new = set(new)
-                if len(new) < 2:
-                    new = tuple(new)
-            if not new:
-                if cell is None:
-                    cells[key] = ()
-                return False
-            added = len(new)
-        elif cell.__class__ is tuple:
-            (only,) = cell
-            if len(locations) == 1:
-                (loc,) = locations
-                if loc == only:
-                    return False
-                new = {only, loc}
-            else:
-                new = set(locations)
-                new.add(only)
-                if len(new) == 1:
-                    return False
-            added = len(new) - 1
-        else:
-            before = len(cell)
-            cell.update(locations)
-            added = len(cell) - before
-            if not added:
-                return False
-            new = cell
-        cells[key] = new
-        self._changed = True
-        self._derived += added
-        return True
-
-    def _add_var(self, ref: int, locations: Collection[int]) -> None:
-        """Union ``locations`` into variable ``ref`` of the visited pair."""
-        if ref < 0:
-            cells = self._global_pts
-            cell = cells.get(ref)
-            if cell != locations and self._grow(cells, ref, cell, locations):
-                self._mark_global(ref)
-            return
-        slot = self._vslot + ref
-        cell = self._pts[slot]
-        # Equal cells add nothing: the common case once a pair has been
-        # visited, where both are the same one location.
-        if cell != locations and self._grow(self._pts, slot, cell, locations):
-            # The common case needs no mark: a local of the pair being
-            # visited that only later instructions of this visit read.
-            if self._watch[ref]:
-                self._mark_local(self._vfunc, self._vctx, ref)
-
-    def _add_param(
-        self,
-        callee: _Function,
-        ctx: int,
-        index: int,
-        locations: Collection[int],
-    ) -> None:
-        slot = callee.var_base + ctx * callee.size + index
-        cell = self._pts[slot]
-        if cell != locations and self._grow(self._pts, slot, cell, locations):
-            self._mark_local(callee, ctx, index)
-
-    def _mark_local(self, function: _Function, ctx: int, index: int) -> None:
-        """Mark dirty every pair whose visit reads local ``index`` of
-        ``function`` in context ``ctx``."""
-        dirty = self._dirty
-        pair = function.pair_base + ctx
-        # A growth inside the pair's own visit is seen by the rest of that
-        # visit, unless a read of the variable precedes the growth.
-        if pair != self._vpair or function.reread[index]:
-            dirty[pair] = 1
-        if function.returned[index]:
-            for reader in self._return_readers.get(pair, ()):
-                dirty[reader] = 1
-
-    def _mark_global(self, slot: int) -> None:
-        """A non-address-taken global grew: mark every context of every
-        function that reads it, and the callers of every function
-        returning it."""
-        dirty = self._dirty
-        for low, high in self._global_readers.get(slot, ()):
-            dirty[low:high] = b"\x01" * (high - low)
-        for returner in self._global_returners.get(slot, ()):
-            base = returner.pair_base
-            for pair in range(base, base + returner.contexts):
-                for reader in self._return_readers.get(pair, ()):
-                    dirty[reader] = 1
-
-    def _add_heap(self, loc: int, locations: Collection[int]) -> None:
-        heap = self._heap
-        cell = heap.get(loc)
-        if cell is None and self.options.track_unknown_offsets:
-            self._fields.setdefault(loc >> self._shift, []).append(loc)
-        if cell != locations and self._grow(heap, loc, cell, locations):
-            dirty = self._dirty
-            for reader in self._heap_readers.get(loc >> self._shift, ()):
-                dirty[reader] = 1
+    def _dst(self, meta: _Function, operand) -> Optional[int]:
+        ref = None if operand is None else self._resolve(meta, operand)
+        return ref if ref.__class__ is int else None
 
     # ------------------------------------------------------------------
     # Plans
@@ -798,7 +706,15 @@ class _Engine:
 
     def _build_plans(self) -> List[_Function]:
         """Per reachable defined function, in visiting order: its pairs,
-        its plan of pre-resolved steps, and its variable layout."""
+        its variable layout and its compiled plan.
+
+        The first pass resolves every operand in instruction order, so
+        locals, globals and function objects get their numbers in that
+        order, and fixes each function's layout and read sets.  The
+        second compiles each resolved step into a step function; it runs
+        once every layout is known, so a call step knows its callee's
+        slots.
+        """
         functions: List[_Function] = []
         pairs = 0
         for name in sorted(self.graph.reachable):
@@ -813,22 +729,24 @@ class _Engine:
         # Stack and global objects: one site per (function, variable),
         # resp. per global, the first address-of in visiting order.
         stack_sites: Dict[Tuple[str, str], int] = {}
+        resolved: List[List[tuple]] = []
         var_base = 0
         for meta in functions:
             function = self.module.functions[meta.name]
-            read: Set[str] = set()
-            reread: Set[str] = set(function.params)
+            read: Set[_LocalKey] = set()
+            reread: Set[_LocalKey] = set(function.params)
             globals_read: Set[str] = set()
+            steps: List[tuple] = []
             for instr in function.instrs:
-                step = self._plan_step(meta, instr, stack_sites)
-                if step is None:
-                    if isinstance(instr, Return) and instr.src is not None:
-                        meta.returns.append(self._resolve(meta, instr.src))
-                    continue
-                meta.plan.append(step)
-                self._index_reads(instr, read, reread, globals_read)
+                if self._plan_step(meta, instr, stack_sites, steps):
+                    self._index_reads(instr, read, reread, globals_read)
+                elif instr.__class__ is Return and instr.src is not None:
+                    meta.returns.append(self._resolve(meta, instr.src))
+            resolved.append(steps)
             pair_range = (meta.pair_base, meta.pair_base + meta.contexts)
-            for variable in globals_read:
+            # Sorted: a global only address-taken or called through gets
+            # its slot here, and a set of names iterates in hash order.
+            for variable in sorted(globals_read):
                 slot = self._global(variable)
                 self._global_readers.setdefault(slot, []).append(pair_range)
             returned: Set[int] = set()
@@ -850,18 +768,23 @@ class _Engine:
             meta.returned = bytearray(meta.size)
             for index in returned:
                 meta.returned[index] = 1
-            meta.watch = bytearray(
-                a | b for a, b in zip(meta.reread, meta.returned)
-            )
-        self._dirty = bytearray(b"\x01") * pairs
-        self._pts = [None] * var_base
+            meta.names = meta.index.names()
+            meta.index = None
+        # Sized in place: the shared writers already hold both.
+        self._dirty.extend(b"\x01" * pairs)
+        self._pts.extend([None] * var_base)
+        for meta, steps in zip(functions, resolved):
+            for compile_step, operands in steps:
+                step = compile_step(self, meta, *operands)
+                if step is not None:
+                    meta.plan.append(step)
         return functions
 
     def _index_reads(
         self,
         instr,
-        read: Set[str],
-        reread: Set[str],
+        read: Set[_LocalKey],
+        reread: Set[_LocalKey],
         globals_read: Set[str],
     ) -> None:
         """Record, statically, which variables a visit reads: the locals
@@ -869,35 +792,39 @@ class _Engine:
         plus every local defined at or after an instruction that reads
         it), and the globals it reads."""
         for operand in instr.operands():
-            if isinstance(operand, VarOp) and operand.kind == "global":
-                globals_read.add(operand.name)
-            elif isinstance(operand, VarOp):
-                read.add(operand.name)
-            elif isinstance(operand, Temp):
-                read.add(f"t{operand.id}")
+            cls = operand.__class__
+            if cls is Temp:
+                read.add(operand.id)
+            elif cls is VarOp:
+                if operand.kind == "global":
+                    globals_read.add(operand.name)
+                else:
+                    read.add(operand.name)
         dst = getattr(instr, "dst", None)
-        if isinstance(dst, Temp):
-            if f"t{dst.id}" in read:
-                reread.add(f"t{dst.id}")
-        elif isinstance(dst, VarOp) and dst.kind != "global":
+        cls = dst.__class__
+        if cls is Temp:
+            if dst.id in read:
+                reread.add(dst.id)
+        elif cls is VarOp and dst.kind != "global":
             if dst.name in read:
                 reread.add(dst.name)
 
-    def _dst(self, meta: _Function, operand) -> Optional[int]:
-        ref = None if operand is None else self._resolve(meta, operand)
-        return ref if ref.__class__ is int else None
-
     def _plan_step(
-        self, meta: _Function, instr, stack_sites: Dict[Tuple[str, str], int]
-    ) -> Optional[_Step]:
-        """``instr``'s transfer function and its pre-resolved operands;
-        None for an instruction that moves no points-to facts."""
+        self,
+        meta: _Function,
+        instr,
+        stack_sites: Dict[Tuple[str, str], int],
+        steps: List[Tuple[Callable[..., Optional[_Step]], tuple]],
+    ) -> bool:
+        """Append ``instr``'s steps to ``steps``, each a compiler and the
+        pre-resolved operands it is called with.  False for an
+        instruction that moves no points-to facts."""
         cls = instr.__class__
         if cls is Assign:
-            return (_Engine._assign, (
+            steps.append((_Engine._assign_step, (
                 self._dst(meta, instr.dst), self._resolve(meta, instr.src)
-            ))
-        if cls is AddrOf:
+            )))
+        elif cls is AddrOf:
             var = instr.var
             if var.kind == "global":
                 # One canonical object per global: every &g, from any
@@ -912,74 +839,837 @@ class _Engine:
                     self.options.heap_cloning,
                     f"&{meta.name}.{var.name}",
                 )
-            return (_Engine._addrof, (self._dst(meta, instr.dst),) + target)
-        if cls is Add:
+            steps.append((_Engine._addrof_step, (
+                (self._dst(meta, instr.dst),) + target
+            )))
+        elif cls is Add:
             operands = (
                 self._dst(meta, instr.dst), self._resolve(meta, instr.base)
             )
             if not self.options.field_sensitive:
-                return (_Engine._add_fixed, operands + (self._bias,))
-            if instr.offset is None:
-                return (_Engine._add_fixed, operands + (self._none,))
-            return (_Engine._add_shift, operands + (instr.offset,))
-        if cls is Load:
-            return (_Engine._load, (
+                steps.append((_Engine._add_fixed_step, operands + (self._bias,)))
+            elif instr.offset is None:
+                steps.append((_Engine._add_fixed_step, operands + (self._none,)))
+            else:
+                steps.append((_Engine._add_shift_step, operands + (instr.offset,)))
+        elif cls is Load:
+            steps.append((_Engine._load_step, (
                 self._dst(meta, instr.dst), self._resolve(meta, instr.addr)
-            ))
-        if cls is Store:
-            return (_Engine._store, (
-                self._resolve(meta, instr.addr),
-                self._resolve(meta, instr.src),
-                instr.uid,
-            ))
-        if cls is Call:
-            return (_Engine._call, self._call_plan(meta, instr))
-        return None
+            )))
+        elif cls is Store:
+            addr = self._resolve(meta, instr.addr)
+            src = self._resolve(meta, instr.src)
+            if src.__class__ is tuple and not src:
+                return False  # an integer never adds a fact
+            steps.append((_Engine._store_step, (addr, src, instr.uid)))
+        elif cls is Call:
+            self._call_plan(meta, instr, steps)
+        else:
+            return False
+        return True
 
-    def _call_plan(self, meta: _Function, instr: Call) -> tuple:
-        """A call site's work, fixed by the call graph: per target (in
-        name order), the interface effect and the parameter/return flow;
-        then the implicit-call specs of all targets."""
-        interface = self.interface
-        registry = self.graph.registry
+    def _call_plan(
+        self,
+        meta: _Function,
+        instr: Call,
+        steps: List[Tuple[Callable[..., Optional[_Step]], tuple]],
+    ) -> None:
+        """A call site's steps, fixed by the call graph: per target (in
+        name order), its interface effect and its parameter/return flow;
+        then one step for the implicit calls of all targets."""
         targets = sorted(self.graph.targets(instr.uid))
-        line = instr.loc.line
-        steps: List[Tuple[Callable[..., None], tuple]] = []
-        for target in targets:
-            # The create/alloc steps carry a memo: heap context -> the
-            # object number of (site, context, name), which they fix.
-            if target in interface.creates:
-                steps.append((_Engine._interface_create, (
-                    interface.creates[target], f"{target}@{line}", {}
-                )))
-            elif target in interface.allocs:
-                steps.append((_Engine._interface_alloc, (
-                    interface.allocs[target], f"{target}@{line}", {}
-                )))
-            elif target in interface.cleanups:
-                steps.append((_Engine._interface_cleanup, (
-                    interface.cleanups[target],
-                )))
-            # deletes have no static points-to effect.
-            callee = self._functions.get(target)
-            edge = self.numbering.edge_info.get((instr.uid, target))
-            if callee is not None and edge is not None:
-                base, _, same_scc = edge
-                params = tuple(
-                    (self._resolve(meta, arg), callee.index[param])
-                    for arg, param in zip(
-                        instr.args, self.module.functions[target].params
-                    )
-                )
-                steps.append((_Engine._propagate_call, (
-                    callee, base, same_scc, params
-                )))
-        specs = tuple(
-            spec for target in targets for spec in registry.specs(target)
-        )
+        # Arguments, then the destination: locals and function objects
+        # are numbered in that order.
         args = tuple(self._resolve(meta, arg) for arg in instr.args)
-        dst = self._dst(meta, instr.dst)
-        return (dst, args, instr.uid, tuple(steps), specs)
+        uid = instr.uid
+        call = (self._dst(meta, instr.dst), args, uid)
+        edge_info = self.numbering.edge_info
+        specs: tuple = ()
+        for target in targets:
+            effect, spec, defined, target_specs = self._target(target)
+            if effect is _Engine._cleanup_step:
+                steps.append((effect, call + (spec,)))
+            elif effect is not None:
+                name = f"{target}@{instr.loc.line}"
+                steps.append((effect, call + (spec, name)))
+            edge = edge_info.get((uid, target)) if defined else None
+            if edge is not None:
+                base, _, same_scc = edge
+                steps.append((_Engine._propagate_step, call + (
+                    target, base, same_scc
+                )))
+            specs += target_specs
+        if specs:
+            steps.append((_Engine._implicit_step, call + (specs,)))
+
+    def _target(self, target: str) -> tuple:
+        """What a call to ``target`` does at any site: its interface
+        effect (a step compiler and spec, or None for none), whether it
+        is a reachable defined function, and its implicit-call specs."""
+        known = self._targets.get(target)
+        if known is None:
+            interface = self.interface
+            effect = spec = None
+            if target in interface.creates:
+                effect, spec = _Engine._create_step, interface.creates[target]
+            elif target in interface.allocs:
+                effect, spec = _Engine._alloc_step, interface.allocs[target]
+            elif target in interface.cleanups:
+                effect, spec = _Engine._cleanup_step, interface.cleanups[target]
+            # deletes have no static points-to effect.
+            known = self._targets[target] = (
+                effect,
+                spec,
+                target in self._functions,
+                tuple(self.graph.registry.specs(target)),
+            )
+        return known
+
+    # ------------------------------------------------------------------
+    # Reading and writing variables
+    # ------------------------------------------------------------------
+
+    def _reader(self, ref: _Ref) -> Callable[[int], _Cell]:
+        """``read(vslot)``: the locations ``ref`` holds in the pair whose
+        locals start at variable slot ``vslot``.  The caller only reads
+        the cell.  A string literal's object is allocated on first read.
+        A reader depends on ``ref`` alone, so steps share it."""
+        key = ref if ref.__class__ is not StrConst else ("str", ref.site)
+        read = self._readers.get(key)
+        if read is None:
+            read = self._readers[key] = self._new_reader(ref)
+        return read
+
+    def _new_reader(self, ref: _Ref) -> Callable[[int], _Cell]:
+        if ref.__class__ is int:
+            if ref >= 0:
+                pts = self._pts
+                return lambda vslot: pts[vslot + ref] or ()
+            global_pts = self._global_pts
+            return lambda vslot: global_pts.get(ref, ())
+        if ref.__class__ is tuple:
+            return lambda vslot: ref
+        strings, number, objects, state = (
+            self._strings, self._number, self._objects, self._state
+        )
+        shift, bias = self._shift, self._bias
+        site = ref.site
+
+        def read_string(vslot: int) -> _Cell:
+            value = strings.get(site)
+            if value is None:
+                obj = number(("string", site, 0, f"str{site}"))
+                objects.add(obj)
+                state.changed = True
+                value = strings[site] = (obj << shift | bias,)
+            return value
+
+        return read_string
+
+    def _putter(
+        self, meta: _Function, index: int
+    ) -> Callable[[int, Collection[int]], None]:
+        """``put(slot, locations)``: union ``locations`` into local
+        ``index`` of ``meta``, at variable slot ``slot`` of the visited
+        pair, whose cell differs from them; then mark the pairs that read
+        it.  An empty cell takes a 1-tuple as it is.
+
+        The marks depend only on whether the local is read before it may
+        grow and whether it is returned, so four putters serve a solve.
+        """
+        # A growth inside the pair's own visit is seen by the rest of that
+        # visit, unless a read of the local precedes the growth.
+        reread = meta.reread[index]
+        returned = meta.returned[index]
+        put = self._putters.get((reread, returned))
+        if put is not None:
+            return put
+        pts, state, dirty = self._pts, self._state, self._dirty
+        return_readers = self._return_readers
+
+        def put(slot: int, locations: Collection[int]) -> None:
+            cell = pts[slot]
+            if not cell and locations.__class__ is tuple and len(locations) < 2:
+                pts[slot] = locations
+                if not locations:
+                    return
+                state.changed = True
+                state.derived += 1
+            elif not _grow(state, pts, slot, cell, locations):
+                return
+            if reread:
+                dirty[state.pair] = 1
+            if returned:
+                for reader in return_readers.get(state.pair, ()):
+                    dirty[reader] = 1
+
+        self._putters[reread, returned] = put
+        return put
+
+    def _writer(
+        self, meta: _Function, dst: int
+    ) -> Callable[[int, Collection[int]], None]:
+        """``write(vslot, locations)``: union ``locations`` into variable
+        ``dst`` of the visited pair, a local index or a global slot.  A
+        writer depends on ``dst`` and the local's marks alone, so steps
+        share it."""
+        key = (dst, meta.reread[dst], meta.returned[dst]) if dst >= 0 else dst
+        write = self._writers.get(key)
+        if write is not None:
+            return write
+        if dst >= 0:
+            pts = self._pts
+            put = self._putter(meta, dst)
+
+            def write_local(vslot: int, locations: Collection[int]) -> None:
+                slot = vslot + dst
+                if pts[slot] != locations:
+                    put(slot, locations)
+
+            self._writers[key] = write_local
+            return write_local
+        global_pts, state, dirty = self._global_pts, self._state, self._dirty
+        return_readers = self._return_readers
+        # A non-address-taken global grew: mark every context of every
+        # function that reads it, and the callers of every function
+        # returning it.
+        readers = tuple(self._global_readers.get(dst, ()))
+        returners = tuple(
+            range(returner.pair_base, returner.pair_base + returner.contexts)
+            for returner in self._global_returners.get(dst, ())
+        )
+
+        def write(vslot: int, locations: Collection[int]) -> None:
+            cell = global_pts.get(dst)
+            if cell != locations and _grow(
+                state, global_pts, dst, cell, locations
+            ):
+                for low, high in readers:
+                    dirty[low:high] = b"\x01" * (high - low)
+                for returner_pairs in returners:
+                    for pair in returner_pairs:
+                        for reader in return_readers.get(pair, ()):
+                            dirty[reader] = 1
+
+        self._writers[key] = write
+        return write
+
+    def _heap_writer(self) -> Callable[[int, Collection[int]], None]:
+        """``add(loc, locations)``: union ``locations`` into heap slot
+        ``loc`` and mark the pairs that loaded from its object."""
+        heap, fields, state = self._heap, self._fields, self._state
+        dirty, readers = self._dirty, self._heap_readers
+        shift = self._shift
+        track_unknown = self.options.track_unknown_offsets
+
+        def add(loc: int, locations: Collection[int]) -> None:
+            cell = heap.get(loc)
+            if cell is None and track_unknown:
+                fields.setdefault(loc >> shift, []).append(loc)
+            if cell != locations and _grow(state, heap, loc, cell, locations):
+                for reader in readers.get(loc >> shift, ()):
+                    dirty[reader] = 1
+
+        return add
+
+    def _region_reader(
+        self, ref: _Ref
+    ) -> Callable[[int], Tuple[Set[int], bool]]:
+        """``regions(vslot)``: the regions ``ref`` may denote, plus
+        whether it may be null."""
+        read = self._reader(ref)
+        flags, shift, mask = self._flags, self._shift, self._mask
+        whole = (self._bias, self._none)  # offset 0 or unknown
+
+        def regions(vslot: int) -> Tuple[Set[int], bool]:
+            found: Set[int] = set()
+            may_be_null = False
+            for loc in read(vslot):
+                flag = flags[loc >> shift]
+                if flag & _REGION and loc & mask in whole:
+                    found.add(loc >> shift)
+                elif flag & _NULL:
+                    may_be_null = True
+            return found, may_be_null
+
+        return regions
+
+    def _function_reader(self, ref: _Ref) -> Callable[[int], List[str]]:
+        """``names(vslot)``: the functions ``ref`` may point to, in name
+        order."""
+        read = self._reader(ref)
+        table, flags, shift = self._table, self._flags, self._shift
+
+        def names(vslot: int) -> List[str]:
+            return sorted({
+                table[loc >> shift][3].lstrip("&")
+                for loc in read(vslot)
+                if flags[loc >> shift] & _FUNC
+            })
+
+        return names
+
+    # ------------------------------------------------------------------
+    # Step compilers: each takes its step's pre-resolved operands and
+    # returns the function a visit calls, or None for a step that can
+    # never add a fact.  A local source or destination is read in line;
+    # any other goes through _reader/_writer.  A step function binds
+    # what it reads as default arguments, not closure cells: a cell is
+    # one more object per name per step, and with them a unit's plans
+    # took twice the memory.
+    # ------------------------------------------------------------------
+
+    def _assign_step(
+        self, meta: _Function, dst: Optional[int], src: _Ref
+    ) -> Optional[_Step]:
+        if dst is None:
+            return None
+        if dst >= 0 and src.__class__ is int and src >= 0:
+
+            def assign_local(
+                vslot: int, pts=self._pts, src=src, dst=dst,
+                put=self._putter(meta, dst),
+            ) -> None:
+                locations = pts[vslot + src] or ()
+                slot = vslot + dst
+                if pts[slot] != locations:
+                    put(slot, locations)
+
+            return assign_local
+        write = self._writer(meta, dst)
+        if src.__class__ is tuple:
+            return lambda vslot, write=write, src=src: write(vslot, src)
+        return lambda vslot, write=write, read=self._reader(src): write(
+            vslot, read(vslot)
+        )
+
+    def _addrof_step(
+        self,
+        meta: _Function,
+        dst: Optional[int],
+        kind: str,
+        site: int,
+        cloned: bool,
+        name: str,
+    ) -> _Step:
+        """``dst = &var``: the stack (or global) object of ``var``, cloned
+        per context with heap cloning.  ``memo`` maps a context to the
+        object's location, so a repeat visit builds no key."""
+
+        def addrof(
+            vslot: int, key=(kind, site, name), cloned=cloned, memo={},
+            write=None if dst is None else self._writer(meta, dst),
+            number=self._number, objects=self._objects, state=self._state,
+            shift=self._shift, bias=self._bias,
+        ) -> None:
+            ctx = state.ctx if cloned else 0
+            value = memo.get(ctx)
+            if value is None:
+                obj = number((key[0], key[1], ctx, key[2]))
+                objects.add(obj)
+                value = memo[ctx] = (obj << shift | bias,)
+            if write is not None:
+                write(vslot, value)
+
+        return addrof
+
+    def _add_shift_step(
+        self, meta: _Function, dst: Optional[int], base: _Ref, delta: int
+    ) -> Optional[_Step]:
+        """``dst = base + delta``: each offset code moves by ``delta``
+        while it stays exact, and becomes the unknown code otherwise."""
+        if dst is None:
+            return None
+        if dst >= 0 and base.__class__ is int and base >= 0:
+
+            def add_local(
+                vslot: int, pts=self._pts, base=base, dst=dst, delta=delta,
+                put=self._putter(meta, dst), shift_all=self._shift_all,
+                mask=self._mask, none=self._none, low=self._low,
+                high=self._high,
+            ) -> None:
+                values = pts[vslot + base]
+                if values.__class__ is tuple and values:
+                    # The common case: one location.
+                    (loc,) = values
+                    code = loc & mask
+                    if code == none:
+                        locations = values
+                    elif low <= code + delta <= high:
+                        locations = (loc + delta,)
+                    else:
+                        locations = (loc - code + none,)
+                else:
+                    locations = shift_all(values or (), delta)
+                slot = vslot + dst
+                if pts[slot] != locations:
+                    put(slot, locations)
+
+            return add_local
+
+        def add(
+            vslot: int, read=self._reader(base), write=self._writer(meta, dst),
+            shift_all=self._shift_all, delta=delta,
+        ) -> None:
+            write(vslot, shift_all(read(vslot), delta))
+
+        return add
+
+    def _add_fixed_step(
+        self, meta: _Function, dst: Optional[int], base: _Ref, code: int
+    ) -> Optional[_Step]:
+        """An add whose result offset is one code whatever the base's: the
+        unknown offset for a dynamic add, 0 when field-insensitive."""
+        if dst is None:
+            return None
+
+        def add_fixed(
+            vslot: int, read=self._reader(base), write=self._writer(meta, dst),
+            mask=self._mask, code=code,
+        ) -> None:
+            moved = [loc - (loc & mask) + code for loc in read(vslot)]
+            write(vslot, tuple(moved) if len(moved) < 2 else moved)
+
+        return add_fixed
+
+    def _load_step(
+        self, meta: _Function, dst: Optional[int], addr: _Ref
+    ) -> Optional[_Step]:
+        """``dst = *addr``: the heap cells ``addr`` points to, read by
+        reference; a single one is handed on as it is.  The visited pair
+        becomes a reader of each object it loads from."""
+        if dst is None:
+            return None
+
+        def load(
+            vslot: int, read=self._reader(addr), write=self._writer(meta, dst),
+            heap=self._heap, fields=self._fields, readers=self._heap_readers,
+            flags=self._flags, state=self._state, shift=self._shift,
+            mask=self._mask, none=self._none,
+            track_unknown=self.options.track_unknown_offsets,
+        ) -> None:
+            cells: List[_Cell] = []
+            visiting = state.pair
+            for loc in read(vslot):
+                obj = loc >> shift
+                if flags[obj] & _SKIP:
+                    continue
+                # Per object, not per slot: an unknown-offset read reads
+                # them all.
+                _enter(readers, obj, visiting)
+                code = loc & mask
+                if not track_unknown:
+                    if code != none:
+                        cells.append(heap.get(loc, ()))
+                elif code == none:
+                    # Unknown offset reads every field, including the
+                    # unknown slot.
+                    for field_loc in fields.get(obj, ()):
+                        cells.append(heap[field_loc])
+                else:
+                    cells.append(heap.get(loc, ()))
+                    cells.append(heap.get(loc - code + none, ()))
+            if len(cells) == 1:
+                write(vslot, cells[0])
+            else:
+                write(vslot, set().union(*cells) if cells else ())
+
+        return load
+
+    def _store_writer(self) -> Callable[[_Cell, _Cell, int], None]:
+        """``store_into(values, addrs, uid)``: store ``uid`` writes
+        ``values`` through ``addrs``.  Every heap slot ``addrs`` points
+        to grows by the values, and a normal object now holding a
+        pointer to another object or a region makes an access (sigma in
+        the paper)."""
+        heap, access_sites, flags = self._heap, self._access_sites, self._flags
+        state, add_heap = self._state, self._add_heap
+        shift, mask, none = self._shift, self._mask, self._none
+        skip_unknown = not self.options.track_unknown_offsets
+
+        def store_into(values: _Cell, addrs: _Cell, uid: int) -> None:
+            for loc in addrs:
+                flag = flags[loc >> shift]
+                if flag & _SKIP:
+                    continue
+                if skip_unknown and loc & mask == none:
+                    continue
+                if heap.get(loc) != values:
+                    add_heap(loc, values)
+                if flag & _NORMAL:
+                    for value in values:
+                        target = value >> shift
+                        if flags[target] & _SKIP:
+                            continue
+                        key = (loc, target)
+                        sites = access_sites.get(key)
+                        if sites is None:
+                            access_sites[key] = (uid,)
+                            state.changed = True
+                            state.derived += 1
+                        elif sites.__class__ is tuple:
+                            if sites[0] != uid:
+                                access_sites[key] = {sites[0], uid}
+                        else:
+                            sites.add(uid)
+
+        return store_into
+
+    def _store_step(
+        self, meta: _Function, addr: _Ref, src: _Ref, uid: int
+    ) -> _Step:
+        """``*addr = src`` (see :meth:`_store_writer`)."""
+        if (
+            src.__class__ is int and src >= 0
+            and addr.__class__ is int and addr >= 0
+        ):
+
+            def store_local(
+                vslot: int, pts=self._pts, src=src, addr=addr, uid=uid,
+                store_into=self._store_into,
+            ) -> None:
+                values = pts[vslot + src]
+                if values:
+                    store_into(values, pts[vslot + addr] or (), uid)
+
+            return store_local
+
+        def store(
+            vslot: int, read_src=self._reader(src),
+            read_addr=self._reader(addr), uid=uid,
+            store_into=self._store_into,
+        ) -> None:
+            values = read_src(vslot)
+            if values:
+                store_into(values, read_addr(vslot), uid)
+
+        return store
+
+    # ------------------------------------------------------------------
+    # Call steps: each takes the call's (dst, args, uid), then its own
+    # ------------------------------------------------------------------
+
+    def _create_step(
+        self,
+        meta: _Function,
+        dst: Optional[int],
+        args: Tuple[_Ref, ...],
+        uid: int,
+        spec,
+        name: str,
+    ) -> _Step:
+        """An interface region creation ``rnew``: the region of this site
+        and heap context, a subregion of every region its parent argument
+        may denote (of the root for none or null).  ``memo`` maps a heap
+        context to the region's location."""
+        root_parent = spec.parent_arg is None
+        parents = (
+            self._region_reader(args[spec.parent_arg])
+            if not root_parent and spec.parent_arg < len(args)
+            else None
+        )
+        write = read_out = None
+        if spec.out_arg is None:
+            if dst is not None:
+                write = self._writer(meta, dst)
+        elif spec.out_arg < len(args):
+            read_out = self._reader(args[spec.out_arg])
+
+        def create(
+            vslot: int, key=("region", uid, name), memo={},
+            root_parent=root_parent, parents=parents, write=write,
+            read_out=read_out, add_heap=self._add_heap,
+            cloning=self.options.heap_cloning, number=self._number,
+            regions=self._regions, subregion=self._subregion,
+            flags=self._flags, state=self._state, shift=self._shift,
+            bias=self._bias,
+        ) -> None:
+            ctx = state.ctx if cloning else 0
+            value = memo.get(ctx)
+            if value is None:
+                region = number((key[0], key[1], ctx, key[2]))
+                value = memo[ctx] = (region << shift | bias,)
+                if region not in regions:
+                    regions.add(region)
+                    state.changed = True
+            region = value[0] >> shift
+            found: Set[int] = set()
+            if root_parent:
+                found.add(ROOT_REGION_ID)
+            elif parents is not None:
+                found, may_be_null = parents(vslot)
+                if may_be_null:
+                    found.add(ROOT_REGION_ID)
+            for parent in found:
+                if parent != region:
+                    edge = (region, parent)
+                    if edge not in subregion:
+                        subregion.add(edge)
+                        state.changed = True
+            if write is not None:
+                write(vslot, value)
+            elif read_out is not None:
+                for loc in read_out(vslot):
+                    if not flags[loc >> shift] & _SKIP:
+                        add_heap(loc, value)
+
+        return create
+
+    def _alloc_step(
+        self,
+        meta: _Function,
+        dst: Optional[int],
+        args: Tuple[_Ref, ...],
+        uid: int,
+        spec,
+        name: str,
+    ) -> _Step:
+        """An interface allocation ``ralloc``: the heap object of this
+        site and heap context, owned by every region its region argument
+        may denote (by the root for null).  ``memo`` maps a heap context
+        to the object's location."""
+
+        def alloc(
+            vslot: int, key=("heap", uid, name), memo={},
+            read=(
+                self._reader(args[spec.region_arg])
+                if spec.region_arg < len(args)
+                else None
+            ),
+            write=None if dst is None else self._writer(meta, dst),
+            cloning=self.options.heap_cloning, number=self._number,
+            objects=self._objects, ownership=self._ownership,
+            flags=self._flags, state=self._state, shift=self._shift,
+            bias=self._bias, mask=self._mask,
+            whole=(self._bias, self._none),  # offset 0 or unknown
+        ) -> None:
+            ctx = state.ctx if cloning else 0
+            value = memo.get(ctx)
+            if value is None:
+                obj = number((key[0], key[1], ctx, key[2]))
+                value = memo[ctx] = (obj << shift | bias,)
+                if obj not in objects:
+                    objects.add(obj)
+                    state.changed = True
+            obj = value[0] >> shift
+            if read is not None:
+                for loc in read(vslot):
+                    flag = flags[loc >> shift]
+                    if flag & _REGION and loc & mask in whole:
+                        owned = (loc >> shift, obj)
+                    elif flag & _NULL:
+                        owned = (ROOT_REGION_ID, obj)
+                    else:
+                        continue
+                    if owned not in ownership:
+                        ownership.add(owned)
+                        state.changed = True
+            if write is not None:
+                write(vslot, value)
+
+        return alloc
+
+    def _cleanup_step(
+        self,
+        meta: _Function,
+        dst: Optional[int],
+        args: Tuple[_Ref, ...],
+        uid: int,
+        spec,
+    ) -> _Step:
+        """A cleanup registration: (region, function, data object) for
+        every region, function and normal data object (or null) its
+        arguments may denote."""
+
+        def cleanup(
+            vslot: int,
+            regions_of=(
+                self._region_reader(args[spec.region_arg])
+                if spec.region_arg < len(args)
+                else None
+            ),
+            read_data=(
+                self._reader(args[spec.data_arg])
+                if spec.data_arg < len(args)
+                else None
+            ),
+            function_readers=tuple(
+                self._function_reader(args[position])
+                for position in spec.fn_args
+                if position < len(args)
+            ),
+            cleanups=self._cleanups, flags=self._flags, state=self._state,
+            shift=self._shift,
+        ) -> None:
+            regions: Set[int] = set()
+            if regions_of is not None:
+                regions, _ = regions_of(vslot)
+            data_objs: Set[int] = set()
+            if read_data is not None:
+                data_objs = {
+                    loc >> shift
+                    for loc in read_data(vslot)
+                    if flags[loc >> shift] & _NORMAL
+                }
+            fn_names: Set[str] = set()
+            for names in function_readers:
+                fn_names.update(names(vslot))
+            for region in regions:
+                for fn_name in fn_names:
+                    for data in data_objs or (_NULL_ID,):
+                        entry = (region, fn_name, data)
+                        if entry not in cleanups:
+                            cleanups.add(entry)
+                            state.changed = True
+
+        return cleanup
+
+    def _propagate_step(
+        self,
+        meta: _Function,
+        dst: Optional[int],
+        args: Tuple[_Ref, ...],
+        uid: int,
+        target: str,
+        base: int,
+        same_scc: bool,
+    ) -> _Step:
+        """The flow along one call edge: arguments into the callee's
+        parameters and its return operands into ``dst``.  The callee's
+        context is the caller's shifted by the edge's offset, or the
+        caller's own inside a strongly connected component."""
+        callee = self._functions[target]
+        # Arguments in the caller's locals are read in line; the others
+        # (globals, constants, string literals) through a reader.
+        local_args = []
+        other_args = []
+        # A parameter's local index is its position.
+        for index, arg in enumerate(args[:callee.arity]):
+            if arg.__class__ is int and arg >= 0:
+                local_args.append((arg, index, callee.returned[index]))
+            else:
+                other_args.append((self._reader(arg), index, callee.returned[index]))
+        returns: Tuple[Callable[[int], _Cell], ...] = ()
+        write = None
+        if dst is not None and callee.returns:
+            returns = tuple(map(self._reader, callee.returns))
+            write = self._writer(meta, dst)
+
+        def propagate(
+            vslot: int, local_args=tuple(local_args),
+            other_args=tuple(other_args), returns=returns, write=write,
+            same_scc=same_scc, base=base, contexts=callee.contexts,
+            pair_base=callee.pair_base, var_base=callee.var_base,
+            size=callee.size, pts=self._pts, state=self._state,
+            dirty=self._dirty, return_readers=self._return_readers,
+        ) -> None:
+            ctx = state.ctx
+            callee_ctx = ctx if same_scc else (base + ctx) % contexts
+            callee_slot = var_base + callee_ctx * size
+            for arg, index, returned in local_args:
+                values = pts[vslot + arg]
+                if values:
+                    slot = callee_slot + index
+                    cell = pts[slot]
+                    if cell != values and _grow(state, pts, slot, cell, values):
+                        _mark_param(
+                            dirty, return_readers, pair_base + callee_ctx, returned
+                        )
+            for read, index, returned in other_args:
+                values = read(vslot)
+                if values:
+                    slot = callee_slot + index
+                    cell = pts[slot]
+                    if cell != values and _grow(state, pts, slot, cell, values):
+                        _mark_param(
+                            dirty, return_readers, pair_base + callee_ctx, returned
+                        )
+            if write is not None:
+                _enter(return_readers, pair_base + callee_ctx, state.pair)
+                for read in returns:
+                    write(vslot, read(callee_slot))
+
+        return propagate
+
+    def _implicit_step(
+        self,
+        meta: _Function,
+        dst: Optional[int],
+        args: Tuple[_Ref, ...],
+        uid: int,
+        specs: tuple,
+    ) -> _Step:
+        """The implicit calls of a call site's targets (thread creation,
+        callback registration): every entry function an entry argument
+        may point to gets the data-flow arguments as parameters."""
+        if self._layouts is None:
+            # Entry name -> (pair_base, var_base, size, returned flags):
+            # what a step needs of a callee's layout.
+            self._layouts = {
+                name: (
+                    callee.pair_base,
+                    callee.var_base,
+                    callee.size,
+                    callee.returned,
+                )
+                for name, callee in self._functions.items()
+            }
+
+        def implicit(
+            vslot: int,
+            calls=tuple(
+                (
+                    self._function_reader(args[spec.fn_arg]),
+                    tuple(
+                        (self._reader(args[src_arg]), param_idx)
+                        for src_arg, param_idx in spec.data_flow
+                        if src_arg < len(args)
+                    ),
+                )
+                for spec in specs
+                if spec.fn_arg < len(args)
+            ),
+            uid=uid, layouts=self._layouts,
+            module_functions=self.module.functions, numbering=self.numbering,
+            pts=self._pts, extra=self._extra, state=self._state,
+            dirty=self._dirty, return_readers=self._return_readers,
+        ) -> None:
+            for entries, flows in calls:
+                for entry in entries(vslot):
+                    function = module_functions.get(entry)
+                    if function is None:
+                        continue
+                    callee_ctx = numbering.callee_context(state.ctx, uid, entry)
+                    if callee_ctx is None:
+                        callee_ctx = 0
+                    layout = layouts.get(entry)
+                    params = function.params
+                    for read, param_idx in flows:
+                        if param_idx >= len(params):
+                            continue
+                        values = read(vslot)
+                        if not values:
+                            continue
+                        if layout is None:
+                            # An implicit entry the call graph never reached.
+                            key = (entry, callee_ctx, params[param_idx])
+                            cell = extra.get(key)
+                            if cell != values:
+                                _grow(state, extra, key, cell, values)
+                            continue
+                        # A parameter's local index is its position.
+                        pair_base, var_base, size, returned = layout
+                        slot = var_base + callee_ctx * size + param_idx
+                        cell = pts[slot]
+                        if cell != values and _grow(state, pts, slot, cell, values):
+                            _mark_param(
+                                dirty,
+                                return_readers,
+                                pair_base + callee_ctx,
+                                returned[param_idx],
+                            )
+
+        return implicit
 
     # ------------------------------------------------------------------
     # Main loop
@@ -994,41 +1684,42 @@ class _Engine:
         # skipped visit would have added nothing: every fact, and the
         # round count, match visiting every pair every round.
         dirty = self._dirty
+        state = self._state
         iterations = 0
         visits = 0
         with trace_span("pointer.solve") as span:
             while True:
                 iterations += 1
-                self._changed = False
+                state.changed = False
                 for meta in functions:
                     plan = meta.plan
                     pair = meta.pair_base
                     vslot = meta.var_base
-                    self._vfunc = meta
-                    self._watch = meta.watch
+                    size = meta.size
                     for ctx in range(meta.contexts):
                         if dirty[pair]:
                             dirty[pair] = 0
-                            self._vpair = pair
-                            self._vctx = ctx
-                            self._vslot = vslot
+                            state.pair = pair
+                            state.ctx = ctx
                             visits += 1
-                            for handler, step in plan:
-                                handler(self, step)
+                            for step in plan:
+                                step(vslot)
                         pair += 1
-                        vslot += meta.size
+                        vslot += size
                     if self.meter is not None:
                         self._charge_budget()
-                if not self._changed:
+                if not state.changed:
                     break
-            self._vfunc = None
-            self._vpair = -1
             span.set(
                 iterations=iterations,
                 visits=visits,
                 regions=len(self._regions),
                 objects=len(self._objects),
             )
+        # The plans are spent.  Free them before the result copies the
+        # effect sets, the moment a solve's memory would otherwise peak.
+        for meta in functions:
+            meta.plan = []
         return self._result(functions, iterations, visits)
 
     def _result(
@@ -1041,7 +1732,7 @@ class _Engine:
             offset_bits=self._shift,
             bias=self._bias,
             functions=tuple(
-                (meta.name, meta.var_base, meta.size, tuple(meta.index))
+                (meta.name, meta.var_base, meta.size, meta.names)
                 for meta in functions
             ),
             globals_=tuple(self._globals),
@@ -1069,35 +1760,41 @@ class _Engine:
     def _charge_budget(self) -> None:
         """Cooperative checkpoint: runs after each function is processed."""
         assert self.meter is not None
-        self.meter.charge_tuples(self._derived - self._charged, "correlation")
-        self._charged = self._derived
+        derived = self._state.derived
+        self.meter.charge_tuples(derived - self._charged, "correlation")
+        self._charged = derived
         self.meter.charge_objects(
             len(self._objects) + len(self._regions), "correlation"
         )
 
-    # ------------------------------------------------------------------
-    # Transfer functions: each takes its plan step's operands
-    # ------------------------------------------------------------------
 
-    def _assign(self, step: tuple) -> None:
-        dst, src = step
-        if dst is not None:
-            self._add_var(dst, self._value(self._vslot, src))
+def _numbering(
+    table: List[ObjectKey], flags: bytearray, numbers: Dict[ObjectKey, int]
+) -> Callable[[ObjectKey], int]:
+    """``number(key)``: the object number of ``key``, the next free one
+    if the key is new."""
 
-    def _addrof(self, step: tuple) -> None:
-        dst, kind, site, cloned, name = step
-        obj = self._object_id(kind, site, self._vctx if cloned else 0, name)
-        self._objects.add(obj)
-        if dst is not None:
-            self._add_var(dst, (self._loc(obj),))
+    def number(key: ObjectKey) -> int:
+        found = numbers.get(key)
+        if found is None:
+            found = numbers[key] = len(table)
+            table.append(key)
+            flags.append(_KIND_FLAGS[key[0]])
+        return found
 
-    def _add_shift(self, step: tuple) -> None:
-        dst, base, delta = step
-        if dst is None:
-            return
-        mask, none, low, high = self._mask, self._none, self._low, self._high
+    return number
+
+
+def _shifter(
+    mask: int, none: int, low: int, high: int
+) -> Callable[[Collection[int], int], Collection[int]]:
+    """``shift_all(values, delta)``: each location's offset code moved by
+    ``delta`` while it stays in ``[low, high]``, the unknown code
+    ``none`` otherwise; the unknown code stays."""
+
+    def shift_all(values: Collection[int], delta: int) -> Collection[int]:
         shifted: List[int] = []
-        for loc in self._value(self._vslot, base):
+        for loc in values:
             code = loc & mask
             if code == none:
                 shifted.append(loc)
@@ -1105,253 +1802,70 @@ class _Engine:
                 shifted.append(loc + delta)
             else:
                 shifted.append(loc - code + none)
-        self._add_var(dst, tuple(shifted) if len(shifted) < 2 else shifted)
+        return tuple(shifted) if len(shifted) < 2 else shifted
 
-    def _add_fixed(self, step: tuple) -> None:
-        """An add whose result offset is one code whatever the base's: the
-        unknown offset for a dynamic add, 0 when field-insensitive."""
-        dst, base, code = step
-        if dst is not None:
-            mask = self._mask
-            moved = [
-                loc - (loc & mask) + code
-                for loc in self._value(self._vslot, base)
-            ]
-            self._add_var(dst, tuple(moved) if len(moved) < 2 else moved)
+    return shift_all
 
-    def _load(self, step: tuple) -> None:
-        dst, addr = step
-        if dst is None:
-            return
-        # The cells read, by reference; a single one is handed on as it is.
-        cells: List[_Cell] = []
-        shift, mask, none = self._shift, self._mask, self._none
-        flags = self._flags
-        heap = self._heap
-        readers = self._heap_readers
-        visiting = self._vpair
-        track_unknown = self.options.track_unknown_offsets
-        for loc in self._value(self._vslot, addr):
-            obj = loc >> shift
-            if flags[obj] & _SKIP:
-                continue
-            # Per object, not per slot: an unknown-offset read reads them all.
-            _enter(readers, obj, visiting)
-            code = loc & mask
-            if not track_unknown:
-                if code != none:
-                    cells.append(heap.get(loc, ()))
-            elif code == none:
-                # Unknown offset reads every field, including the unknown slot.
-                for field_loc in self._fields.get(obj, ()):
-                    cells.append(heap[field_loc])
-            else:
-                cells.append(heap.get(loc, ()))
-                cells.append(heap.get(loc - code + none, ()))
-        if len(cells) == 1:
-            self._add_var(dst, cells[0])
+
+def _grow(
+    state: _Visit,
+    cells: Union[List[Optional[_Cell]], Dict[Any, _Cell]],
+    key: Any,
+    cell: Optional[_Cell],
+    locations: Collection[int],
+) -> bool:
+    """Union ``locations`` into ``cell``, the value of ``cells[key]``
+    (None when absent), and store the result; True if it grew.
+
+    ``locations`` is only read: a 1-tuple may be stored as it is, any
+    other collection is copied, so a set never sits in two cells.
+    """
+    if not cell:
+        new = locations
+        if new.__class__ is not tuple or len(new) > 1:
+            new = set(new)
+            if len(new) < 2:
+                new = tuple(new)
+        if not new:
+            if cell is None:
+                cells[key] = ()
+            return False
+        added = len(new)
+    elif cell.__class__ is tuple:
+        (only,) = cell
+        if len(locations) == 1:
+            (loc,) = locations
+            if loc == only:
+                return False
+            new = {only, loc}
         else:
-            self._add_var(dst, set().union(*cells) if cells else ())
+            new = set(locations)
+            new.add(only)
+            if len(new) == 1:
+                return False
+        added = len(new) - 1
+    else:
+        before = len(cell)
+        cell.update(locations)
+        added = len(cell) - before
+        if not added:
+            return False
+        new = cell
+    cells[key] = new
+    state.changed = True
+    state.derived += added
+    return True
 
-    def _store(self, step: tuple) -> None:
-        addr, src, uid = step
-        values = self._value(self._vslot, src)
-        if not values:
-            return
-        shift, mask, none = self._shift, self._mask, self._none
-        flags = self._flags
-        track_unknown = self.options.track_unknown_offsets
-        access_sites = self._access_sites
-        for loc in self._value(self._vslot, addr):
-            flag = flags[loc >> shift]
-            if flag & _SKIP:
-                continue
-            if not track_unknown and loc & mask == none:
-                continue
-            self._add_heap(loc, values)
-            # Record the access effect: a normal object holding a pointer
-            # to another object or to a region (sigma in the paper).
-            if flag & _NORMAL:
-                for value in values:
-                    target = value >> shift
-                    if flags[target] & _SKIP:
-                        continue
-                    if _enter(access_sites, (loc, target), uid):
-                        self._changed = True
-                        self._derived += 1
 
-    # ------------------------------------------------------------------
-    # Calls: a call step is (dst, args, uid, per-target steps, specs)
-    # ------------------------------------------------------------------
-
-    def _call(self, step: tuple) -> None:
-        for handler, target_step in step[3]:
-            handler(self, step, target_step)
-        if step[4]:
-            self._propagate_implicit(step)
-
-    def _region_args(self, ref: _Ref) -> Tuple[Set[int], bool]:
-        """Regions an operand may denote, plus whether it may be null."""
-        regions: Set[int] = set()
-        may_be_null = False
-        shift, mask = self._shift, self._mask
-        whole = (self._bias, self._none)  # offset 0 or unknown
-        flags = self._flags
-        for loc in self._value(self._vslot, ref):
-            flag = flags[loc >> shift]
-            if flag & _REGION and loc & mask in whole:
-                regions.add(loc >> shift)
-            elif flag & _NULL:
-                may_be_null = True
-        return regions, may_be_null
-
-    def _heap_ctx(self) -> int:
-        return self._vctx if self.options.heap_cloning else 0
-
-    def _interface_create(self, call: tuple, target_step: tuple) -> None:
-        dst, args, uid = call[0], call[1], call[2]
-        spec, name, memo = target_step
-        ctx = self._heap_ctx()
-        region = memo.get(ctx)
-        if region is None:
-            region = memo[ctx] = self._object_id("region", uid, ctx, name)
-            if region not in self._regions:
-                self._regions.add(region)
-                self._changed = True
-        parents: Set[int] = set()
-        if spec.parent_arg is None:
-            parents.add(ROOT_REGION_ID)
-        elif spec.parent_arg < len(args):
-            found, may_be_null = self._region_args(args[spec.parent_arg])
-            parents |= found
-            if may_be_null:
-                parents.add(ROOT_REGION_ID)
-        for parent in parents:
-            if parent != region:
-                edge = (region, parent)
-                if edge not in self._subregion:
-                    self._subregion.add(edge)
-                    self._changed = True
-        if spec.out_arg is None:
-            if dst is not None:
-                self._add_var(dst, (self._loc(region),))
-        elif spec.out_arg < len(args):
-            flags = self._flags
-            for loc in self._value(self._vslot, args[spec.out_arg]):
-                if flags[loc >> self._shift] & _SKIP:
-                    continue
-                self._add_heap(loc, (self._loc(region),))
-
-    def _interface_alloc(self, call: tuple, target_step: tuple) -> None:
-        dst, args, uid = call[0], call[1], call[2]
-        spec, name, memo = target_step
-        ctx = self._heap_ctx()
-        obj = memo.get(ctx)
-        if obj is None:
-            obj = memo[ctx] = self._object_id("heap", uid, ctx, name)
-            if obj not in self._objects:
-                self._objects.add(obj)
-                self._changed = True
-        owners: Set[int] = set()
-        if spec.region_arg < len(args):
-            found, may_be_null = self._region_args(args[spec.region_arg])
-            owners |= found
-            if may_be_null:
-                owners.add(ROOT_REGION_ID)
-        for owner in owners:
-            pair = (owner, obj)
-            if pair not in self._ownership:
-                self._ownership.add(pair)
-                self._changed = True
-        if dst is not None:
-            self._add_var(dst, (self._loc(obj),))
-
-    def _function_names(self, ref: _Ref) -> List[str]:
-        """The functions an operand may point to, in name order."""
-        shift = self._shift
-        return sorted({
-            self._table[loc >> shift][3].lstrip("&")
-            for loc in self._value(self._vslot, ref)
-            if self._flags[loc >> shift] & _FUNC
-        })
-
-    def _interface_cleanup(self, call: tuple, target_step: tuple) -> None:
-        args = call[1]
-        (spec,) = target_step
-        regions: Set[int] = set()
-        if spec.region_arg < len(args):
-            regions, _ = self._region_args(args[spec.region_arg])
-        data_objs: Set[int] = set()
-        if spec.data_arg < len(args):
-            shift = self._shift
-            data_objs = {
-                loc >> shift
-                for loc in self._value(self._vslot, args[spec.data_arg])
-                if self._flags[loc >> shift] & _NORMAL
-            }
-        fn_names: Set[str] = set()
-        for position in spec.fn_args:
-            if position < len(args):
-                fn_names.update(self._function_names(args[position]))
-        for region in regions:
-            for fn_name in fn_names:
-                for data in data_objs or (_NULL_ID,):
-                    entry = (region, fn_name, data)
-                    if entry not in self._cleanups:
-                        self._cleanups.add(entry)
-                        self._changed = True
-
-    def _propagate_call(self, call: tuple, target_step: tuple) -> None:
-        callee, base, same_scc, params = target_step
-        ctx = self._vctx
-        callee_ctx = ctx if same_scc else (base + ctx) % callee.contexts
-        vslot = self._vslot
-        for arg, index in params:
-            values = self._value(vslot, arg)
-            if values:
-                self._add_param(callee, callee_ctx, index, values)
-        dst = call[0]
-        if dst is not None and callee.returns:
-            callee_pair = callee.pair_base + callee_ctx
-            _enter(self._return_readers, callee_pair, self._vpair)
-            callee_slot = callee.var_base + callee_ctx * callee.size
-            for ref in callee.returns:
-                self._add_var(dst, self._value(callee_slot, ref))
-
-    def _propagate_implicit(self, call: tuple) -> None:
-        _, args, uid, _, specs = call
-        for spec in specs:
-            if spec.fn_arg >= len(args):
-                continue
-            for entry in self._function_names(args[spec.fn_arg]):
-                function = self.module.functions.get(entry)
-                if function is None:
-                    continue
-                callee_ctx = self.numbering.callee_context(
-                    self._vctx, uid, entry
-                )
-                if callee_ctx is None:
-                    callee_ctx = 0
-                callee = self._functions.get(entry)
-                for src_arg, param_idx in spec.data_flow:
-                    if (
-                        src_arg < len(args)
-                        and param_idx < len(function.params)
-                    ):
-                        values = self._value(self._vslot, args[src_arg])
-                        if not values:
-                            continue
-                        param = function.params[param_idx]
-                        if callee is not None:
-                            self._add_param(
-                                callee, callee_ctx, callee.index[param], values
-                            )
-                        else:
-                            # An implicit entry the call graph never reached.
-                            key = (entry, callee_ctx, param)
-                            cell = self._extra.get(key)
-                            if cell != values:
-                                self._grow(self._extra, key, cell, values)
+def _mark_param(
+    dirty: bytearray, return_readers: Dict[int, _Cell], pair: int, returned: int
+) -> None:
+    """A parameter of callee pair ``pair`` grew: that pair re-reads it,
+    and if the parameter is also returned, so do the pair's callers."""
+    dirty[pair] = 1
+    if returned:
+        for reader in return_readers.get(pair, ()):
+            dirty[reader] = 1
 
 
 def _enter(cells: Dict[Any, _Cell], key: Any, item: int) -> bool:

@@ -4,8 +4,10 @@ The paper solves its effect computation on bddbddb; this module states
 the context-insensitive core of that computation as Datalog over IR facts
 and runs it on :mod:`repro.datalog`.  It covers the full instruction
 vocabulary -- copies, address-of, field-offset adds, loads, stores,
-call/return bindings -- plus the interface effects ``subregion``,
-``ownership``, and ``access``.
+call/return bindings, with a null, string-literal or function-address
+constant in any operand position -- plus the interface effects
+``subregion``, ``ownership``, and ``access``.  Cleanup registrations and
+the data flow of implicit calls are not stated.
 
 It is deliberately the *context-insensitive* configuration: Datalog with
 explicit context domains reproduces the cloned analysis too, but at toy
@@ -44,6 +46,10 @@ from repro.datalog import Program
 
 __all__ = ["DatalogPTA", "run_datalog_pta"]
 
+# The largest offset the lattice holds, as the native engine's default
+# max_field_offset: beyond it an offset is unknown, and dropped.
+_OFFSET_BOUND = 1 << 12
+
 RULES = """
 # Base points-to: address-of, allocation results, region handles.
 vP(v, h) :- newObj(v, h).
@@ -57,11 +63,11 @@ loc(v2, h, n) :- copy(v2, v1), loc(v1, h, n).
 loc(v, h, n) :- vP(v, h), zero(n).
 loc(v2, h, n2) :- shift(v2, v1, d), loc(v1, h, n1), offAdd(n1, d, n2).
 
-# Loads and stores through (object, offset) locations.  Silent stores
-# (the interface's out-parameter writes) update the heap but are not
-# program-level accesses.
-hP(h1, n, h2, m) :- store(va, vs), loc(va, h1, n), loc(vs, h2, m).
-hP(h1, n, h2, m) :- storeSilent(va, vs), loc(va, h1, n), loc(vs, h2, m).
+# Loads and stores through (object, offset) locations; null and function
+# objects hold no fields.  Silent stores (the interface's out-parameter
+# writes) update the heap but are not program-level accesses.
+hP(h1, n, h2, m) :- store(va, vs), loc(va, h1, n), isStorable(h1), loc(vs, h2, m).
+hP(h1, n, h2, m) :- storeSilent(va, vs), loc(va, h1, n), isStorable(h1), loc(vs, h2, m).
 loc(v, h2, m) :- load(v, va), loc(va, h1, n), hP(h1, n, h2, m).
 vP(v, h) :- loc(v, h, n), zero(n).
 
@@ -99,8 +105,9 @@ class DatalogPTA:
         self.module = graph.module
         self.interface = interface
         self.backend = backend
-        self.objects: List[Tuple[str, int, str]] = []  # (kind, site, label)
-        self._object_index: Dict[Tuple[str, int], int] = {}
+        # (kind, site, label); a function object's site is its name.
+        self.objects: List[Tuple[str, object, str]] = []
+        self._object_index: Dict[Tuple[str, object], int] = {}
         self._variables: Dict[Tuple[str, str], int] = {}
         self._offsets: Set[int] = {0}
         self._deltas: Set[int] = set()
@@ -108,7 +115,7 @@ class DatalogPTA:
 
     # -- indexing ----------------------------------------------------------
 
-    def _object(self, kind: str, site: int, label: str) -> int:
+    def _object(self, kind: str, site: object, label: str) -> int:
         key = (kind, site)
         index = self._object_index.get(key)
         if index is None:
@@ -116,6 +123,9 @@ class DatalogPTA:
             self.objects.append((kind, site, label))
             self._object_index[key] = index
         return index
+
+    def _function_object(self, name: str) -> int:
+        return self._object("func", name, f"&{name}")
 
     def _var(self, func: str, operand: Operand) -> Optional[int]:
         if isinstance(operand, Temp):
@@ -160,6 +170,24 @@ class DatalogPTA:
             if name in self.module.functions
         }
 
+        def operand(fname: str, instr, position: int, value: Operand):
+            """The variable holding ``value``: its own, or for a null,
+            string or function-address constant a fresh one that holds
+            the constant's object."""
+            if isinstance(value, NullConst):
+                obj = null
+            elif isinstance(value, StrConst):
+                obj = self._object("string", value.site, f"str{value.site}")
+            elif isinstance(value, FuncAddr):
+                obj = self._function_object(value.name)
+            else:
+                return self._var(fname, value)
+            var = self._variables.setdefault(
+                (fname, f"__k{instr.uid}.{position}"), len(self._variables)
+            )
+            new_objs.append((var, obj))
+            return var
+
         for fname in sorted(reachable):
             function = self.module.functions[fname]
             for instr in function.instrs:
@@ -174,6 +202,10 @@ class DatalogPTA:
                         new_objs.append((dst, obj))
                     elif isinstance(instr.src, NullConst):
                         new_objs.append((dst, null))
+                    elif isinstance(instr.src, FuncAddr):
+                        new_objs.append(
+                            (dst, self._function_object(instr.src.name))
+                        )
                     else:
                         src = self._var(fname, instr.src)
                         if src is not None:
@@ -198,24 +230,26 @@ class DatalogPTA:
                     new_objs.append((dst, obj))
                 elif isinstance(instr, Add):
                     dst = self._var(fname, instr.dst)
-                    src = self._var(fname, instr.base)
+                    src = operand(fname, instr, 0, instr.base)
                     if dst is None or src is None or instr.offset is None:
                         continue  # paper mode: unknown offsets dropped
+                    if instr.offset > _OFFSET_BOUND:
+                        continue  # every result is out of range: dropped
                     shifts.append((dst, src, instr.offset))
                     self._deltas.add(instr.offset)
                 elif isinstance(instr, Load):
                     dst = self._var(fname, instr.dst)
-                    addr = self._var(fname, instr.addr)
+                    addr = operand(fname, instr, 0, instr.addr)
                     if dst is not None and addr is not None:
                         loads.append((dst, addr))
                 elif isinstance(instr, Store):
-                    addr = self._var(fname, instr.addr)
-                    src = self._var(fname, instr.src)
+                    addr = operand(fname, instr, 0, instr.addr)
+                    src = operand(fname, instr, 1, instr.src)
                     if addr is not None and src is not None:
                         stores.append((addr, src))
                 elif isinstance(instr, Return):
                     if instr.src is not None:
-                        src = self._var(fname, instr.src)
+                        src = operand(fname, instr, 0, instr.src)
                         if src is not None:
                             retsrcs.append((f_index[fname], src))
                 elif isinstance(instr, Call):
@@ -292,7 +326,7 @@ class DatalogPTA:
                             for k, arg in enumerate(instr.args):
                                 if k >= len(callee.params):
                                     break
-                                arg_id = self._var(fname, arg)
+                                arg_id = operand(fname, instr, k, arg)
                                 if arg_id is not None:
                                     actuals.append((site, k, arg_id))
                             if instr.dst is not None:
@@ -320,7 +354,7 @@ class DatalogPTA:
         # max_field_offset cutoff (beyond which offsets become unknown and
         # are dropped in paper mode).
         offsets: Set[int] = {0}
-        bound = 1 << 12
+        bound = _OFFSET_BOUND
         frontier = {0}
         for _ in range(6):  # max interior-pointer chain depth
             next_frontier: Set[int] = set()
@@ -356,7 +390,7 @@ class DatalogPTA:
             ("createParentRoot", ["I"]),
             ("allocAt", ["I", "H"]), ("allocRegionVar", ["I", "V"]),
             ("isRegion", ["H"]), ("isNull", ["H"]), ("isNormal", ["H"]),
-            ("isTracked", ["H"]), ("root", ["H"]),
+            ("isTracked", ["H"]), ("isStorable", ["H"]), ("root", ["H"]),
             ("vP", ["V", "H"]), ("loc", ["V", "H", "N"]),
             ("hP", ["H", "N", "H", "N"]),
             ("subregion", ["H", "H"]), ("ownership", ["H", "H"]),
@@ -417,6 +451,8 @@ class DatalogPTA:
                 program.fact("isNormal", index)
             if kind in ("heap", "stack", "global", "string", "region", "root"):
                 program.fact("isTracked", index)
+            if kind not in ("null", "func"):
+                program.fact("isStorable", index)
         program.fact("root", root)
 
         self.solution = program.solve()

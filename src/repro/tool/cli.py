@@ -36,7 +36,8 @@ Flags only a single-file run reads: ``--open``, ``--query``,
 ``--explain`` and ``--stats`` (each exits 2 under ``--batch``), and
 ``--all``/``-v``, which shape its listing: without ``--all`` it reports,
 validates, baselines and exits on the high-ranked warnings only, while a
-batch summary counts every warning.
+batch summary counts every warning.  ``--cache`` and ``--journal`` are
+read only by a sweep and exit 2 without ``--batch``.
 """
 
 from __future__ import annotations
@@ -572,6 +573,10 @@ _ARGUMENT_CHECKS = (
      "--hard-timeout must be > 0"),
     (lambda a: a.resume and not a.journal,
      "--resume requires --journal FILE"),
+    (lambda a: a.cache_dir is not None and not a.batch,
+     "--cache requires --batch"),
+    (lambda a: a.journal is not None and not a.batch,
+     "--journal requires --batch"),
 )
 
 
@@ -849,6 +854,8 @@ def _single_run(
                 name=unit.name,
                 budget=config.budget,
                 degrade=config.degrade,
+                refine=config.refine,
+                registry=config.registry,
             )
         else:
             query = _parse_query(args.query) if args.query else None

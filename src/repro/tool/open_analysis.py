@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
+from repro.callgraph import ImplicitCallRegistry
 from repro.interfaces import RegionInterface
 from repro.lang import analyze, parse
 from repro.lang.types import CType, FunctionType, PointerType, StructType
@@ -143,8 +144,11 @@ def analyze_open_program(
     name: str = "library",
     budget: Optional[ResourceBudget] = None,
     degrade: bool = False,
+    refine: bool = False,
+    registry: Optional[ImplicitCallRegistry] = None,
 ) -> RegionWizReport:
-    """Run RegionWiz on a library via the synthesized open harness."""
+    """Run RegionWiz on a library via the synthesized open harness;
+    the other arguments mean what they mean to :func:`run_regionwiz`."""
     harnessed = build_harness(source, interface, filename, exports)
     return run_regionwiz(
         harnessed,
@@ -152,7 +156,9 @@ def analyze_open_program(
         interface=interface,
         entry=HARNESS_ENTRY,
         options=options,
+        registry=registry,
         name=name,
+        refine=refine,
         budget=budget,
         degrade=degrade,
     )

@@ -557,7 +557,10 @@ def run_regionwiz(
                     phase=error.phase,
                 )
                 failed_rungs.append(rung)
-                last_error = error
+                # Without its traceback the error holds none of the
+                # attempt's frames, so the attempt is freed now, not at
+                # the next collection.
+                last_error = error.with_traceback(None)
                 continue
             report.precision = rung
             report.degradation_path = tuple(failed_rungs)
@@ -566,4 +569,9 @@ def run_regionwiz(
             report.metrics = _collect_metrics(report)
             return report
         assert last_error is not None
-        raise last_error
+        try:
+            raise last_error
+        finally:
+            # The raised error's traceback holds this frame; a frame
+            # that held the error back would make a cycle.
+            del last_error

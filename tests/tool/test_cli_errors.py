@@ -293,6 +293,25 @@ class TestBatchMode:
         assert err.startswith("regionwiz: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--cache", "--cache requires --batch"),
+         ("--journal", "--journal requires --batch")],
+    )
+    def test_batch_only_path_without_batch_exit_two(
+        self, tmp_path, capsys, flag, message
+    ):
+        # A single-file run used to ignore both silently: it wrote
+        # neither file and exited 1 on the figure's warning.
+        good = tmp_path / "fig1.c"
+        good.write_text(figure("fig1").full_source)
+        target = tmp_path / "target"
+        assert main([flag, str(target), str(good)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"regionwiz: {message}\n"
+        assert not target.exists()
+
     def test_resume_requires_a_journal(self, tmp_path, capsys):
         good = tmp_path / "fig1.c"
         good.write_text(figure("fig1").full_source)

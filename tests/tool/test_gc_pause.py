@@ -72,25 +72,30 @@ def _corpus():
     return units
 
 
-def _garbage_of(unit):
-    """The objects the collector finds unreachable after ``unit`` ran."""
+def _garbage_after(run):
+    """The objects the collector finds unreachable after ``run()``."""
     gc.collect()
     debug = gc.get_debug()
     gc.set_debug(debug | gc.DEBUG_SAVEALL)
     try:
-        run_regionwiz(
-            unit.source,
-            filename=unit.filename,
-            interface=unit.region_interface(),
-            entry=unit.entry,
-            name=unit.name,
-        )
+        run()
         gc.collect()
         garbage = list(gc.garbage)
         gc.garbage.clear()
     finally:
         gc.set_debug(debug)
     return garbage
+
+
+def _garbage_of(unit):
+    """The objects the collector finds unreachable after ``unit`` ran."""
+    return _garbage_after(lambda: run_regionwiz(
+        unit.source,
+        filename=unit.filename,
+        interface=unit.region_interface(),
+        entry=unit.entry,
+        name=unit.name,
+    ))
 
 
 def _outside_type_graph(garbage):
@@ -124,6 +129,41 @@ def test_units_leave_only_struct_type_cycles():
         if stray:
             leaks[unit.name] = sorted({type(obj).__qualname__ for obj in stray})
     assert leaks == {}
+
+
+# Figure 10 derives 74 tuples at full precision: a limit of 50 trips the
+# solve mid-round, and the ladder fails two rungs before one fits
+# (tests/pointer/test_singleton_cells.py pins both).
+FIG10 = figure("fig10")
+FIG10_BUDGET = ResourceBudget(max_derived_tuples=50)
+
+
+def _tripped_solve():
+    # Not pytest.raises: an ExceptionInfo kept in this frame, which the
+    # error's traceback holds, would itself be a cycle.
+    try:
+        run_regionwiz(FIG10.full_source, entry=FIG10.entry, budget=FIG10_BUDGET)
+    except BudgetExceeded as error:
+        assert (error.resource, error.phase) == ("derived_tuples", "correlation")
+    else:
+        pytest.fail("the budget did not trip")
+
+
+def _ladder_with_two_failed_rungs():
+    report = run_regionwiz(
+        FIG10.full_source, entry=FIG10.entry, budget=FIG10_BUDGET, degrade=True
+    )
+    assert tuple(report.degradation_path) == ("full", "no-heap-cloning")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_tripped_solve, _ladder_with_two_failed_rungs],
+    ids=["budget-exceeded", "degrade-ladder"],
+)
+def test_failure_paths_leave_only_struct_type_cycles(run):
+    stray = _outside_type_graph(_garbage_after(run))
+    assert sorted({type(obj).__qualname__ for obj in stray}) == []
 
 
 def test_a_leaked_cycle_is_caught():

@@ -1,5 +1,7 @@
 """Tests for open-program (library) analysis."""
 
+import json
+
 import pytest
 
 from repro.interfaces import (
@@ -8,11 +10,14 @@ from repro.interfaces import (
     apr_pools_interface,
     rc_regions_interface,
 )
+from repro.tool.cli import main
 from repro.tool.open_analysis import (
     HARNESS_ENTRY,
     analyze_open_program,
     build_harness,
 )
+from repro.tool.regionwiz import run_regionwiz
+from repro.workloads import figure
 
 SAFE_LIBRARY = APR_HEADER + """
 struct entry { struct entry *next; int value; };
@@ -122,3 +127,34 @@ class TestOpenVerdicts:
 
         report = run_regionwiz(CROSS_PARAM_LIBRARY, name="closed")
         assert report.is_consistent  # nothing reachable from main
+
+
+class TestRefinement:
+    """``--open --refine`` applies the Section 4.3 refinement, as a
+    whole-program ``--refine`` run does."""
+
+    # Figure 5 as a library: its main becomes an exported function.
+    FIG5_LIBRARY = figure("fig5").full_source.replace(
+        "int main(void) {", "void build(void) {"
+    ).replace("    return 0;\n}", "}")
+
+    def test_library_loses_the_low_ranked_warning(self):
+        interface = apr_pools_interface()
+        plain = analyze_open_program(self.FIG5_LIBRARY, interface)
+        refined = analyze_open_program(self.FIG5_LIBRARY, interface, refine=True)
+        assert len(plain.warnings) == 1
+        assert not plain.high_warnings
+        assert refined.warnings == []
+        # The whole program agrees.
+        program = figure("fig5").full_source
+        assert len(run_regionwiz(program).warnings) == 1
+        assert run_regionwiz(program, refine=True).warnings == []
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_cli_passes_refine_to_the_harness(self, tmp_path, capsys, refine):
+        path = tmp_path / "fig5lib.c"
+        path.write_text(self.FIG5_LIBRARY)
+        flags = ["--refine"] if refine else []
+        main([str(path), "--open", "--all", "--json", *flags])
+        warnings = json.loads(capsys.readouterr().out)["warnings"]
+        assert len(warnings) == (0 if refine else 1)
